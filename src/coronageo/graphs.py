@@ -114,13 +114,6 @@ def induced_subgraph(G: Graph, members: Mask) -> Graph:
     return Graph(len(vs), tuple(rows))
 
 
-def neighbors_in(G: Graph, within: Mask, v: int) -> Mask:
-    """Neighbors of ``v`` that lie in the given vertex set."""
-    if not 0 <= v < G.n:
-        raise DomainError(f"vertex {v} out of range")
-    return G.adj[v] & within
-
-
 def reachable_set(G: Graph, start: int, within: Mask | None = None) -> Mask:
     """Vertices reachable from ``start`` by paths inside ``within`` (default: all)."""
     scope = G.full_mask if within is None else within

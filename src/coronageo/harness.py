@@ -2,8 +2,10 @@
 
 Every claim has a checker producing a ``VerificationReport`` with verdict
 PASS, FAIL, or SKIPPED (hypothesis not met / resource cap), the computed
-values, and canonical witnesses.  ``run_corpus`` drives a checker over a
-deterministic corpus and serializes reports as JSON Lines.
+values, and canonical witnesses.  Checkers are registered in ``THEOREMS`` by
+the ``claim`` decorator, which also times them, records the instance and
+builds the report.  ``run_corpus`` drives a checker over a deterministic
+corpus and serializes reports as JSON Lines.
 
 Hypothesis discipline: a checker never asserts a claim outside its stated
 hypotheses; out-of-hypothesis instances are SKIPPED with a reason code,
@@ -12,7 +14,9 @@ never PASS.
 
 from __future__ import annotations
 
+import functools
 import json
+import os
 import time
 from dataclasses import dataclass
 from multiprocessing import get_context
@@ -23,7 +27,6 @@ from .errors import CapExceeded, DomainError
 from .formats import encode_graph6
 from .geodesic import (
     DEFAULT_GEODETIC_CAP,
-    GeodeticResult,
     geodetic_number,
     is_geodetic,
     is_geodominated,
@@ -42,6 +45,7 @@ from .graphs import (
     diameter,
     empty,
     extreme_vertices,
+    fan,
     induced_subgraph,
     is_complete,
     is_connected,
@@ -49,11 +53,11 @@ from .graphs import (
     path,
     reachable_set,
     vertex_tuple,
+    wheel,
 )
 from .steiner import (
     DEFAULT_STEINER_CAP,
     DEFAULT_TERMINAL_CAP,
-    SteinerResult,
     is_steiner_set,
     steiner_distance,
     steiner_number,
@@ -123,7 +127,21 @@ def summary_json(reports: Iterable[VerificationReport]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Checker plumbing.
+# Claim registry and checker plumbing.
+
+
+@dataclass(frozen=True)
+class TheoremInfo:
+    id: str
+    kind: str  # "single" | "pair" | "range" | "g_range" | "pendant"
+    checker: Callable[..., VerificationReport]
+    claim: str
+
+
+THEOREMS: dict[str, TheoremInfo] = {}
+
+# What a claim body returns: ok, computed values, witness vertex sets, reason.
+Outcome = tuple[bool, dict, "list[Sequence[int]] | None", "str | None"]
 
 
 class _Skip(Exception):
@@ -137,57 +155,61 @@ def _need(condition: bool, reason: str) -> None:
         raise _Skip(reason)
 
 
-def _instance(graphs: Sequence[Graph], params: dict) -> dict:
-    return {"g6": [encode_graph6(g) for g in graphs], "params": params}
+# instance graphs and params of each kind, from the checker's leading arguments
+_INSTANCES = {
+    "single": lambda G, *_: ([G], {"n": G.n}),
+    "pair": lambda G, H, *_: ([G, H], {"n1": G.n, "n2": H.n}),
+    "g_range": lambda G, n2, *_: ([G], {"n1": G.n, "n2": n2}),
+    "pendant": lambda G, H, k, *_: ([G, H], {"n1": G.n, "n2": H.n, "k": k}),
+}
 
 
-def _finish(
-    theorem: str,
-    instance: dict,
-    start: float,
-    *,
-    ok: bool,
-    computed: dict,
-    witness: list[list[int]] | None = None,
-    reason: str | None = None,
-) -> VerificationReport:
-    elapsed = int((time.perf_counter() - start) * 1000)
-    return VerificationReport(
-        theorem, instance, computed, PASS if ok else FAIL,
-        reason=reason, witness=witness, elapsed_ms=elapsed,
-    )
+def claim(theorem: str, kind: str, text: str, family: tuple[Callable[[int], Graph], int] | None = None):
+    """Register the decorated claim body as the checker of ``theorem``.
 
+    The checker takes the body's arguments, times the call, records the
+    instance, and builds a PASS or FAIL report from the body's ``Outcome``.
+    A ``_Skip`` or a ``CapExceeded`` raised anywhere in the body gives a
+    SKIPPED report instead.  For a "range" claim, ``family = (rim, least)``:
+    the instance of parameter n is K1 ⊙ rim(n), recorded from n >= least.
+    """
+    if kind == "range":
+        rim, least = family
 
-def _skipped(theorem: str, instance: dict, start: float, reason: str) -> VerificationReport:
-    elapsed = int((time.perf_counter() - start) * 1000)
-    return VerificationReport(theorem, instance, {}, SKIPPED, reason=reason, elapsed_ms=elapsed)
+        def instance(n: int, *_) -> tuple[list[Graph], dict]:
+            return [corona(complete(1), rim(n))[0]] if n >= least else [], {"n": n}
+    else:
+        instance = _INSTANCES[kind]
+
+    def register(body: Callable[..., Outcome]) -> Callable[..., VerificationReport]:
+        @functools.wraps(body)
+        def checker(*args, **kwargs) -> VerificationReport:
+            start = time.perf_counter()
+            graphs, params = instance(*args)
+            inst = {"g6": [encode_graph6(g) for g in graphs], "params": params}
+            try:
+                ok, computed, witness, reason = body(*args, **kwargs)
+                verdict = PASS if ok else FAIL
+            except _Skip as s:
+                verdict, computed, witness, reason = SKIPPED, {}, None, s.reason
+            except CapExceeded as exc:
+                verdict, computed, witness, reason = SKIPPED, {}, None, f"{R_CAP}: {exc}"
+            return VerificationReport(
+                theorem, inst, computed, verdict, reason=reason,
+                witness=None if witness is None else [list(w) for w in witness],
+                elapsed_ms=int((time.perf_counter() - start) * 1000),
+            )
+
+        THEOREMS[theorem] = TheoremInfo(theorem, kind, checker, text)
+        return checker
+
+    return register
 
 
 def _build_corona(G: Graph, H: Graph) -> tuple[Graph, CoronaLayout]:
     try:
         return corona(G, H)
     except DomainError as exc:  # product order beyond the 62-vertex limit
-        raise _Skip(f"{R_CAP}: {exc}") from None
-
-
-def _geo(G: Graph, caps: Caps) -> GeodeticResult:
-    try:
-        return geodetic_number(G, cap=caps.geodetic)
-    except CapExceeded as exc:
-        raise _Skip(f"{R_CAP}: {exc}") from None
-
-
-def _g2(G: Graph, caps: Caps) -> GeodeticResult:
-    try:
-        return k_geodetic_number(G, 2, cap=caps.geodetic)
-    except CapExceeded as exc:
-        raise _Skip(f"{R_CAP}: {exc}") from None
-
-
-def _stein(G: Graph, caps: Caps, layout: CoronaLayout | None = None) -> SteinerResult:
-    try:
-        return steiner_number(G, cap=caps.steiner, layout=layout)
-    except CapExceeded as exc:
         raise _Skip(f"{R_CAP}: {exc}") from None
 
 
@@ -198,13 +220,6 @@ def geodetic_number_sum(H: Graph, *, cap: int = DEFAULT_GEODETIC_CAP) -> int:
         geodetic_number(induced_subgraph(H, comp), cap=cap).value
         for comp in components(H)
     )
-
-
-def _gsum(H: Graph, caps: Caps) -> int:
-    try:
-        return geodetic_number_sum(H, cap=caps.geodetic)
-    except CapExceeded as exc:
-        raise _Skip(f"{R_CAP}: {exc}") from None
 
 
 def _k1_corona(H: Graph) -> Graph:
@@ -221,64 +236,86 @@ def _copy_to_k1h(layout: CoronaLayout, i: int, members: Mask) -> Mask:
 # Geodetic checkers.
 
 
-def check_geo_kn(G: Graph, caps: Caps = Caps()) -> VerificationReport:
+@claim("GEO_KN", "single", "g(G) = n iff G is complete")
+def check_geo_kn(G: Graph, caps: Caps = Caps()) -> Outcome:
     """g(G) = n exactly when G is complete."""
-    start = time.perf_counter()
-    inst = _instance([G], {"n": G.n})
-    try:
-        _need(is_connected(G), R_G_DISCONNECTED)
-        r = _geo(G, caps)
-    except _Skip as s:
-        return _skipped("GEO_KN", inst, start, s.reason)
+    _need(is_connected(G), R_G_DISCONNECTED)
+    r = geodetic_number(G, cap=caps.geodetic)
     comp = is_complete(G)
     computed = {"g": r.value, "n": G.n, "complete": int(comp)}
-    return _finish("GEO_KN", inst, start, ok=(r.value == G.n) == comp,
-                   computed=computed, witness=[list(r.witness)])
+    return (r.value == G.n) == comp, computed, [r.witness], None
 
 
-def check_extreme_in_geodetic(G: Graph, caps: Caps = Caps()) -> VerificationReport:
+@claim("CORONA_GEO_STRUCT", "pair", "structure of minimum geodetic sets of G ⊙ H")
+def check_corona_structure_geo(G: Graph, H: Graph, caps: Caps = Caps()) -> Outcome:
+    """Structural facts about geodetic sets of G ⊙ H:
+    (i) no copy vertex is geodominated by a pair leaving its copy,
+    (ii) the minimum witness meets every copy,
+    (iii) it avoids the base vertices (n1 >= 2, or n1 = 1 with H non-complete),
+    (iv) each per-copy slice is geodetic in K1 ⊙ H (H non-complete)."""
+    _need(is_connected(G), R_G_DISCONNECTED)
+    prod, layout = _build_corona(G, H)
+    r = geodetic_number(prod, cap=caps.geodetic)
+
+    D = bfs_distances(prod)
+    part_i = True
+    for i in range(layout.n1):
+        block = layout.copy_mask(i)
+        for v in bits(block):
+            for a in range(prod.n):
+                for b in range(a + 1, prod.n):
+                    if v in (a, b):
+                        continue
+                    if block >> a & 1 and block >> b & 1:
+                        continue
+                    if is_geodominated(D, v, a, b):
+                        part_i = False
+
+    W = mask_of(r.witness)
+    parts = {"part_i": part_i, "part_ii": all(W & layout.copy_mask(i) for i in range(layout.n1))}
+    if G.n >= 2 or not is_complete(H):
+        parts["part_iii"] = W & layout.g_mask == 0
+    if not is_complete(H):
+        k1h = _k1_corona(H)
+        parts["part_iv"] = all(
+            is_geodetic(k1h, _copy_to_k1h(layout, i, W & layout.copy_mask(i)))
+            for i in range(layout.n1)
+        )
+    computed = {"g_product": r.value, **{p: int(v) for p, v in parts.items()}}
+    skipped = [p for p in ("part_iii", "part_iv") if p not in parts]
+    reason = f"skipped-parts:{','.join(skipped)}" if skipped else None
+    return all(parts.values()), computed, [r.witness], reason
+
+
+@claim("GEO_K1_LB", "single", "g(K1 ⊙ H) >= g(H)")
+def check_geo_k1_lb(H: Graph, caps: Caps = Caps()) -> Outcome:
+    """g(K1 ⊙ H) >= g(H) for any graph H (components summed when disconnected)."""
+    g_h = geodetic_number_sum(H, cap=caps.geodetic)
+    r = geodetic_number(_k1_corona(H), cap=caps.geodetic)
+    computed = {"g_h": g_h, "g_k1_h": r.value}
+    return r.value >= g_h, computed, [r.witness], None
+
+
+@claim("EXTREME_IN_GEODETIC", "single", "minimum geodetic witnesses contain all extreme vertices")
+def check_extreme_in_geodetic(G: Graph, caps: Caps = Caps()) -> Outcome:
     """The canonical minimum geodetic witness contains every extreme vertex."""
-    start = time.perf_counter()
-    inst = _instance([G], {"n": G.n})
-    try:
-        _need(is_connected(G), R_G_DISCONNECTED)
-        r = _geo(G, caps)
-    except _Skip as s:
-        return _skipped("EXTREME_IN_GEODETIC", inst, start, s.reason)
+    _need(is_connected(G), R_G_DISCONNECTED)
+    r = geodetic_number(G, cap=caps.geodetic)
     ext = extreme_vertices(G)
     computed = {"g": r.value, "extreme_count": ext.bit_count()}
     ok = ext & ~mask_of(r.witness) == 0
-    return _finish("EXTREME_IN_GEODETIC", inst, start, ok=ok,
-                   computed=computed, witness=[list(r.witness)])
+    return ok, computed, [r.witness], None
 
 
-def check_geo_k1_lb(H: Graph, caps: Caps = Caps()) -> VerificationReport:
-    """g(K1 ⊙ H) >= g(H) for any graph H (components summed when disconnected)."""
-    start = time.perf_counter()
-    inst = _instance([H], {"n": H.n})
-    try:
-        g_h = _gsum(H, caps)
-        r = _geo(_k1_corona(H), caps)
-    except _Skip as s:
-        return _skipped("GEO_K1_LB", inst, start, s.reason)
-    computed = {"g_h": g_h, "g_k1_h": r.value}
-    return _finish("GEO_K1_LB", inst, start, ok=r.value >= g_h,
-                   computed=computed, witness=[list(r.witness)])
-
-
-def check_geo_bounds(G: Graph, H: Graph, caps: Caps = Caps()) -> VerificationReport:
+@claim("GEO_BOUNDS", "pair", "n1·g(H) <= g(G ⊙ H) <= n1·n2, equality and sharpening")
+def check_geo_bounds(G: Graph, H: Graph, caps: Caps = Caps()) -> Outcome:
     """n1·g(H) <= g(G ⊙ H) <= n1·n2; equality on the right exactly when every
     component of H is complete; <= n1(n2-1) when no component is complete."""
-    start = time.perf_counter()
-    inst = _instance([G, H], {"n1": G.n, "n2": H.n})
-    try:
-        _need(is_connected(G), R_G_DISCONNECTED)
-        _need(G.n >= 2 or not is_complete(H), R_H_COMPLETE)
-        prod, _ = _build_corona(G, H)
-        r = _geo(prod, caps)
-        g_h = _gsum(H, caps)
-    except _Skip as s:
-        return _skipped("GEO_BOUNDS", inst, start, s.reason)
+    _need(is_connected(G), R_G_DISCONNECTED)
+    _need(G.n >= 2 or not is_complete(H), R_H_COMPLETE)
+    prod, _ = _build_corona(G, H)
+    r = geodetic_number(prod, cap=caps.geodetic)
+    g_h = geodetic_number_sum(H, cap=caps.geodetic)
     comps = [induced_subgraph(H, c) for c in components(H)]
     all_complete = all(is_complete(c) for c in comps)
     none_complete = not any(is_complete(c) for c in comps)
@@ -300,134 +337,51 @@ def check_geo_bounds(G: Graph, H: Graph, caps: Caps = Caps()) -> VerificationRep
         "sharp_ok": int(sharp_ok),
     }
     ok = lower_ok and upper_ok and equality_ok and sharp_ok
-    return _finish("GEO_BOUNDS", inst, start, ok=ok, computed=computed,
-                   witness=[list(r.witness)])
+    return ok, computed, [r.witness], None
 
 
-def check_corona_structure_geo(G: Graph, H: Graph, caps: Caps = Caps()) -> VerificationReport:
-    """Structural facts about geodetic sets of G ⊙ H:
-    (i) no copy vertex is geodominated by a pair leaving its copy,
-    (ii) the minimum witness meets every copy,
-    (iii) it avoids the base vertices (n1 >= 2, or n1 = 1 with H non-complete),
-    (iv) each per-copy slice is geodetic in K1 ⊙ H (H non-complete)."""
-    start = time.perf_counter()
-    inst = _instance([G, H], {"n1": G.n, "n2": H.n})
-    try:
-        _need(is_connected(G), R_G_DISCONNECTED)
-        prod, layout = _build_corona(G, H)
-        r = _geo(prod, caps)
-    except _Skip as s:
-        return _skipped("CORONA_GEO_STRUCT", inst, start, s.reason)
-
-    D = bfs_distances(prod)
-    part_i = True
-    for i in range(layout.n1):
-        block = layout.copy_mask(i)
-        for v in bits(block):
-            for a in range(prod.n):
-                for b in range(a + 1, prod.n):
-                    if v in (a, b):
-                        continue
-                    if block >> a & 1 and block >> b & 1:
-                        continue
-                    if is_geodominated(D, v, a, b):
-                        part_i = False
-
-    W = mask_of(r.witness)
-    part_ii = all(W & layout.copy_mask(i) for i in range(layout.n1))
-    computed = {"g_product": r.value, "part_i": int(part_i), "part_ii": int(part_ii)}
-    skipped_parts = []
-
-    ok = part_i and part_ii
-    if G.n >= 2 or not is_complete(H):
-        part_iii = W & layout.g_mask == 0
-        computed["part_iii"] = int(part_iii)
-        ok = ok and part_iii
-    else:
-        skipped_parts.append("part_iii")
-
-    if not is_complete(H):
-        k1h = _k1_corona(H)
-        part_iv = all(
-            is_geodetic(k1h, _copy_to_k1h(layout, i, W & layout.copy_mask(i)))
-            for i in range(layout.n1)
-        )
-        computed["part_iv"] = int(part_iv)
-        ok = ok and part_iv
-    else:
-        skipped_parts.append("part_iv")
-
-    reason = f"skipped-parts:{','.join(skipped_parts)}" if skipped_parts else None
-    return _finish("CORONA_GEO_STRUCT", inst, start, ok=ok, computed=computed,
-                   witness=[list(r.witness)], reason=reason)
-
-
-def check_geo_corona_eq(G: Graph, H: Graph, caps: Caps = Caps()) -> VerificationReport:
+@claim("GEO_CORONA_EQ", "pair", "g(G ⊙ H) = n1·g(K1 ⊙ H) for non-complete H")
+def check_geo_corona_eq(G: Graph, H: Graph, caps: Caps = Caps()) -> Outcome:
     """g(G ⊙ H) = n1 · g(K1 ⊙ H) for connected G and non-complete H."""
-    start = time.perf_counter()
-    inst = _instance([G, H], {"n1": G.n, "n2": H.n})
-    try:
-        _need(is_connected(G), R_G_DISCONNECTED)
-        _need(not is_complete(H), R_H_COMPLETE)
-        prod, _ = _build_corona(G, H)
-        rp = _geo(prod, caps)
-        rh = _geo(_k1_corona(H), caps)
-    except _Skip as s:
-        return _skipped("GEO_CORONA_EQ", inst, start, s.reason)
+    _need(is_connected(G), R_G_DISCONNECTED)
+    _need(not is_complete(H), R_H_COMPLETE)
+    prod, _ = _build_corona(G, H)
+    rp = geodetic_number(prod, cap=caps.geodetic)
+    rh = geodetic_number(_k1_corona(H), cap=caps.geodetic)
     expected = G.n * rh.value
     computed = {"g_product": rp.value, "g_k1_h": rh.value, "expected": expected}
-    return _finish("GEO_CORONA_EQ", inst, start, ok=rp.value == expected,
-                   computed=computed, witness=[list(rp.witness), list(rh.witness)])
+    return rp.value == expected, computed, [rp.witness, rh.witness], None
 
 
-def check_wheel_geo(n: int, caps: Caps = Caps()) -> VerificationReport:
+@claim("WHEEL_GEO", "range", "g(wheel_n) = ceil(n/2) for n >= 4", family=(cycle, 3))
+def check_wheel_geo(n: int, caps: Caps = Caps()) -> Outcome:
     """g(wheel with rim n) = ceil(n / 2) for n >= 4."""
-    start = time.perf_counter()
-    w, _ = corona(complete(1), cycle(n)) if n >= 3 else (complete(1), None)
-    inst = _instance([w] if n >= 3 else [], {"n": n})
-    try:
-        _need(n >= 4, R_N_BELOW_MIN)
-        r = _geo(w, caps)
-    except _Skip as s:
-        return _skipped("WHEEL_GEO", inst, start, s.reason)
+    _need(n >= 4, R_N_BELOW_MIN)
+    r = geodetic_number(wheel(n), cap=caps.geodetic)
     expected = (n + 1) // 2
     computed = {"g": r.value, "expected": expected}
-    return _finish("WHEEL_GEO", inst, start, ok=r.value == expected,
-                   computed=computed, witness=[list(r.witness)])
+    return r.value == expected, computed, [r.witness], None
 
 
-def check_fan_geo(n: int, caps: Caps = Caps()) -> VerificationReport:
+@claim("FAN_GEO", "range", "g(fan_n) = ceil((n+1)/2) for n >= 3", family=(path, 1))
+def check_fan_geo(n: int, caps: Caps = Caps()) -> Outcome:
     """g(fan over a path of n) = ceil((n + 1) / 2) for n >= 3."""
-    start = time.perf_counter()
-    f, _ = corona(complete(1), path(n)) if n >= 1 else (complete(1), None)
-    inst = _instance([f] if n >= 1 else [], {"n": n})
-    try:
-        _need(n >= 3, R_N_BELOW_MIN)
-        r = _geo(f, caps)
-    except _Skip as s:
-        return _skipped("FAN_GEO", inst, start, s.reason)
+    _need(n >= 3, R_N_BELOW_MIN)
+    r = geodetic_number(fan(n), cap=caps.geodetic)
     expected = (n + 2) // 2
     computed = {"g": r.value, "expected": expected}
-    return _finish("FAN_GEO", inst, start, ok=r.value == expected,
-                   computed=computed, witness=[list(r.witness)])
+    return r.value == expected, computed, [r.witness], None
 
 
-def check_corona_cycle_path(G: Graph, n2: int, caps: Caps = Caps()) -> VerificationReport:
+@claim("CORONA_CYCLE_PATH", "g_range", "g(G ⊙ C_n) and g(G ⊙ P_n) closed forms")
+def check_corona_cycle_path(G: Graph, n2: int, caps: Caps = Caps()) -> Outcome:
     """g(G ⊙ C_n2) = n1·ceil(n2/2) for n2 >= 4 and
     g(G ⊙ P_n2) = n1·ceil((n2+1)/2) for n2 >= 3."""
-    start = time.perf_counter()
-    inst = _instance([G], {"n1": G.n, "n2": n2})
-    try:
-        _need(is_connected(G), R_G_DISCONNECTED)
-        _need(n2 >= 3, R_N_BELOW_MIN)
-        prod_path, _ = _build_corona(G, path(n2))
-        r_path = _geo(prod_path, caps)
-        cycle_checked = n2 >= 4
-        if cycle_checked:
-            prod_cycle, _ = _build_corona(G, cycle(n2))
-            r_cycle = _geo(prod_cycle, caps)
-    except _Skip as s:
-        return _skipped("CORONA_CYCLE_PATH", inst, start, s.reason)
+    _need(is_connected(G), R_G_DISCONNECTED)
+    _need(n2 >= 3, R_N_BELOW_MIN)
+    prod_path, _ = _build_corona(G, path(n2))
+    r_path = geodetic_number(prod_path, cap=caps.geodetic)
+    cycle_checked = n2 >= 4
     expected_path = G.n * ((n2 + 2) // 2)
     computed = {
         "g_corona_path": r_path.value,
@@ -435,28 +389,26 @@ def check_corona_cycle_path(G: Graph, n2: int, caps: Caps = Caps()) -> Verificat
         "cycle_checked": int(cycle_checked),
     }
     ok = r_path.value == expected_path
-    witness = [list(r_path.witness)]
+    witness = [r_path.witness]
     if cycle_checked:
+        prod_cycle, _ = _build_corona(G, cycle(n2))
+        r_cycle = geodetic_number(prod_cycle, cap=caps.geodetic)
         expected_cycle = G.n * ((n2 + 1) // 2)
         computed["g_corona_cycle"] = r_cycle.value
         computed["expected_cycle"] = expected_cycle
         ok = ok and r_cycle.value == expected_cycle
-        witness.append(list(r_cycle.witness))
-    return _finish("CORONA_CYCLE_PATH", inst, start, ok=ok, computed=computed, witness=witness)
+        witness.append(r_cycle.witness)
+    return ok, computed, witness, None
 
 
-def check_g2_equivalence(H: Graph, caps: Caps = Caps()) -> VerificationReport:
+@claim("G2_EQUIV", "single", "g(H) = g(K1 ⊙ H) iff g(H) = g2(H)")
+def check_g2_equivalence(H: Graph, caps: Caps = Caps()) -> Outcome:
     """g(H) = g(K1 ⊙ H) exactly when g(H) = g2(H), for connected non-complete H."""
-    start = time.perf_counter()
-    inst = _instance([H], {"n": H.n})
-    try:
-        _need(is_connected(H), R_H_DISCONNECTED)
-        _need(not is_complete(H), R_H_COMPLETE)
-        g_h = _geo(H, caps)
-        g2_h = _g2(H, caps)
-        g_k1 = _geo(_k1_corona(H), caps)
-    except _Skip as s:
-        return _skipped("G2_EQUIV", inst, start, s.reason)
+    _need(is_connected(H), R_H_DISCONNECTED)
+    _need(not is_complete(H), R_H_COMPLETE)
+    g_h = geodetic_number(H, cap=caps.geodetic)
+    g2_h = k_geodetic_number(H, 2, cap=caps.geodetic)
+    g_k1 = geodetic_number(_k1_corona(H), cap=caps.geodetic)
     left = g_h.value == g_k1.value
     right = g2_h.value is not None and g_h.value == g2_h.value
     computed = {
@@ -466,24 +418,20 @@ def check_g2_equivalence(H: Graph, caps: Caps = Caps()) -> VerificationReport:
         "left": int(left),
         "right": int(right),
     }
-    return _finish("G2_EQUIV", inst, start, ok=left == right, computed=computed)
+    return left == right, computed, None, None
 
 
-def check_g2_corona_equiv(G: Graph, H: Graph, caps: Caps = Caps()) -> VerificationReport:
+@claim("G2_CORONA_EQUIV", "pair", "g(G ⊙ H) = n1·g(H) iff g(H) = g2(H)")
+def check_g2_corona_equiv(G: Graph, H: Graph, caps: Caps = Caps()) -> Outcome:
     """g(G ⊙ H) = n1·g(H) exactly when g(H) = g2(H), for connected G and
     connected non-complete H."""
-    start = time.perf_counter()
-    inst = _instance([G, H], {"n1": G.n, "n2": H.n})
-    try:
-        _need(is_connected(G), R_G_DISCONNECTED)
-        _need(is_connected(H), R_H_DISCONNECTED)
-        _need(not is_complete(H), R_H_COMPLETE)
-        prod, _ = _build_corona(G, H)
-        g_prod = _geo(prod, caps)
-        g_h = _geo(H, caps)
-        g2_h = _g2(H, caps)
-    except _Skip as s:
-        return _skipped("G2_CORONA_EQUIV", inst, start, s.reason)
+    _need(is_connected(G), R_G_DISCONNECTED)
+    _need(is_connected(H), R_H_DISCONNECTED)
+    _need(not is_complete(H), R_H_COMPLETE)
+    prod, _ = _build_corona(G, H)
+    g_prod = geodetic_number(prod, cap=caps.geodetic)
+    g_h = geodetic_number(H, cap=caps.geodetic)
+    g2_h = k_geodetic_number(H, 2, cap=caps.geodetic)
     left = g_prod.value == G.n * g_h.value
     right = g2_h.value is not None and g_h.value == g2_h.value
     computed = {
@@ -493,42 +441,33 @@ def check_g2_corona_equiv(G: Graph, H: Graph, caps: Caps = Caps()) -> Verificati
         "left": int(left),
         "right": int(right),
     }
-    return _finish("G2_CORONA_EQUIV", inst, start, ok=left == right, computed=computed)
+    return left == right, computed, None, None
 
 
-def check_diam2_geo_eq(G: Graph, H: Graph, caps: Caps = Caps()) -> VerificationReport:
+@claim("DIAM2_GEO_EQ", "pair", "diameter-2 H gives g(G ⊙ H) = n1·g(H)")
+def check_diam2_geo_eq(G: Graph, H: Graph, caps: Caps = Caps()) -> Outcome:
     """If H has diameter 2, then g(G ⊙ H) = n1·g(H)."""
-    start = time.perf_counter()
-    inst = _instance([G, H], {"n1": G.n, "n2": H.n})
-    try:
-        _need(is_connected(G), R_G_DISCONNECTED)
-        _need(diameter(H) == 2, R_DIAM_NE_2)
-        prod, _ = _build_corona(G, H)
-        g_prod = _geo(prod, caps)
-        g_h = _geo(H, caps)
-    except _Skip as s:
-        return _skipped("DIAM2_GEO_EQ", inst, start, s.reason)
+    _need(is_connected(G), R_G_DISCONNECTED)
+    _need(diameter(H) == 2, R_DIAM_NE_2)
+    prod, _ = _build_corona(G, H)
+    g_prod = geodetic_number(prod, cap=caps.geodetic)
+    g_h = geodetic_number(H, cap=caps.geodetic)
     computed = {"g_product": g_prod.value, "g_h": g_h.value, "expected": G.n * g_h.value}
-    return _finish("DIAM2_GEO_EQ", inst, start, ok=g_prod.value == G.n * g_h.value,
-                   computed=computed, witness=[list(g_prod.witness)])
+    return g_prod.value == G.n * g_h.value, computed, [g_prod.witness], None
 
 
-def check_pendant_corollary(G: Graph, H: Graph, k: int, caps: Caps = Caps()) -> VerificationReport:
+@claim("PENDANT_COROLLARY", "pendant", "g(G ⊙ (H ⊙ N_k)) = n1·n2·k")
+def check_pendant_corollary(G: Graph, H: Graph, k: int, caps: Caps = Caps()) -> Outcome:
     """g(G ⊙ (H ⊙ N_k)) = n1·n2·k for connected G, H and k >= 2; the pendants
     of H ⊙ N_k form both a geodetic and a 2-geodetic minimum set."""
-    start = time.perf_counter()
-    inst = _instance([G, H], {"n1": G.n, "n2": H.n, "k": k})
-    try:
-        _need(is_connected(G), R_G_DISCONNECTED)
-        _need(is_connected(H), R_H_DISCONNECTED)
-        _need(k >= 2, R_K_LT_2)
-        hnk, _ = _build_corona(H, empty(k))
-        prod, _ = _build_corona(G, hnk)
-        g_prod = _geo(prod, caps)
-        g_hnk = _geo(hnk, caps)
-        g2_hnk = _g2(hnk, caps)
-    except _Skip as s:
-        return _skipped("PENDANT_COROLLARY", inst, start, s.reason)
+    _need(is_connected(G), R_G_DISCONNECTED)
+    _need(is_connected(H), R_H_DISCONNECTED)
+    _need(k >= 2, R_K_LT_2)
+    hnk, _ = _build_corona(H, empty(k))
+    prod, _ = _build_corona(G, hnk)
+    g_prod = geodetic_number(prod, cap=caps.geodetic)
+    g_hnk = geodetic_number(hnk, cap=caps.geodetic)
+    g2_hnk = k_geodetic_number(hnk, 2, cap=caps.geodetic)
     expected = G.n * H.n * k
     pendants = H.n * k
     computed = {
@@ -540,25 +479,20 @@ def check_pendant_corollary(G: Graph, H: Graph, k: int, caps: Caps = Caps()) -> 
         "n1_is_1": int(G.n == 1),
     }
     ok = g_prod.value == expected and g_hnk.value == pendants and g2_hnk.value == pendants
-    return _finish("PENDANT_COROLLARY", inst, start, ok=ok, computed=computed,
-                   witness=[list(g_prod.witness)])
+    return ok, computed, [g_prod.witness], None
 
 
-def check_geo_lower_minus1(G: Graph, H: Graph, caps: Caps = Caps()) -> VerificationReport:
+@claim("GEO_LOWER_MINUS1", "pair", "g(H) != g2(H) gives g(G ⊙ H) >= n1·(g(H)-1)")
+def check_geo_lower_minus1(G: Graph, H: Graph, caps: Caps = Caps()) -> Outcome:
     """If g(H) != g2(H), then g(G ⊙ H) >= n1·(g(H) - 1); H connected non-complete."""
-    start = time.perf_counter()
-    inst = _instance([G, H], {"n1": G.n, "n2": H.n})
-    try:
-        _need(is_connected(G), R_G_DISCONNECTED)
-        _need(is_connected(H), R_H_DISCONNECTED)
-        _need(not is_complete(H), R_H_COMPLETE)
-        g_h = _geo(H, caps)
-        g2_h = _g2(H, caps)
-        _need(g2_h.value is None or g_h.value != g2_h.value, R_G_EQ_G2)
-        prod, _ = _build_corona(G, H)
-        g_prod = _geo(prod, caps)
-    except _Skip as s:
-        return _skipped("GEO_LOWER_MINUS1", inst, start, s.reason)
+    _need(is_connected(G), R_G_DISCONNECTED)
+    _need(is_connected(H), R_H_DISCONNECTED)
+    _need(not is_complete(H), R_H_COMPLETE)
+    g_h = geodetic_number(H, cap=caps.geodetic)
+    g2_h = k_geodetic_number(H, 2, cap=caps.geodetic)
+    _need(g2_h.value is None or g_h.value != g2_h.value, R_G_EQ_G2)
+    prod, _ = _build_corona(G, H)
+    g_prod = geodetic_number(prod, cap=caps.geodetic)
     bound = G.n * (g_h.value - 1)
     computed = {
         "g_product": g_prod.value,
@@ -566,42 +500,21 @@ def check_geo_lower_minus1(G: Graph, H: Graph, caps: Caps = Caps()) -> Verificat
         "g2_h": -1 if g2_h.value is None else g2_h.value,
         "bound": bound,
     }
-    return _finish("GEO_LOWER_MINUS1", inst, start, ok=g_prod.value >= bound,
-                   computed=computed, witness=[list(g_prod.witness)])
+    return g_prod.value >= bound, computed, [g_prod.witness], None
 
 
 # ---------------------------------------------------------------------------
 # Steiner checkers.
 
 
-def check_steiner_kn(G: Graph, caps: Caps = Caps()) -> VerificationReport:
+@claim("STEINER_KN", "single", "s(G) = n iff G is complete")
+def check_steiner_kn(G: Graph, caps: Caps = Caps()) -> Outcome:
     """s(G) = n exactly when G is complete."""
-    start = time.perf_counter()
-    inst = _instance([G], {"n": G.n})
-    try:
-        _need(is_connected(G), R_G_DISCONNECTED)
-        r = _stein(G, caps)
-    except _Skip as s:
-        return _skipped("STEINER_KN", inst, start, s.reason)
+    _need(is_connected(G), R_G_DISCONNECTED)
+    r = steiner_number(G, cap=caps.steiner)
     comp = is_complete(G)
     computed = {"s": r.value, "n": G.n, "complete": int(comp)}
-    return _finish("STEINER_KN", inst, start, ok=(r.value == G.n) == comp,
-                   computed=computed, witness=[list(r.witness)])
-
-
-def check_steiner_k1_lb(G: Graph, caps: Caps = Caps()) -> VerificationReport:
-    """s(K1 ⊙ G) >= s(G) for connected G."""
-    start = time.perf_counter()
-    inst = _instance([G], {"n": G.n})
-    try:
-        _need(is_connected(G), R_G_DISCONNECTED)
-        s_g = _stein(G, caps)
-        s_k1 = _stein(_k1_corona(G), caps)
-    except _Skip as s:
-        return _skipped("STEINER_K1_LB", inst, start, s.reason)
-    computed = {"s_g": s_g.value, "s_k1_g": s_k1.value}
-    return _finish("STEINER_K1_LB", inst, start, ok=s_k1.value >= s_g.value,
-                   computed=computed, witness=[list(s_k1.witness)])
+    return (r.value == G.n) == comp, computed, [r.witness], None
 
 
 def _in_every_steiner_tree(prod: Graph, terminals: Mask, v: int, caps: Caps) -> bool:
@@ -619,117 +532,89 @@ def _in_every_steiner_tree(prod: Graph, terminals: Mask, v: int, caps: Caps) -> 
     return steiner_distance(sub, mapped, terminal_cap=caps.terminals) > base
 
 
-def check_corona_structure_steiner(G: Graph, H: Graph, caps: Caps = Caps()) -> VerificationReport:
+@claim("STEINER_CORONA_STRUCT", "pair", "structure of minimum Steiner sets of G ⊙ H")
+def check_corona_structure_steiner(G: Graph, H: Graph, caps: Caps = Caps()) -> Outcome:
     """Structural facts about Steiner sets of G ⊙ H:
     (i) for n1 >= 2, terminal sets inside the copies meeting every copy force
         every base vertex onto every minimum tree,
     (ii) the minimum witness meets every copy,
     (iii) it avoids the base vertices (n1 >= 2, or n1 = 1 with H non-complete).
     """
-    start = time.perf_counter()
-    inst = _instance([G, H], {"n1": G.n, "n2": H.n})
-    try:
-        _need(is_connected(G), R_G_DISCONNECTED)
-        prod, layout = _build_corona(G, H)
-        r = _stein(prod, caps, layout=layout if G.n >= 2 else None)
-    except _Skip as s:
-        return _skipped("STEINER_CORONA_STRUCT", inst, start, s.reason)
+    _need(is_connected(G), R_G_DISCONNECTED)
+    prod, layout = _build_corona(G, H)
+    r = steiner_number(prod, cap=caps.steiner, layout=layout if G.n >= 2 else None)
 
     U = mask_of(r.witness)
-    part_ii = all(U & layout.copy_mask(i) for i in range(layout.n1))
-    computed = {"s_product": r.value, "part_ii": int(part_ii)}
-    ok = part_ii
-    skipped_parts = []
-
+    parts = {"part_ii": all(U & layout.copy_mask(i) for i in range(layout.n1))}
     if G.n >= 2:
         candidates = {layout.copies_mask}
-        if U & layout.g_mask == 0 and all(U & layout.copy_mask(i) for i in range(layout.n1)):
+        if U & layout.g_mask == 0 and parts["part_ii"]:
             candidates.add(U)
-        try:
-            part_i = all(
-                _in_every_steiner_tree(prod, A, v, caps)
-                for A in sorted(candidates)
-                for v in range(layout.n1)
-            )
-        except CapExceeded as exc:
-            return _skipped("STEINER_CORONA_STRUCT", inst, start, f"{R_CAP}: {exc}")
-        computed["part_i"] = int(part_i)
-        ok = ok and part_i
-    else:
-        skipped_parts.append("part_i")
-
+        parts["part_i"] = all(
+            _in_every_steiner_tree(prod, A, v, caps)
+            for A in sorted(candidates)
+            for v in range(layout.n1)
+        )
     if G.n >= 2 or not is_complete(H):
-        part_iii = U & layout.g_mask == 0
-        computed["part_iii"] = int(part_iii)
-        ok = ok and part_iii
-    else:
-        skipped_parts.append("part_iii")
-
-    reason = f"skipped-parts:{','.join(skipped_parts)}" if skipped_parts else None
-    return _finish("STEINER_CORONA_STRUCT", inst, start, ok=ok, computed=computed,
-                   witness=[list(r.witness)], reason=reason)
+        parts["part_iii"] = U & layout.g_mask == 0
+    computed = {"s_product": r.value, **{p: int(v) for p, v in parts.items()}}
+    skipped = [p for p in ("part_i", "part_iii") if p not in parts]
+    reason = f"skipped-parts:{','.join(skipped)}" if skipped else None
+    return all(parts.values()), computed, [r.witness], reason
 
 
-def check_steiner_corona_eq(G: Graph, H: Graph, caps: Caps = Caps()) -> VerificationReport:
+@claim("STEINER_K1_LB", "single", "s(K1 ⊙ G) >= s(G)")
+def check_steiner_k1_lb(G: Graph, caps: Caps = Caps()) -> Outcome:
+    """s(K1 ⊙ G) >= s(G) for connected G."""
+    _need(is_connected(G), R_G_DISCONNECTED)
+    s_g = steiner_number(G, cap=caps.steiner)
+    s_k1 = steiner_number(_k1_corona(G), cap=caps.steiner)
+    computed = {"s_g": s_g.value, "s_k1_g": s_k1.value}
+    return s_k1.value >= s_g.value, computed, [s_k1.witness], None
+
+
+@claim("STEINER_CORONA_EQ", "pair", "s(G ⊙ H) = n1·n2 for n1 >= 2")
+def check_steiner_corona_eq(G: Graph, H: Graph, caps: Caps = Caps()) -> Outcome:
     """s(G ⊙ H) = n1·n2 for connected G of order >= 2 and arbitrary H.
 
     The search is restricted to the copy blocks; on products of order <= 10
     the unrestricted search is run as well and must agree exactly.
     """
-    start = time.perf_counter()
-    inst = _instance([G, H], {"n1": G.n, "n2": H.n})
-    try:
-        _need(is_connected(G), R_G_DISCONNECTED)
-        _need(G.n >= 2, R_N1_LT_2)
-        prod, layout = _build_corona(G, H)
-        r = _stein(prod, caps, layout=layout)
-        unpruned = None
-        if prod.n <= 10:
-            unpruned = _stein(prod, caps)
-    except _Skip as s:
-        return _skipped("STEINER_CORONA_EQ", inst, start, s.reason)
+    _need(is_connected(G), R_G_DISCONNECTED)
+    _need(G.n >= 2, R_N1_LT_2)
+    prod, layout = _build_corona(G, H)
+    r = steiner_number(prod, cap=caps.steiner, layout=layout)
     expected = G.n * H.n
     computed = {"s_product": r.value, "expected": expected}
     agree = True
-    if unpruned is not None:
+    if prod.n <= 10:
+        unpruned = steiner_number(prod, cap=caps.steiner)
         agree = unpruned.value == r.value and unpruned.witness == r.witness
         computed["s_unpruned"] = unpruned.value
         computed["pruned_matches_unpruned"] = int(agree)
-    return _finish("STEINER_CORONA_EQ", inst, start,
-                   ok=r.value == expected and agree,
-                   computed=computed, witness=[list(r.witness)])
+    return r.value == expected and agree, computed, [r.witness], None
 
 
-def check_wheel_steiner(n: int, caps: Caps = Caps()) -> VerificationReport:
+@claim("WHEEL_STEINER", "range", "s(wheel_n) = n - 2 for n >= 4", family=(cycle, 3))
+def check_wheel_steiner(n: int, caps: Caps = Caps()) -> Outcome:
     """s(wheel with rim n) = n - 2 for n >= 4."""
-    start = time.perf_counter()
-    w, _ = corona(complete(1), cycle(n)) if n >= 3 else (complete(1), None)
-    inst = _instance([w] if n >= 3 else [], {"n": n})
-    try:
-        _need(n >= 4, R_N_BELOW_MIN)
-        r = _stein(w, caps)
-    except _Skip as s:
-        return _skipped("WHEEL_STEINER", inst, start, s.reason)
+    _need(n >= 4, R_N_BELOW_MIN)
+    r = steiner_number(wheel(n), cap=caps.steiner)
     computed = {"s": r.value, "expected": n - 2}
-    return _finish("WHEEL_STEINER", inst, start, ok=r.value == n - 2,
-                   computed=computed, witness=[list(r.witness)])
+    return r.value == n - 2, computed, [r.witness], None
 
 
-def check_fan_steiner(n: int, caps: Caps = Caps()) -> VerificationReport:
+@claim("FAN_STEINER", "range", "s(fan_n) = n - 1 for n >= 3 (g also reported)", family=(path, 2))
+def check_fan_steiner(n: int, caps: Caps = Caps()) -> Outcome:
     """s(fan over a path of n) = n - 1 for n >= 3.
 
     Both s and g of the fan are computed and reported: the claim names the
     formula n - 1, and the report records which invariant actually matches.
     """
-    start = time.perf_counter()
-    f, _ = corona(complete(1), path(n)) if n >= 2 else (complete(1), None)
-    inst = _instance([f] if n >= 2 else [], {"n": n})
-    try:
-        _need(n >= 3, R_N_BELOW_MIN)
-        rs = _stein(f, caps)
-        rg = _geo(f, caps)
-    except _Skip as s:
-        return _skipped("FAN_STEINER", inst, start, s.reason)
+    _need(n >= 3, R_N_BELOW_MIN)
+    f = fan(n)
+    rs = steiner_number(f, cap=caps.steiner)
+    rg = geodetic_number(f, cap=caps.geodetic)
     formula = n - 1
     s_matches = rs.value == formula
     g_matches = rg.value == formula
@@ -740,25 +625,19 @@ def check_fan_steiner(n: int, caps: Caps = Caps()) -> VerificationReport:
         "s_matches": int(s_matches),
         "g_matches": int(g_matches),
     }
-    reason = None
-    if not s_matches and g_matches:
-        reason = "g-matches-formula-instead"
-    return _finish("FAN_STEINER", inst, start, ok=s_matches, computed=computed,
-                   witness=[list(rs.witness)], reason=reason)
+    reason = "g-matches-formula-instead" if g_matches and not s_matches else None
+    return s_matches, computed, [rs.witness], reason
 
 
-def check_steiner_k1_iff_diam2(H: Graph, caps: Caps = Caps()) -> VerificationReport:
-    """s(K1 ⊙ H) = s(H) exactly when H has diameter 2, for connected
-    non-complete H."""
-    start = time.perf_counter()
-    inst = _instance([H], {"n": H.n})
-    try:
-        _need(is_connected(H), R_H_DISCONNECTED)
-        _need(not is_complete(H), R_H_COMPLETE)
-        s_h = _stein(H, caps)
-        s_k1 = _stein(_k1_corona(H), caps)
-    except _Skip as s:
-        return _skipped("STEINER_K1_IFF_DIAM2", inst, start, s.reason)
+@claim("STEINER_K1_IFF_DIAM2", "single", "s(K1 ⊙ H) = s(H) iff H has diameter 2")
+def check_steiner_k1_iff_diam2(H: Graph, caps: Caps = Caps()) -> Outcome:
+    """Checks s(K1 ⊙ H) = s(H) exactly when H has diameter 2, for connected
+    non-complete H.  The claim is false: ``EyUG`` and ``EyuG`` have diameter 2,
+    s(H) = 3 and s(K1 ⊙ H) = 4."""
+    _need(is_connected(H), R_H_DISCONNECTED)
+    _need(not is_complete(H), R_H_COMPLETE)
+    s_h = steiner_number(H, cap=caps.steiner)
+    s_k1 = steiner_number(_k1_corona(H), cap=caps.steiner)
     diam = diameter(H)
     left = s_k1.value == s_h.value
     right = diam == 2
@@ -769,28 +648,25 @@ def check_steiner_k1_iff_diam2(H: Graph, caps: Caps = Caps()) -> VerificationRep
         "left": int(left),
         "right": int(right),
     }
-    return _finish("STEINER_K1_IFF_DIAM2", inst, start, ok=left == right, computed=computed)
+    return left == right, computed, None, None
 
 
 # ---------------------------------------------------------------------------
 # Geodetic-vs-Steiner checkers.
 
 
-def check_diam2_steiner_geodetic(G: Graph, caps: Caps = Caps()) -> VerificationReport:
-    """On diameter-2 graphs every Steiner set is geodetic.
+@claim("DIAM2_STEINER_GEODETIC", "single", "every Steiner set of a diameter-2 graph is geodetic")
+def check_diam2_steiner_geodetic(G: Graph, caps: Caps = Caps()) -> Outcome:
+    """Checks that on diameter-2 graphs every Steiner set is geodetic.
 
     Order <= 8: enumerate every Steiner set and test it.  Any order within
     caps: assert g <= s and that the canonical minimum Steiner witness is
-    geodetic.
+    geodetic.  The claim is false: in ``Gvxi]?`` (order 8) the set {2, 6, 7}
+    is a Steiner set but not a geodetic set.
     """
-    start = time.perf_counter()
-    inst = _instance([G], {"n": G.n})
-    try:
-        _need(diameter(G) == 2, R_DIAM_NE_2)
-        rg = _geo(G, caps)
-        rs = _stein(G, caps)
-    except _Skip as s:
-        return _skipped("DIAM2_STEINER_GEODETIC", inst, start, s.reason)
+    _need(diameter(G) == 2, R_DIAM_NE_2)
+    rg = geodetic_number(G, cap=caps.geodetic)
+    rs = steiner_number(G, cap=caps.steiner)
     tier_a = G.n <= 8
     checked = 0
     offender: Mask | None = None
@@ -810,43 +686,34 @@ def check_diam2_steiner_geodetic(G: Graph, caps: Caps = Caps()) -> VerificationR
         "min_steiner_witness_geodetic": int(min_witness_geodetic),
     }
     ok = rg.value <= rs.value and min_witness_geodetic and offender is None
-    witness = [list(vertex_tuple(offender))] if offender is not None else [list(rs.witness)]
-    return _finish("DIAM2_STEINER_GEODETIC", inst, start, ok=ok, computed=computed,
-                   witness=witness)
+    witness = [vertex_tuple(offender)] if offender is not None else [rs.witness]
+    return ok, computed, witness, None
 
 
-def check_diam2_g_le_s(G: Graph, caps: Caps = Caps()) -> VerificationReport:
-    """g(G) <= s(G) on diameter-2 graphs."""
-    start = time.perf_counter()
-    inst = _instance([G], {"n": G.n})
-    try:
-        _need(diameter(G) == 2, R_DIAM_NE_2)
-        rg = _geo(G, caps)
-        rs = _stein(G, caps)
-    except _Skip as s:
-        return _skipped("DIAM2_G_LE_S", inst, start, s.reason)
+@claim("DIAM2_G_LE_S", "single", "g(G) <= s(G) on diameter-2 graphs")
+def check_diam2_g_le_s(G: Graph, caps: Caps = Caps()) -> Outcome:
+    """Checks g(G) <= s(G) on diameter-2 graphs.  The claim is false:
+    ``FhayG`` has g = 4 > s = 3, one of 13 failing census graphs of order 7."""
+    _need(diameter(G) == 2, R_DIAM_NE_2)
+    rg = geodetic_number(G, cap=caps.geodetic)
+    rs = steiner_number(G, cap=caps.steiner)
     computed = {"g": rg.value, "s": rs.value}
-    return _finish("DIAM2_G_LE_S", inst, start, ok=rg.value <= rs.value,
-                   computed=computed, witness=[list(rg.witness), list(rs.witness)])
+    return rg.value <= rs.value, computed, [rg.witness, rs.witness], None
 
 
-def check_corona_g_le_s(G: Graph, H: Graph, caps: Caps = Caps()) -> VerificationReport:
+@claim("CORONA_G_LE_S", "pair", "g(G ⊙ H) <= s(G ⊙ H) with the four-step chain")
+def check_corona_g_le_s(G: Graph, H: Graph, caps: Caps = Caps()) -> Outcome:
     """g(G ⊙ H) <= s(G ⊙ H) for connected G of order >= 2 and non-complete H,
     replaying the chain g = n1·g(K1⊙H) <= n1·s(K1⊙H) <= n1·n2 = s."""
-    start = time.perf_counter()
-    inst = _instance([G, H], {"n1": G.n, "n2": H.n})
-    try:
-        _need(is_connected(G), R_G_DISCONNECTED)
-        _need(G.n >= 2, R_N1_LT_2)
-        _need(not is_complete(H), R_H_COMPLETE)
-        prod, layout = _build_corona(G, H)
-        g_prod = _geo(prod, caps)
-        s_prod = _stein(prod, caps, layout=layout)
-        k1h = _k1_corona(H)
-        g_k1h = _geo(k1h, caps)
-        s_k1h = _stein(k1h, caps)
-    except _Skip as s:
-        return _skipped("CORONA_G_LE_S", inst, start, s.reason)
+    _need(is_connected(G), R_G_DISCONNECTED)
+    _need(G.n >= 2, R_N1_LT_2)
+    _need(not is_complete(H), R_H_COMPLETE)
+    prod, layout = _build_corona(G, H)
+    g_prod = geodetic_number(prod, cap=caps.geodetic)
+    s_prod = steiner_number(prod, cap=caps.steiner, layout=layout)
+    k1h = _k1_corona(H)
+    g_k1h = geodetic_number(k1h, cap=caps.geodetic)
+    s_k1h = steiner_number(k1h, cap=caps.steiner)
     sub1 = g_prod.value == G.n * g_k1h.value
     sub2 = g_k1h.value <= s_k1h.value
     sub3 = s_k1h.value <= H.n
@@ -863,87 +730,12 @@ def check_corona_g_le_s(G: Graph, H: Graph, caps: Caps = Caps()) -> Verification
         "chain_s_eq": int(sub4),
     }
     ok = main and sub1 and sub2 and sub3 and sub4
-    return _finish("CORONA_G_LE_S", inst, start, ok=ok, computed=computed,
-                   witness=[list(g_prod.witness), list(s_prod.witness)])
-
-
-def check_wheel_fan_formulas(n_range: tuple[int, int], caps: Caps = Caps()) -> list[VerificationReport]:
-    """All four wheel/fan closed forms over one parameter range."""
-    lo, hi = n_range
-    reports = []
-    for n in range(lo, hi + 1):
-        reports.append(check_wheel_geo(n, caps))
-        reports.append(check_fan_geo(n, caps))
-        reports.append(check_wheel_steiner(n, caps))
-        reports.append(check_fan_steiner(n, caps))
-    return reports
+    return ok, computed, [g_prod.witness, s_prod.witness], None
 
 
 # ---------------------------------------------------------------------------
-# Registry and corpus runner.
+# Corpus runner.
 
-
-@dataclass(frozen=True)
-class TheoremInfo:
-    id: str
-    kind: str  # "single" | "pair" | "range" | "g_range" | "pendant"
-    checker: Callable[..., VerificationReport]
-    claim: str
-
-
-THEOREMS: dict[str, TheoremInfo] = {
-    info.id: info
-    for info in [
-        TheoremInfo("GEO_KN", "single", check_geo_kn,
-                    "g(G) = n iff G is complete"),
-        TheoremInfo("CORONA_GEO_STRUCT", "pair", check_corona_structure_geo,
-                    "structure of minimum geodetic sets of G ⊙ H"),
-        TheoremInfo("GEO_K1_LB", "single", check_geo_k1_lb,
-                    "g(K1 ⊙ H) >= g(H)"),
-        TheoremInfo("EXTREME_IN_GEODETIC", "single", check_extreme_in_geodetic,
-                    "minimum geodetic witnesses contain all extreme vertices"),
-        TheoremInfo("GEO_BOUNDS", "pair", check_geo_bounds,
-                    "n1·g(H) <= g(G ⊙ H) <= n1·n2, equality and sharpening"),
-        TheoremInfo("GEO_CORONA_EQ", "pair", check_geo_corona_eq,
-                    "g(G ⊙ H) = n1·g(K1 ⊙ H) for non-complete H"),
-        TheoremInfo("WHEEL_GEO", "range", check_wheel_geo,
-                    "g(wheel_n) = ceil(n/2) for n >= 4"),
-        TheoremInfo("FAN_GEO", "range", check_fan_geo,
-                    "g(fan_n) = ceil((n+1)/2) for n >= 3"),
-        TheoremInfo("CORONA_CYCLE_PATH", "g_range", check_corona_cycle_path,
-                    "g(G ⊙ C_n) and g(G ⊙ P_n) closed forms"),
-        TheoremInfo("G2_EQUIV", "single", check_g2_equivalence,
-                    "g(H) = g(K1 ⊙ H) iff g(H) = g2(H)"),
-        TheoremInfo("G2_CORONA_EQUIV", "pair", check_g2_corona_equiv,
-                    "g(G ⊙ H) = n1·g(H) iff g(H) = g2(H)"),
-        TheoremInfo("DIAM2_GEO_EQ", "pair", check_diam2_geo_eq,
-                    "diameter-2 H gives g(G ⊙ H) = n1·g(H)"),
-        TheoremInfo("PENDANT_COROLLARY", "pendant", check_pendant_corollary,
-                    "g(G ⊙ (H ⊙ N_k)) = n1·n2·k"),
-        TheoremInfo("GEO_LOWER_MINUS1", "pair", check_geo_lower_minus1,
-                    "g(H) != g2(H) gives g(G ⊙ H) >= n1·(g(H)-1)"),
-        TheoremInfo("STEINER_KN", "single", check_steiner_kn,
-                    "s(G) = n iff G is complete"),
-        TheoremInfo("STEINER_CORONA_STRUCT", "pair", check_corona_structure_steiner,
-                    "structure of minimum Steiner sets of G ⊙ H"),
-        TheoremInfo("STEINER_K1_LB", "single", check_steiner_k1_lb,
-                    "s(K1 ⊙ G) >= s(G)"),
-        TheoremInfo("STEINER_CORONA_EQ", "pair", check_steiner_corona_eq,
-                    "s(G ⊙ H) = n1·n2 for n1 >= 2"),
-        TheoremInfo("WHEEL_STEINER", "range", check_wheel_steiner,
-                    "s(wheel_n) = n - 2 for n >= 4"),
-        TheoremInfo("FAN_STEINER", "range", check_fan_steiner,
-                    "s(fan_n) = n - 1 for n >= 3 (g also reported)"),
-        TheoremInfo("STEINER_K1_IFF_DIAM2", "single", check_steiner_k1_iff_diam2,
-                    "s(K1 ⊙ H) = s(H) iff H has diameter 2"),
-        TheoremInfo("DIAM2_STEINER_GEODETIC", "single", check_diam2_steiner_geodetic,
-                    "every Steiner set of a diameter-2 graph is geodetic"),
-        TheoremInfo("DIAM2_G_LE_S", "single", check_diam2_g_le_s,
-                    "g(G) <= s(G) on diameter-2 graphs"),
-        TheoremInfo("CORONA_G_LE_S", "pair", check_corona_g_le_s,
-                    "g(G ⊙ H) <= s(G ⊙ H) with the four-step chain"),
-    ]
-}
 
 THEOREM_IDS = tuple(sorted(THEOREMS))
 
@@ -1019,10 +811,16 @@ def run_corpus(
     parallel: int = 1,
 ) -> list[VerificationReport]:
     """Run one checker over a corpus; reports come back in canonical instance
-    order regardless of the degree of parallelism."""
+    order regardless of the degree of parallelism.
+
+    ``parallel`` must be at least 1; the pool never has more workers than
+    CPUs or work items."""
+    if parallel < 1:
+        raise DomainError(f"parallel worker count must be at least 1, got {parallel}")
     items = build_items(theorem, corpus=corpus, corpus_h=corpus_h,
                         n_range=n_range, k=k, caps=caps)
-    if parallel > 1 and len(items) > 1:
-        with get_context().Pool(parallel) as pool:
+    workers = min(parallel, os.cpu_count() or 1, len(items))
+    if workers > 1:
+        with get_context().Pool(workers) as pool:
             return pool.map(_execute, items)
     return [_execute(item) for item in items]

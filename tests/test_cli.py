@@ -205,3 +205,12 @@ def test_verify_parallel_matches_sequential(run_cli):
     par = run_cli(*args, "--parallel", "3")
     assert seq.returncode == par.returncode == 0
     assert seq.stdout == par.stdout
+
+
+def test_verify_parallel_below_one_exits_2(run_cli):
+    for value in ("0", "-2"):
+        r = run_cli("verify", "--theorem", "WHEEL_GEO", "--range", "4..6", "--parallel", value)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert f"parallel worker count must be at least 1, got {value}" in r.stderr
+        assert "Traceback" not in r.stderr

@@ -21,7 +21,6 @@ from coronageo.graphs import (
     is_complete,
     is_connected,
     mask_of,
-    neighbors_in,
     path,
     reachable_set,
     star,
@@ -307,16 +306,6 @@ def test_induced_rejects_empty_and_foreign_sets():
         induced_subgraph(cycle(3), 0)
     with pytest.raises(DomainError):
         induced_subgraph(cycle(3), 0b1000)
-
-
-def test_neighbors_in():
-    w = wheel(4)
-    rim = mask_of(range(1, 5))
-    assert neighbors_in(w, rim, 0) == rim
-    assert neighbors_in(w, 0, 0) == 0
-    assert neighbors_in(w, w.full_mask, 2) == w.adj[2]
-    with pytest.raises(DomainError):
-        neighbors_in(w, rim, 9)
 
 
 # --- randomized structural invariants ---------------------------------------

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from coronageo import harness
 from coronageo.corpus import CorpusSpec
 from coronageo.errors import DomainError
 from coronageo.graphs import (
@@ -462,11 +464,90 @@ def test_run_corpus_steiner_kn_on_complete_family():
 
 
 def test_wheel_fan_formulas_bundle():
-    from coronageo.harness import check_wheel_fan_formulas
-
-    reports = check_wheel_fan_formulas((4, 6))
+    reports = [
+        r
+        for theorem in ("WHEEL_GEO", "FAN_GEO", "WHEEL_STEINER", "FAN_STEINER")
+        for r in run_corpus(theorem, n_range=(4, 6))
+    ]
     assert len(reports) == 12
     assert summarize(reports) == {"pass": 12, "fail": 0, "skipped": 0}
+
+
+# --- the claim decorator and the runner ------------------------------------------
+
+
+def test_run_corpus_calls_the_registered_checker(monkeypatch):
+    calls = []
+    info = THEOREMS["GEO_KN"]
+
+    def spy(*args):
+        calls.append(args)
+        return info.checker(*args)
+
+    monkeypatch.setitem(THEOREMS, "GEO_KN", dataclasses.replace(info, checker=spy))
+    reports = run_corpus("GEO_KN", corpus=CorpusSpec.from_family("complete", 1, 3))
+    assert [args[0] for args in calls] == [complete(1), complete(2), complete(3)]
+    assert all(args[1] == Caps() for args in calls)
+    assert summarize(reports) == {"pass": 3, "fail": 0, "skipped": 0}
+
+
+def test_cap_exceeded_after_the_first_search_is_a_skip():
+    # s(P2 ⊙ P3) is found within the Steiner cap; part (i) then asks for the
+    # Steiner distance of all six copy vertices, beyond a terminal cap of 5.
+    r = check_corona_structure_steiner(path(2), path(3), Caps(terminals=5))
+    assert r.verdict == "SKIPPED"
+    assert r.reason == "cap-exceeded: terminal sets capped at 5, got 6"
+    assert r.computed == {} and r.witness is None
+    assert check_corona_structure_steiner(path(2), path(3), Caps(terminals=6)).verdict == "PASS"
+
+
+class _FakeContext:
+    """Stands in for ``multiprocessing.get_context()``: records the pool
+    size asked for and maps in this process."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __call__(self):
+        return self
+
+    def Pool(self, size):
+        self.sizes.append(size)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+@pytest.mark.parametrize("parallel, cpus, expected", [
+    (100_000, 2, [2]),   # clamped to the CPU count
+    (100_000, None, []),  # unknown CPU count: one worker, no pool
+    (3, 8, [3]),
+    (8, 8, [4]),         # never more workers than the 4 items
+    (1, 8, []),
+])
+def test_run_corpus_pool_size_is_bounded(monkeypatch, parallel, cpus, expected):
+    fake = _FakeContext()
+    monkeypatch.setattr(harness, "get_context", fake)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    reports = run_corpus("WHEEL_GEO", n_range=(4, 7), parallel=parallel)
+    assert fake.sizes == expected
+    assert [r.to_json() for r in reports] == [r.to_json() for r in run_corpus("WHEEL_GEO", n_range=(4, 7))]
+
+
+@pytest.mark.parametrize("parallel", [0, -1])
+def test_run_corpus_rejects_parallel_below_one(monkeypatch, parallel):
+    fake = _FakeContext()
+    monkeypatch.setattr(harness, "get_context", fake)
+    with pytest.raises(DomainError, match="at least 1"):
+        run_corpus("WHEEL_GEO", n_range=(4, 7), parallel=parallel)
+    assert fake.sizes == []
 
 
 def test_structure_lemmas_hold_on_small_grid(census):
