@@ -15,6 +15,7 @@ never PASS.
 from __future__ import annotations
 
 import functools
+import inspect
 import json
 import os
 import time
@@ -141,7 +142,7 @@ class TheoremInfo:
 THEOREMS: dict[str, TheoremInfo] = {}
 
 # What a claim body returns: ok, computed values, witness vertex sets, reason.
-Outcome = tuple[bool, dict, "list[Sequence[int]] | None", "str | None"]
+Outcome = tuple[bool, dict, list[Sequence[int]] | None, str | None]
 
 
 class _Skip(Exception):
@@ -177,15 +178,17 @@ def claim(theorem: str, kind: str, text: str, family: tuple[Callable[[int], Grap
         rim, least = family
 
         def instance(n: int, *_) -> tuple[list[Graph], dict]:
-            return [corona(complete(1), rim(n))[0]] if n >= least else [], {"n": n}
+            return ([corona(complete(1), rim(n))[0]] if n >= least else []), {"n": n}
     else:
         instance = _INSTANCES[kind]
 
     def register(body: Callable[..., Outcome]) -> Callable[..., VerificationReport]:
+        signature = inspect.signature(body)
+
         @functools.wraps(body)
         def checker(*args, **kwargs) -> VerificationReport:
             start = time.perf_counter()
-            graphs, params = instance(*args)
+            graphs, params = instance(*signature.bind(*args, **kwargs).arguments.values())
             inst = {"g6": [encode_graph6(g) for g in graphs], "params": params}
             try:
                 ok, computed, witness, reason = body(*args, **kwargs)

@@ -491,6 +491,13 @@ def test_run_corpus_calls_the_registered_checker(monkeypatch):
     assert summarize(reports) == {"pass": 3, "fail": 0, "skipped": 0}
 
 
+def test_checkers_accept_keyword_arguments():
+    positional = check_geo_corona_eq(path(2), path(3), Caps())
+    keyword = check_geo_corona_eq(H=path(3), G=path(2), caps=Caps())
+    assert keyword.to_json() == positional.to_json()
+    assert check_wheel_geo(n=3).instance == check_wheel_geo(3).instance
+
+
 def test_cap_exceeded_after_the_first_search_is_a_skip():
     # s(P2 ⊙ P3) is found within the Steiner cap; part (i) then asks for the
     # Steiner distance of all six copy vertices, beyond a terminal cap of 5.
