@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .corpus import CENSUS_COUNTS, CorpusSpec, census_lines, parse_range
 from .errors import CapExceeded, DomainError, FormatError
-from .formats import encode_graph6, format_edge_list, parse_edge_list, parse_graph6
+from .formats import encode_graph6, format_edge_list, parse_edge_list, parse_graph6, parse_graph6_lines
 from .geodesic import geodetic_number, interval, k_geodetic_number
 from .graphs import Graph, bfs_distances, corona, diameter, extreme_vertices, mask_of, vertex_tuple
 from .harness import Caps, THEOREM_IDS, THEOREMS, run_corpus, summarize, summary_json
@@ -48,7 +48,7 @@ def _load_compute_graphs(args: argparse.Namespace) -> list[Graph]:
     if args.g6 is not None:
         return [parse_graph6(args.g6)]
     if args.g6_file is not None:
-        return [parse_graph6(ln) for ln in Path(args.g6_file).read_text().splitlines() if ln.strip()]
+        return parse_graph6_lines(Path(args.g6_file).read_text())
     return [parse_edge_list(Path(args.edges).read_text())]
 
 

@@ -542,10 +542,12 @@ def check_corona_structure_steiner(G: Graph, H: Graph, caps: Caps = Caps()) -> O
         every base vertex onto every minimum tree,
     (ii) the minimum witness meets every copy,
     (iii) it avoids the base vertices (n1 >= 2, or n1 = 1 with H non-complete).
+    The witness comes from an unrestricted search of the whole product, so
+    part (iii) tests it rather than following from the search.
     """
     _need(is_connected(G), R_G_DISCONNECTED)
     prod, layout = _build_corona(G, H)
-    r = steiner_number(prod, cap=caps.steiner, layout=layout if G.n >= 2 else None)
+    r = steiner_number(prod, cap=caps.steiner)
 
     U = mask_of(r.witness)
     parts = {"part_ii": all(U & layout.copy_mask(i) for i in range(layout.n1))}
@@ -578,24 +580,15 @@ def check_steiner_k1_lb(G: Graph, caps: Caps = Caps()) -> Outcome:
 
 @claim("STEINER_CORONA_EQ", "pair", "s(G ⊙ H) = n1·n2 for n1 >= 2")
 def check_steiner_corona_eq(G: Graph, H: Graph, caps: Caps = Caps()) -> Outcome:
-    """s(G ⊙ H) = n1·n2 for connected G of order >= 2 and arbitrary H.
-
-    The search is restricted to the copy blocks; on products of order <= 10
-    the unrestricted search is run as well and must agree exactly.
-    """
+    """s(G ⊙ H) = n1·n2 for connected G of order >= 2 and arbitrary H, by an
+    unrestricted search of the product."""
     _need(is_connected(G), R_G_DISCONNECTED)
     _need(G.n >= 2, R_N1_LT_2)
-    prod, layout = _build_corona(G, H)
-    r = steiner_number(prod, cap=caps.steiner, layout=layout)
+    prod, _ = _build_corona(G, H)
+    r = steiner_number(prod, cap=caps.steiner)
     expected = G.n * H.n
     computed = {"s_product": r.value, "expected": expected}
-    agree = True
-    if prod.n <= 10:
-        unpruned = steiner_number(prod, cap=caps.steiner)
-        agree = unpruned.value == r.value and unpruned.witness == r.witness
-        computed["s_unpruned"] = unpruned.value
-        computed["pruned_matches_unpruned"] = int(agree)
-    return r.value == expected and agree, computed, [r.witness], None
+    return r.value == expected, computed, [r.witness], None
 
 
 @claim("WHEEL_STEINER", "range", "s(wheel_n) = n - 2 for n >= 4", family=(cycle, 3))
@@ -711,9 +704,9 @@ def check_corona_g_le_s(G: Graph, H: Graph, caps: Caps = Caps()) -> Outcome:
     _need(is_connected(G), R_G_DISCONNECTED)
     _need(G.n >= 2, R_N1_LT_2)
     _need(not is_complete(H), R_H_COMPLETE)
-    prod, layout = _build_corona(G, H)
+    prod, _ = _build_corona(G, H)
     g_prod = geodetic_number(prod, cap=caps.geodetic)
-    s_prod = steiner_number(prod, cap=caps.steiner, layout=layout)
+    s_prod = steiner_number(prod, cap=caps.steiner)
     k1h = _k1_corona(H)
     g_k1h = geodetic_number(k1h, cap=caps.geodetic)
     s_k1h = steiner_number(k1h, cap=caps.steiner)

@@ -1,11 +1,14 @@
 """Steiner distance, Steiner hulls, and the Steiner number.
 
-The workhorse is a dynamic program over terminal subsets with the classic
-split/regrow recurrence: ``dp[T][v]`` is the minimum number of edges of a
-tree containing the terminals in ``T`` plus the vertex ``v``.  One table per
-terminal set yields both the Steiner distance (last row at any terminal) and
-the Steiner hull, since v lies on a minimum tree for W exactly when
-d(W + v) = d(W).
+Queries about one terminal set go through a dynamic program over terminal
+subsets with the classic split/regrow recurrence: ``dp[T][v]`` is the minimum
+number of edges of a tree containing the terminals in ``T`` plus the vertex
+``v``.  One table per terminal set yields both the Steiner distance (last row
+at any terminal) and the Steiner hull, since v lies on a minimum tree for W
+exactly when d(W + v) = d(W).
+
+The Steiner number asks that question of many candidate sets, so it builds
+one table of the Steiner distance of every vertex subset instead.
 """
 
 from __future__ import annotations
@@ -13,11 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from operator import add
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import CapExceeded, DomainError
 from .graphs import (
-    CoronaLayout,
     Graph,
     Mask,
     bfs_distances,
@@ -33,6 +35,7 @@ DEFAULT_TERMINAL_CAP = 16
 DEFAULT_ORACLE_CAP = 10
 
 _INF = 1 << 30
+_UNSET = 255  # not yet marked; Steiner distances stay below the 62-vertex limit
 
 
 @dataclass(frozen=True)
@@ -87,40 +90,6 @@ def _validated_terms(G: Graph, members: Mask, terminal_cap: int) -> tuple[int, .
     return terms
 
 
-@dataclass(frozen=True)
-class SteinerTable:
-    """Exposed DP table: cost(T, v) = minimum edges of a tree containing T plus v."""
-
-    terminals: tuple[int, ...]
-    n: int
-    rows: tuple[tuple[int, ...], ...]  # indexed by terminal-subset bitmask; row 0 empty
-
-    def cost(self, subset: Iterable[int], v: int) -> int:
-        idx = 0
-        for w in subset:
-            try:
-                idx |= 1 << self.terminals.index(w)
-            except ValueError:
-                raise DomainError(f"vertex {w} is not a terminal") from None
-        if idx == 0:
-            raise DomainError("terminal subset is empty")
-        if not 0 <= v < self.n:
-            raise DomainError(f"vertex {v} out of range")
-        return self.rows[idx][v]
-
-    def distance(self) -> int:
-        """Steiner distance of the full terminal set."""
-        return self.rows[-1][self.terminals[0]]
-
-
-def steiner_table(G: Graph, members: Mask, *, terminal_cap: int = DEFAULT_TERMINAL_CAP) -> SteinerTable:
-    terms = _validated_terms(G, members, terminal_cap)
-    dist = [list(r) for r in bfs_distances(G).rows]
-    dp = _steiner_dp(dist, terms)
-    rows = tuple(tuple(row) if row is not None else () for row in dp)
-    return SteinerTable(terms, G.n, rows)
-
-
 def steiner_distance(G: Graph, members: Mask, *, terminal_cap: int = DEFAULT_TERMINAL_CAP) -> int:
     """Minimum number of edges of a connected subgraph containing the set
     (necessarily a tree)."""
@@ -150,39 +119,59 @@ def is_steiner_set(G: Graph, members: Mask, *, terminal_cap: int = DEFAULT_TERMI
     return steiner_hull(G, members, terminal_cap=terminal_cap) == G.full_mask
 
 
-def steiner_number(
-    G: Graph,
-    *,
-    cap: int = DEFAULT_STEINER_CAP,
-    layout: CoronaLayout | None = None,
-) -> SteinerResult:
+def _steiner_distance_table(G: Graph) -> bytearray:
+    """``sd[X]`` = Steiner distance of the vertex set X: the least |C| - 1
+    over connected sets C containing X (0 for the empty set)."""
+    size = 1 << G.n
+    adj = {1 << v: row for v, row in enumerate(G.adj)}
+    sd = bytearray([_UNSET]) * size
+    for C in range(1, size):  # C minus a vertex precedes C, so its mark is final
+        if C & (C - 1) == 0:
+            sd[C] = 0
+            continue
+        rest = C
+        while rest:
+            low = rest & -rest
+            smaller = C ^ low
+            if sd[smaller] != _UNSET and adj[low] & smaller:
+                sd[C] = sd[smaller] + 1
+                break
+            rest ^= low
+    half = 1
+    while half < size:  # superset-min, one bit position at a time
+        for lo in range(0, size, 2 * half):
+            mid = lo + half
+            sd[lo:mid] = bytes(map(min, sd[lo:mid], sd[mid:mid + half]))
+        half *= 2
+    return sd
+
+
+def steiner_number(G: Graph, *, cap: int = DEFAULT_STEINER_CAP) -> SteinerResult:
     """Minimum Steiner set by exact search, cardinality then lexicographic order.
 
-    On arbitrary graphs the search is unrestricted.  When the graph is a
-    corona product supplied with its layout and the first factor has order
-    at least 2, candidates are restricted to the copy blocks (minimum Steiner
-    sets avoid the base vertices there).
+    One table of the Steiner distance of every vertex subset serves all
+    candidates: W is a Steiner set exactly when d(W + v) = d(W) for every v.
+    The table is built by marking the connected sets (a set of two or more
+    vertices is connected when dropping some vertex leaves a connected set
+    adjacent to it) and taking superset minima over each bit position, a
+    zeta transform as in Björklund, Husfeldt, Kaski and Koivisto (STOC 2007).
+    It takes 2^n bytes (64 KiB at the default cap of 16) and O(n·2^n) time;
+    each candidate then costs O(n) lookups.
     """
     if not is_connected(G):
         raise DomainError("Steiner number is defined for connected graphs")
     if G.n > cap:
         raise CapExceeded(f"Steiner search capped at n <= {cap}, got {G.n}")
-    universe = G.full_mask
-    if layout is not None:
-        if layout.order != G.n:
-            raise DomainError("layout does not match the graph")
-        if layout.n1 >= 2:
-            universe = layout.copies_mask
-    dist = [list(r) for r in bfs_distances(G).rows]
-    full = G.full_mask
+    sd = _steiner_distance_table(G)
+    singles = [1 << v for v in range(G.n)]
     explored = 0
-    for members in ascending_subsets(universe, 0):
+    for members in ascending_subsets(G.full_mask, 0):
         if not members:
             continue
         explored += 1
-        terms = vertex_tuple(members)
-        last = _steiner_dp(dist, terms)[-1]
-        if _hull_from_row(last, last[terms[0]]) == full:
+        d = sd[members]
+        if all(sd[members | b] == d for b in singles):
+            terms = vertex_tuple(members)
             return SteinerResult(len(terms), terms, explored)
     raise AssertionError("the full vertex set is always a Steiner set")
 

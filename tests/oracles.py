@@ -1,14 +1,17 @@
 """Independent brute-force references used only by the tests.
 
 Everything here goes through networkx and explicit enumeration, deliberately
-sharing no code with the package's engines.
+sharing no code with the package's engines, except ``steiner_number_by_dp``:
+it is the per-candidate search that the subset table of ``steiner_number``
+replaced, kept to pin that table to the single-set Steiner DP.
 """
 
 import itertools
 
 import networkx as nx
 
-from coronageo.graphs import Graph
+from coronageo.graphs import Graph, mask_of
+from coronageo.steiner import is_steiner_set
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -93,6 +96,18 @@ def steiner_number_brute(g: Graph) -> tuple[int, tuple[int, ...]]:
         for combo in itertools.combinations(range(g.n), size):
             if steiner_hull_brute(g, combo) == everything:
                 return size, combo
+    raise AssertionError("no Steiner set found")
+
+
+def steiner_number_by_dp(g: Graph) -> tuple[int, tuple[int, ...], int]:
+    """(value, witness, explored) of the first set, by cardinality then
+    lexicographic order, that the package's single-set DP calls Steiner."""
+    explored = 0
+    for size in range(1, g.n + 1):
+        for combo in itertools.combinations(range(g.n), size):
+            explored += 1
+            if is_steiner_set(g, mask_of(combo)):
+                return size, combo, explored
     raise AssertionError("no Steiner set found")
 
 

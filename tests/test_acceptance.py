@@ -35,7 +35,7 @@ from coronageo.harness import (
     check_steiner_k1_iff_diam2,
 )
 from coronageo.steiner import oracle_steiner_trees, steiner_hull, steiner_number
-from oracles import steiner_number_brute, to_nx
+from oracles import steiner_number_brute, steiner_number_by_dp, to_nx
 
 ALL_ORDER_LE_3 = [
     complete(1),
@@ -95,16 +95,20 @@ def test_criterion_05_corona_geodetic_theorem(census):
 
 def test_criterion_06_corona_steiner_proposition(census):
     gs = [g for order in (2, 3) for g in census(order)]
-    count = 0
+    count = cross_checked = 0
     for g in gs:
         for h in ALL_ORDER_LE_3:
             r = check_steiner_corona_eq(g, h)
             assert r.verdict == "PASS", (encode_graph6(g), encode_graph6(h), r.computed)
             assert r.computed["s_product"] == g.n * h.n
-            if g.n * (1 + h.n) <= 10:
-                assert r.computed["pruned_matches_unpruned"] == 1
+            prod, _ = corona(g, h)
+            if prod.n <= 10:
+                value, witness, _ = steiner_number_by_dp(prod)
+                assert (r.computed["s_product"], r.witness[0]) == (value, list(witness))
+                cross_checked += 1
             count += 1
-    _report(f"6 corona Steiner s(G⊙H) = n1·n2 on {count} instances, pruned = unpruned <= 10")
+    assert cross_checked == 13
+    _report(f"6 corona Steiner s(G⊙H) = n1·n2 on {count} instances, {cross_checked} matched by the DP search")
 
 
 def test_criterion_07_g2_biconditional(census):

@@ -31,6 +31,15 @@ def test_compute_g6_file_with_multiple_graphs(run_cli, tmp_path):
     assert [(r["g6"], r["value"]) for r in rows] == [("A_", 2), ("Bw", 3)]
 
 
+def test_compute_g6_file_parse_error_names_the_line(run_cli, tmp_path):
+    target = tmp_path / "batch.g6"
+    target.write_text("A_\n~bad\n")
+    res = run_cli("compute", "--g6-file", str(target), "--measure", "g")
+    assert res.returncode == 2
+    assert "line 2" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_compute_steiner_number_of_k4(run_cli):
     res = run_cli("compute", "--g6", encode_graph6(complete(4)), "--measure", "s")
     assert res.returncode == 0

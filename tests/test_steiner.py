@@ -1,8 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coronageo.errors import CapExceeded, DomainError
+from coronageo.formats import encode_graph6
 from coronageo.geodesic import interval
 from coronageo.graphs import (
     bfs_distances,
@@ -10,6 +13,7 @@ from coronageo.graphs import (
     corona,
     cycle,
     empty,
+    from_edge_list,
     is_complete,
     mask_of,
     path,
@@ -17,15 +21,20 @@ from coronageo.graphs import (
     vertex_tuple,
 )
 from coronageo.steiner import (
+    _steiner_distance_table,
     is_steiner_set,
     oracle_steiner_trees,
     steiner_distance,
     steiner_hull,
     steiner_number,
-    steiner_table,
 )
 
-from oracles import steiner_distance_brute, steiner_hull_brute
+from oracles import (
+    steiner_distance_brute,
+    steiner_hull_brute,
+    steiner_number_brute,
+    steiner_number_by_dp,
+)
 
 
 # --- Steiner distance ---------------------------------------------------------
@@ -100,41 +109,6 @@ def test_steiner_distance_bounds_and_monotonicity(census):
         assert steiner_distance(g, full) == g.n - 1
 
 
-# --- the DP table ----------------------------------------------------------------
-
-
-def test_table_base_rows_are_distances():
-    g = cycle(6)
-    D = bfs_distances(g)
-    t = steiner_table(g, mask_of([0, 2, 5]))
-    for term in (0, 2, 5):
-        for v in range(6):
-            assert t.cost([term], v) == D.dist(term, v)
-
-
-def test_table_split_inequality():
-    g, _ = corona(path(2), path(2))
-    terms = (2, 3, 4, 5)
-    t = steiner_table(g, mask_of(terms))
-    for r in range(2, len(terms) + 1):
-        for sub in itertools.combinations(terms, r):
-            for split in range(1, r):
-                for left in itertools.combinations(sub, split):
-                    right = tuple(x for x in sub if x not in left)
-                    for v in range(g.n):
-                        assert t.cost(sub, v) <= t.cost(left, v) + t.cost(right, v)
-
-
-def test_table_cost_is_steiner_distance_of_augmented_set():
-    g, _ = corona(path(2), path(2))
-    terms = (1, 2, 5)
-    t = steiner_table(g, mask_of(terms))
-    for r in (1, 2, 3):
-        for sub in itertools.combinations(terms, r):
-            for v in range(g.n):
-                assert t.cost(sub, v) == steiner_distance(g, mask_of(sub) | 1 << v)
-
-
 def test_steiner_distance_matches_brute_on_random_graphs_large_terminal_sets():
     import random
 
@@ -152,16 +126,6 @@ def test_steiner_distance_matches_brute_on_random_graphs_large_terminal_sets():
             size = rng.randint(4, 6)
             combo = tuple(sorted(rng.sample(range(8), size)))
             assert steiner_distance(g, mask_of(combo)) == steiner_distance_brute(g, combo)
-
-
-def test_table_distance_accessor():
-    g = cycle(6)
-    t = steiner_table(g, mask_of([0, 2, 4]))
-    assert t.distance() == 4
-    with pytest.raises(DomainError):
-        t.cost([1], 0)  # not a terminal
-    with pytest.raises(DomainError):
-        t.cost([], 0)
 
 
 # --- hulls ----------------------------------------------------------------------
@@ -233,12 +197,9 @@ def test_steiner_number_wheel6():
 
 
 def test_steiner_number_p2_corona_p2():
-    prod, layout = corona(path(2), path(2))
-    unrestricted = steiner_number(prod)
-    restricted = steiner_number(prod, layout=layout)
-    assert unrestricted.value == restricted.value == 4
-    assert unrestricted.witness == restricted.witness
-    assert restricted.explored <= unrestricted.explored
+    prod, _ = corona(path(2), path(2))
+    r = steiner_number(prod)
+    assert (r.value, r.witness) == (4, (2, 3, 4, 5))
 
 
 def test_steiner_number_errors():
@@ -246,8 +207,38 @@ def test_steiner_number_errors():
         steiner_number(empty(2))
     with pytest.raises(CapExceeded):
         steiner_number(corona(complete(1), cycle(16))[0])
-    with pytest.raises(DomainError):
-        steiner_number(path(4), layout=corona(path(2), path(2))[1])
+
+
+def test_subset_table_is_steiner_distance(census):
+    # sd[X | 1 << v] is d(X + v), the quantity the Steiner hull compares
+    for order in (1, 2, 3, 4, 5):
+        for g in census(order):
+            sd = _steiner_distance_table(g)
+            assert len(sd) == 1 << g.n and sd[0] == 0
+            for members in range(1, 1 << g.n):
+                assert sd[members] == steiner_distance(g, members)
+
+
+def test_steiner_number_matches_per_candidate_dp_search(census):
+    checked = 0
+    for order in range(1, 7):
+        for g in census(order):
+            r = steiner_number(g)
+            assert (r.value, r.witness, r.explored) == steiner_number_by_dp(g), encode_graph6(g)
+            checked += 1
+    assert checked == 143
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_steiner_number_matches_brute_oracle_hypothesis(data):
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    tree = [(data.draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    extra = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = from_edge_list(n, sorted(set(tree) | set(extra)))
+    r = steiner_number(g)
+    assert (r.value, r.witness) == steiner_number_brute(g)
 
 
 def test_steiner_k1_corona_lower_bound(census):
