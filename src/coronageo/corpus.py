@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import DomainError, FormatError
-from .formats import parse_graph6
+from .formats import graph6_records, parse_graph6
 from .graphs import Graph, complete, cycle, empty, fan, from_edge_list, is_connected, path, star, wheel
 
 CENSUS_ENV = "CORONA_CENSUS_DIR"
@@ -146,16 +146,11 @@ class CorpusSpec:
             gen = FAMILIES[self.family]
             return [gen(n) for n in range(self.lo, self.hi + 1)]
         if self.kind == "file":
-            out = []
-            text = Path(self.path).read_text()
-            for ln, raw in enumerate(text.splitlines(), start=1):
-                if not raw.strip():
-                    continue
-                try:
-                    out.append(parse_graph6(raw))
-                except FormatError as exc:
-                    out.append(CorpusEntry(source=f"{self.path}:{ln}", error=str(exc)))
-            return out
+            return [
+                CorpusEntry(source=f"{self.path}:{ln}", error=str(parsed))
+                if isinstance(parsed, FormatError) else parsed
+                for ln, parsed in graph6_records(Path(self.path).read_text())
+            ]
         if self.kind == "random":
             if self.seed is None:
                 raise DomainError("random corpora need a seed")

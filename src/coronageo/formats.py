@@ -7,6 +7,8 @@ packed big-endian into 6-bit groups, each offset by 63.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .errors import DomainError, FormatError
 from .graphs import MAX_VERTICES, Graph, from_edge_list
 
@@ -76,19 +78,27 @@ def encode_graph6(G: Graph) -> str:
     return "".join(out)
 
 
+def graph6_records(text: str) -> Iterator[tuple[int, Graph | FormatError]]:
+    """(1-based line number, graph or the ``FormatError`` parsing raised) per non-blank line."""
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        if raw.strip():
+            try:
+                parsed: Graph | FormatError = parse_graph6(raw)
+            except FormatError as exc:
+                parsed = exc
+            yield ln, parsed
+
+
 def parse_graph6_lines(text: str) -> list[Graph]:
     """Parse a multi-line graph6 document; blank lines are skipped.
 
     The final line may or may not be newline-terminated.
     """
     graphs = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            continue
-        try:
-            graphs.append(parse_graph6(raw))
-        except FormatError as exc:
-            raise FormatError(exc.message, offset=exc.offset, line=ln) from None
+    for ln, parsed in graph6_records(text):
+        if isinstance(parsed, FormatError):
+            raise FormatError(parsed.message, offset=parsed.offset, line=ln)
+        graphs.append(parsed)
     return graphs
 
 

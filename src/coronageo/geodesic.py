@@ -14,7 +14,7 @@ from .graphs import (
     is_connected,
     vertex_tuple,
 )
-from .subsets import ascending_subsets
+from .subsets import first_cover
 
 DEFAULT_GEODETIC_CAP = 20
 
@@ -25,7 +25,9 @@ class GeodeticResult:
 
     ``value is None`` means no set exists (k-geodetic search with no vertex
     pair at distance exactly k); this is an answer, not an error.
-    ``explored`` counts the candidate sets examined.
+    ``explored`` is the witness's 1-based rank among the nonempty candidates
+    in canonical order, counted alike whether a candidate was tested on its
+    own or skipped with its subtree by the search's bound.
     """
 
     value: int | None
@@ -104,32 +106,14 @@ def _interval_table(D: DistanceMatrix) -> list[list[Mask]]:
     return table
 
 
-def _closure(table: list[list[Mask]], members: Mask) -> Mask:
-    acc = members
-    vs = vertex_tuple(members)
-    for i, u in enumerate(vs):
-        tu = table[u]
-        for v in vs[i + 1:]:
-            acc |= tu[v]
-    return acc
-
-
 def _require_connected(G: Graph) -> None:
     if not is_connected(G):
         raise DomainError("search requires a connected graph")
 
 
-def _min_geodetic(G: Graph, forced: Mask) -> GeodeticResult:
-    table = _interval_table(bfs_distances(G))
-    full = G.full_mask
-    explored = 0
-    for members in ascending_subsets(full, forced):
-        if not members:
-            continue
-        explored += 1
-        if _closure(table, members) == full:
-            return GeodeticResult(members.bit_count(), vertex_tuple(members), explored)
-    raise AssertionError("a connected graph always has a geodetic set")
+def _cover_search(table: list[list[Mask]], n: int, forced: Mask) -> GeodeticResult:
+    members, explored = first_cover(table, n, forced)
+    return GeodeticResult(members.bit_count(), vertex_tuple(members), explored)
 
 
 def geodetic_number(G: Graph, *, cap: int = DEFAULT_GEODETIC_CAP) -> GeodeticResult:
@@ -142,15 +126,7 @@ def geodetic_number(G: Graph, *, cap: int = DEFAULT_GEODETIC_CAP) -> GeodeticRes
     _require_connected(G)
     if G.n > cap:
         raise CapExceeded(f"geodetic search capped at n <= {cap}, got {G.n}")
-    return _min_geodetic(G, extreme_vertices(G))
-
-
-def geodetic_number_unpruned(G: Graph, *, cap: int = DEFAULT_GEODETIC_CAP) -> GeodeticResult:
-    """Reference search over the full subset lattice; oracle for geodetic_number."""
-    _require_connected(G)
-    if G.n > cap:
-        raise CapExceeded(f"geodetic search capped at n <= {cap}, got {G.n}")
-    return _min_geodetic(G, 0)
+    return _cover_search(_interval_table(bfs_distances(G)), G.n, extreme_vertices(G))
 
 
 def k_geodetic_number(G: Graph, k: int, *, cap: int = DEFAULT_GEODETIC_CAP) -> GeodeticResult:
@@ -167,37 +143,9 @@ def k_geodetic_number(G: Graph, k: int, *, cap: int = DEFAULT_GEODETIC_CAP) -> G
     if G.n > cap:
         raise CapExceeded(f"k-geodetic search capped at n <= {cap}, got {G.n}")
     D = bfs_distances(G)
-    n = G.n
-    rows = D.rows
-    kmask: list[list[Mask]] = [[0] * n for _ in range(n)]
-    any_pair = False
-    for u in range(n):
-        du = rows[u]
-        for v in range(u + 1, n):
-            if du[v] != k:
-                continue
-            any_pair = True
-            dv = rows[v]
-            m = 0
-            for w in range(n):
-                if du[w] + dv[w] == k:
-                    m |= 1 << w
-            kmask[u][v] = m
-            kmask[v][u] = m
-    if not any_pair:
+    if not any(k in row for row in D.rows):
         return GeodeticResult(None, None, 0)
-    full = G.full_mask
-    explored = 0
-    for members in ascending_subsets(full, 0):
-        if not members:
-            continue
-        explored += 1
-        vs = vertex_tuple(members)
-        covered = 0
-        for i, u in enumerate(vs):
-            ku = kmask[u]
-            for v in vs[i + 1:]:
-                covered |= ku[v]
-        if full & ~members & ~covered == 0:
-            return GeodeticResult(len(vs), vs, explored)
-    raise AssertionError("a k-geodetic set exists whenever a distance-k pair does")
+    table = _interval_table(D)  # I[u, v] is the k-interval when d(u, v) = k
+    for u, du in enumerate(D.rows):
+        table[u] = [m if d == k else 0 for m, d in zip(table[u], du)]
+    return _cover_search(table, G.n, 0)

@@ -139,10 +139,14 @@ def _steiner_distance_table(G: Graph) -> bytearray:
             rest ^= low
     half = 1
     while half < size:  # superset-min, one bit position at a time
-        for lo in range(0, size, 2 * half):
-            mid = lo + half
-            sd[lo:mid] = bytes(map(min, sd[lo:mid], sd[mid:mid + half]))
-        half *= 2
+        step = 2 * half
+        if half < size // step:  # low bit: one strided slice per offset in a block
+            for r in range(half):
+                sd[r::step] = bytes(map(min, sd[r::step], sd[r + half::step]))
+        else:  # high bit: one slice per block
+            for lo in range(0, size, step):
+                sd[lo:lo + half] = bytes(map(min, sd[lo:lo + half], sd[lo + half:lo + step]))
+        half = step
     return sd
 
 

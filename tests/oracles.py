@@ -1,17 +1,26 @@
 """Independent brute-force references used only by the tests.
 
 Everything here goes through networkx and explicit enumeration, deliberately
-sharing no code with the package's engines, except ``steiner_number_by_dp``:
-it is the per-candidate search that the subset table of ``steiner_number``
-replaced, kept to pin that table to the single-set Steiner DP.
+sharing no code with the package's engines, except the per-candidate
+searches that faster engines replaced, kept to pin those engines' value,
+witness and ``explored`` count:
+
+* ``steiner_number_by_dp`` pins the subset table of ``steiner_number`` to the
+  single-set Steiner DP;
+* ``geodetic_search_by_closure`` and ``k_geodetic_search_by_closure`` pin the
+  prefix-incremental cover search (``subsets.first_cover``) behind
+  ``geodetic_number`` and ``k_geodetic_number``: they walk
+  ``ascending_subsets`` and rebuild each candidate's closure pair by pair.
 """
 
 import itertools
 
 import networkx as nx
 
-from coronageo.graphs import Graph, mask_of
+from coronageo.geodesic import GeodeticResult, _interval_table
+from coronageo.graphs import Graph, Mask, bfs_distances, mask_of, vertex_tuple
 from coronageo.steiner import is_steiner_set
+from coronageo.subsets import ascending_subsets
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -109,6 +118,54 @@ def steiner_number_by_dp(g: Graph) -> tuple[int, tuple[int, ...], int]:
             if is_steiner_set(g, mask_of(combo)):
                 return size, combo, explored
     raise AssertionError("no Steiner set found")
+
+
+def geodetic_search_by_closure(g: Graph, forced: Mask) -> GeodeticResult:
+    """First set containing ``forced``, by cardinality then lexicographic
+    order, whose pairwise interval closure is V(G); ``explored`` counts the
+    nonempty candidates tested."""
+    table = _interval_table(bfs_distances(g))
+    explored = 0
+    for members in ascending_subsets(g.full_mask, forced):
+        if not members:
+            continue
+        explored += 1
+        vs = vertex_tuple(members)
+        closure = members
+        for i, u in enumerate(vs):
+            for v in vs[i + 1:]:
+                closure |= table[u][v]
+        if closure == g.full_mask:
+            return GeodeticResult(len(vs), vs, explored)
+    raise AssertionError("a connected graph always has a geodetic set")
+
+
+def k_geodetic_search_by_closure(g: Graph, k: int) -> GeodeticResult:
+    """First set, by cardinality then lexicographic order, whose pairs at
+    distance exactly k cover every vertex outside it; unsatisfiable
+    (``explored == 0``) when no pair is at distance k."""
+    rows = bfs_distances(g).rows
+    n = g.n
+    kmask = [[0] * n for _ in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rows[u][v] == k:
+                kmask[u][v] = mask_of(w for w in range(n) if rows[u][w] + rows[v][w] == k)
+    if not any(map(any, kmask)):
+        return GeodeticResult(None, None, 0)
+    explored = 0
+    for members in ascending_subsets(g.full_mask, 0):
+        if not members:
+            continue
+        explored += 1
+        vs = vertex_tuple(members)
+        covered = members
+        for i, u in enumerate(vs):
+            for v in vs[i + 1:]:
+                covered |= kmask[u][v]
+        if covered == g.full_mask:
+            return GeodeticResult(len(vs), vs, explored)
+    raise AssertionError("a k-geodetic set exists whenever a distance-k pair does")
 
 
 def extreme_by_double_loop(g: Graph) -> set[int]:

@@ -8,11 +8,7 @@ import sys
 import networkx as nx
 
 from coronageo.formats import encode_graph6
-from coronageo.geodesic import (
-    geodetic_number,
-    geodetic_number_unpruned,
-    interval,
-)
+from coronageo.geodesic import geodetic_number, interval
 from coronageo.graphs import (
     bfs_distances,
     complete,
@@ -35,7 +31,7 @@ from coronageo.harness import (
     check_steiner_k1_iff_diam2,
 )
 from coronageo.steiner import oracle_steiner_trees, steiner_hull, steiner_number
-from oracles import steiner_number_brute, steiner_number_by_dp, to_nx
+from oracles import geodetic_search_by_closure, steiner_number_brute, steiner_number_by_dp, to_nx
 
 ALL_ORDER_LE_3 = [
     complete(1),
@@ -209,7 +205,7 @@ def test_criterion_11b_pruned_geodetic_equals_unpruned(census):
     for order in range(1, 8):
         for g in census(order):
             a = geodetic_number(g)
-            b = geodetic_number_unpruned(g)
+            b = geodetic_search_by_closure(g, 0)
             assert (a.value, a.witness) == (b.value, b.witness), encode_graph6(g)
     _report("11b pruned geodetic search = unpruned search, order <= 7")
 

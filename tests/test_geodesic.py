@@ -1,13 +1,17 @@
 import itertools
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coronageo import subsets
 from coronageo.errors import CapExceeded, DomainError
+from coronageo.formats import encode_graph6, parse_graph6
 from coronageo.geodesic import (
+    GeodeticResult,
+    _interval_table,
     geodetic_number,
-    geodetic_number_unpruned,
     interval,
     interval_closure,
     is_geodetic,
@@ -27,13 +31,15 @@ from coronageo.graphs import (
     path,
     vertex_tuple,
 )
-from coronageo.subsets import ascending_subsets
+from coronageo.subsets import ascending_subsets, first_cover
 
 from oracles import (
     closure_vertices,
     geodetic_number_brute,
+    geodetic_search_by_closure,
     interval_vertices,
     k_geodetic_number_brute,
+    k_geodetic_search_by_closure,
 )
 
 
@@ -197,7 +203,7 @@ def test_pruned_equals_unpruned_small_census(census):
     for order in range(1, 7):
         for g in census(order):
             a = geodetic_number(g)
-            b = geodetic_number_unpruned(g)
+            b = geodetic_search_by_closure(g, 0)
             assert (a.value, a.witness) == (b.value, b.witness)
             assert a.explored <= b.explored
 
@@ -275,6 +281,65 @@ def test_g2_p5_differs_from_g():
     # the fan lower-bound hypothesis instance: g(P5) = 2, g2(P5) = 3
     assert geodetic_number(path(5)).value == 2
     assert k_geodetic_number(path(5), 2).value == 3
+
+
+# --- cover search against the per-candidate closure search -------------------------
+
+
+def _unforced(g):
+    members, explored = first_cover(_interval_table(bfs_distances(g)), g.n, 0)
+    return GeodeticResult(members.bit_count(), vertex_tuple(members), explored)
+
+
+def test_cover_search_matches_closure_search_on_census(census):
+    checked = unsatisfiable = 0
+    for order in range(1, 7):
+        for g in census(order):
+            code = encode_graph6(g)
+            ref = geodetic_search_by_closure(g, extreme_vertices(g))
+            assert geodetic_number(g) == ref, code
+            assert _unforced(g) == geodetic_search_by_closure(g, 0), code
+            for k in (2, 3, diameter(g) + 2):
+                r = k_geodetic_number(g, k)
+                assert r == k_geodetic_search_by_closure(g, k), (code, k)
+                unsatisfiable += r.unsatisfiable
+            checked += 1
+    assert checked == 143
+    assert unsatisfiable > 143  # every k = D + 2, and k = 2, 3 above small diameters
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_cover_search_matches_references_hypothesis(data):
+    n = data.draw(st.integers(min_value=1, max_value=10))
+    tree = [(data.draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    extra = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)) if pairs else []
+    g = from_edge_list(n, sorted(set(tree) | set(extra)))
+    r = geodetic_number(g)
+    assert r == geodetic_search_by_closure(g, extreme_vertices(g))
+    assert (r.value, r.witness) == geodetic_number_brute(g)
+    assert _unforced(g) == geodetic_search_by_closure(g, 0)
+    for k in (2, 3):
+        assert k_geodetic_number(g, k) == k_geodetic_search_by_closure(g, k)
+
+
+# GEO_CORONA_EQ products G ⊙ H of order 15-20 whose witnesses lie thousands of
+# candidates deep, so whole subtrees are skipped by the bound
+@pytest.mark.parametrize("g6_g,g6_h", [("Bo", "Cl"), ("Bo", "D]o"), ("Bo", "Dhc"), ("CF", "Ck")])
+def test_cover_search_skips_subtrees_on_corona_products(g6_g, g6_h, monkeypatch):
+    product, _ = corona(parse_graph6(g6_g), parse_graph6(g6_h))
+    assert 15 <= product.n <= 20
+    skipped = []
+
+    def counting_comb(a, b):
+        skipped.append(comb(a, b))
+        return skipped[-1]
+
+    monkeypatch.setattr(subsets, "comb", counting_comb)
+    r = geodetic_number(product)
+    assert r == geodetic_search_by_closure(product, extreme_vertices(product))
+    assert max(skipped) > 1
 
 
 # --- canonical search order -------------------------------------------------------

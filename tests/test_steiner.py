@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -217,6 +218,21 @@ def test_subset_table_is_steiner_distance(census):
             assert len(sd) == 1 << g.n and sd[0] == 0
             for members in range(1, 1 << g.n):
                 assert sd[members] == steiner_distance(g, members)
+
+
+def test_subset_table_is_steiner_distance_on_random_graphs():
+    # n = 9..11: the superset-min pass slices by stride on the low bit
+    # positions and by block on the high ones, so both kinds run several times
+    rng = random.Random(11)
+    for n in (9, 9, 10, 10, 11, 11):
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+        edges |= {(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < 0.15}
+        g = from_edge_list(n, sorted(edges))
+        sd = _steiner_distance_table(g)
+        small = [mask_of(c) for size in (1, 2, 3) for c in itertools.combinations(range(n), size)]
+        large = [mask_of(rng.sample(range(n), rng.randint(4, 6))) for _ in range(30)]
+        for members in small + large:
+            assert sd[members] == steiner_distance(g, members), (encode_graph6(g), vertex_tuple(members))
 
 
 def test_steiner_number_matches_per_candidate_dp_search(census):
