@@ -182,35 +182,27 @@ def _random_corpus(args: argparse.Namespace) -> CorpusSpec | None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    """Map the corpus flags onto the claim's arguments; ``build_items``
+    reports any argument that is still missing."""
     caps = _caps(args)
-    info = THEOREMS[args.theorem]
-    corpus_g = _corpus_from_flags(args, which="g")
+    kind = THEOREMS[args.theorem].kind
+    corpus = _corpus_from_flags(args, which="g")
     corpus_h = _corpus_from_flags(args, which="h")
     rand = _random_corpus(args)
     n_range = parse_range(args.range) if args.range is not None else None
 
-    corpus = corpus_g
-    if info.kind == "single":
-        picked = [c for c in (corpus_g, corpus_h, rand) if c is not None]
+    if kind == "single":
+        picked = [c for c in (corpus, corpus_h, rand) if c is not None]
         if len(picked) != 1:
             raise DomainError(
                 f"{args.theorem} takes exactly one corpus (--family-g, --family-h, or --random)"
             )
-        corpus = picked[0]
-        corpus_h = None
-    elif info.kind in ("pair", "pendant"):
+        corpus, corpus_h = picked[0], None
+    elif kind in ("pair", "pendant"):
         if corpus_h is not None and rand is not None:
-            raise DomainError("give the H corpus as --family-h or --random, not both")
+            raise DomainError(f"{args.theorem} takes H from --family-h or --random, not both")
         if corpus_h is None:
             corpus_h = rand
-        if corpus is None or corpus_h is None:
-            raise DomainError(f"{args.theorem} needs --family-g and --family-h (or --random) corpora")
-    elif info.kind == "range":
-        if n_range is None:
-            raise DomainError(f"{args.theorem} needs --range A..B")
-    elif info.kind == "g_range":
-        if corpus is None or n_range is None:
-            raise DomainError(f"{args.theorem} needs --family-g and --range A..B")
 
     reports = run_corpus(
         args.theorem,

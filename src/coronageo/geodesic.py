@@ -71,11 +71,6 @@ def interval_closure(D: DistanceMatrix, members: Mask) -> Mask:
     return acc
 
 
-def is_geodominated(D: DistanceMatrix, v: int, x: int, y: int) -> bool:
-    """True when v lies on some x-y geodesic: d(x,v) + d(v,y) = d(x,y)."""
-    return D.rows[x][v] + D.rows[v][y] == D.rows[x][y]
-
-
 def is_geodetic(G: Graph, members: Mask) -> bool:
     """True when the interval closure of the set covers every vertex."""
     if not is_connected(G):
@@ -87,7 +82,8 @@ def is_geodetic(G: Graph, members: Mask) -> bool:
     return interval_closure(bfs_distances(G), members) == G.full_mask
 
 
-def _interval_table(D: DistanceMatrix) -> list[list[Mask]]:
+def interval_table(D: DistanceMatrix) -> list[list[Mask]]:
+    """``table[u][v]`` = I[u, v] for every vertex pair (0 across components)."""
     n = D.n
     rows = D.rows
     table: list[list[Mask]] = [[0] * n for _ in range(n)]
@@ -126,7 +122,7 @@ def geodetic_number(G: Graph, *, cap: int = DEFAULT_GEODETIC_CAP) -> GeodeticRes
     _require_connected(G)
     if G.n > cap:
         raise CapExceeded(f"geodetic search capped at n <= {cap}, got {G.n}")
-    return _cover_search(_interval_table(bfs_distances(G)), G.n, extreme_vertices(G))
+    return _cover_search(interval_table(bfs_distances(G)), G.n, extreme_vertices(G))
 
 
 def k_geodetic_number(G: Graph, k: int, *, cap: int = DEFAULT_GEODETIC_CAP) -> GeodeticResult:
@@ -145,7 +141,7 @@ def k_geodetic_number(G: Graph, k: int, *, cap: int = DEFAULT_GEODETIC_CAP) -> G
     D = bfs_distances(G)
     if not any(k in row for row in D.rows):
         return GeodeticResult(None, None, 0)
-    table = _interval_table(D)  # I[u, v] is the k-interval when d(u, v) = k
+    table = interval_table(D)  # I[u, v] is the k-interval when d(u, v) = k
     for u, du in enumerate(D.rows):
         table[u] = [m if d == k else 0 for m, d in zip(table[u], du)]
     return _cover_search(table, G.n, 0)

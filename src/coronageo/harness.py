@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import itertools
 import json
 import os
 import time
@@ -29,8 +30,8 @@ from .formats import encode_graph6
 from .geodesic import (
     DEFAULT_GEODETIC_CAP,
     geodetic_number,
+    interval_table,
     is_geodetic,
-    is_geodominated,
     k_geodetic_number,
 )
 from .graphs import (
@@ -156,6 +157,15 @@ def _need(condition: bool, reason: str) -> None:
         raise _Skip(reason)
 
 
+# the ``build_items`` arguments each kind takes, in the checker's argument order
+KINDS: dict[str, tuple[str, ...]] = {
+    "single": ("corpus",),
+    "pair": ("corpus", "corpus_h"),
+    "range": ("n_range",),
+    "g_range": ("corpus", "n_range"),
+    "pendant": ("corpus", "corpus_h", "k"),
+}
+
 # instance graphs and params of each kind, from the checker's leading arguments
 _INSTANCES = {
     "single": lambda G, *_: ([G], {"n": G.n}),
@@ -229,12 +239,6 @@ def _k1_corona(H: Graph) -> Graph:
     return _build_corona(complete(1), H)[0]
 
 
-def _copy_to_k1h(layout: CoronaLayout, i: int, members: Mask) -> Mask:
-    """Map copy-i vertices of a product onto the copy block of K1 ⊙ H."""
-    base = layout.n1 + i * layout.n2
-    return mask_of(1 + (v - base) for v in bits(members))
-
-
 # ---------------------------------------------------------------------------
 # Geodetic checkers.
 
@@ -260,29 +264,25 @@ def check_corona_structure_geo(G: Graph, H: Graph, caps: Caps = Caps()) -> Outco
     prod, layout = _build_corona(G, H)
     r = geodetic_number(prod, cap=caps.geodetic)
 
-    D = bfs_distances(prod)
-    part_i = True
-    for i in range(layout.n1):
-        block = layout.copy_mask(i)
-        for v in bits(block):
-            for a in range(prod.n):
-                for b in range(a + 1, prod.n):
-                    if v in (a, b):
-                        continue
-                    if block >> a & 1 and block >> b & 1:
-                        continue
-                    if is_geodominated(D, v, a, b):
-                        part_i = False
+    I = interval_table(bfs_distances(prod))
+    blocks = [layout.copy_mask(i) for i in range(layout.n1)]
+    part_i = not any(
+        I[a][b] & block & ~(1 << a | 1 << b)
+        for block in blocks
+        for a in range(prod.n)
+        for b in range(a + 1, prod.n)
+        if (1 << a | 1 << b) & ~block  # a and b not both in the copy
+    )
 
     W = mask_of(r.witness)
-    parts = {"part_i": part_i, "part_ii": all(W & layout.copy_mask(i) for i in range(layout.n1))}
+    parts = {"part_i": part_i, "part_ii": all(W & block for block in blocks)}
     if G.n >= 2 or not is_complete(H):
         parts["part_iii"] = W & layout.g_mask == 0
     if not is_complete(H):
         k1h = _k1_corona(H)
-        parts["part_iv"] = all(
-            is_geodetic(k1h, _copy_to_k1h(layout, i, W & layout.copy_mask(i)))
-            for i in range(layout.n1)
+        parts["part_iv"] = all(  # copy i's slice, shifted onto the copy of H in K1 ⊙ H
+            W & block and is_geodetic(k1h, (W & block) >> (layout.n1 + i * layout.n2) << 1)
+            for i, block in enumerate(blocks)
         )
     computed = {"g_product": r.value, **{p: int(v) for p, v in parts.items()}}
     skipped = [p for p in ("part_iii", "part_iv") if p not in parts]
@@ -763,37 +763,22 @@ def build_items(
     k: int | None = None,
     caps: Caps = Caps(),
 ) -> list[tuple]:
-    """Materialize the work items for a corpus run, in canonical order."""
+    """Materialize the work items for a corpus run, in canonical order: the
+    product of the kind's argument axes, the first axis outermost."""
     if theorem not in THEOREMS:
         raise DomainError(f"unknown theorem id {theorem!r}")
-    kind = THEOREMS[theorem].kind
-    if kind == "single":
-        if corpus is None:
-            raise DomainError(f"{theorem} needs a graph corpus")
-        return [(theorem, (g,), caps) for g in corpus.load()]
-    if kind == "pair":
-        if corpus is None or corpus_h is None:
-            raise DomainError(f"{theorem} needs corpora for both factors")
-        hs = corpus_h.load()
-        return [(theorem, (g, h), caps) for g in corpus.load() for h in hs]
-    if kind == "range":
-        if n_range is None:
-            raise DomainError(f"{theorem} needs a parameter range")
-        return [(theorem, (n,), caps) for n in range(n_range[0], n_range[1] + 1)]
-    if kind == "g_range":
-        if corpus is None or n_range is None:
-            raise DomainError(f"{theorem} needs a graph corpus and a parameter range")
-        return [
-            (theorem, (g, n), caps)
-            for g in corpus.load()
-            for n in range(n_range[0], n_range[1] + 1)
-        ]
-    if kind == "pendant":
-        if corpus is None or corpus_h is None or k is None:
-            raise DomainError(f"{theorem} needs two corpora and k")
-        hs = corpus_h.load()
-        return [(theorem, (g, h, k), caps) for g in corpus.load() for h in hs]
-    raise AssertionError(f"unhandled theorem kind {kind!r}")
+    given = {"corpus": corpus, "corpus_h": corpus_h, "n_range": n_range, "k": k}
+    names = KINDS[THEOREMS[theorem].kind]
+    missing = [name for name in names if given[name] is None]
+    if missing:
+        raise DomainError(f"{theorem} needs {', '.join(missing)}")
+    axes = {
+        "corpus": lambda: corpus.load(),
+        "corpus_h": lambda: corpus_h.load(),
+        "n_range": lambda: range(n_range[0], n_range[1] + 1),
+        "k": lambda: (k,),
+    }
+    return [(theorem, args, caps) for args in itertools.product(*(axes[name]() for name in names))]
 
 
 def run_corpus(

@@ -14,7 +14,6 @@ one table of the Steiner distance of every vertex subset instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from operator import add
 from typing import Sequence
 
@@ -23,16 +22,13 @@ from .graphs import (
     Graph,
     Mask,
     bfs_distances,
-    bits,
     is_connected,
-    mask_of,
     vertex_tuple,
 )
 from .subsets import ascending_subsets
 
 DEFAULT_STEINER_CAP = 16
 DEFAULT_TERMINAL_CAP = 16
-DEFAULT_ORACLE_CAP = 10
 
 _INF = 1 << 30
 _UNSET = 255  # not yet marked; Steiner distances stay below the 62-vertex limit
@@ -178,44 +174,3 @@ def steiner_number(G: Graph, *, cap: int = DEFAULT_STEINER_CAP) -> SteinerResult
             terms = vertex_tuple(members)
             return SteinerResult(len(terms), terms, explored)
     raise AssertionError("the full vertex set is always a Steiner set")
-
-
-def _connected_within(adj: Sequence[Mask], members: Mask) -> bool:
-    start = members & -members
-    seen = frontier = start
-    while frontier:
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= adj[v]
-        nxt &= members & ~seen
-        seen |= nxt
-        frontier = nxt
-    return seen == members
-
-
-def oracle_steiner_trees(G: Graph, members: Mask, *, cap: int = DEFAULT_ORACLE_CAP) -> tuple[Mask, ...]:
-    """All vertex supports of minimum trees containing the set, by exhaustive
-    enumeration of connected supersets.
-
-    Independent of the dynamic program; the union of the supports equals the
-    Steiner hull.  Exponential, so capped at small orders.
-    """
-    if G.n > cap:
-        raise CapExceeded(f"tree enumeration capped at n <= {cap}, got {G.n}")
-    if members == 0:
-        raise DomainError("terminal set is empty")
-    if members & ~G.full_mask:
-        raise DomainError("terminal set is not within the graph")
-    if not is_connected(G):
-        raise DomainError("Steiner trees are defined for connected graphs")
-    others = vertex_tuple(G.full_mask & ~members)
-    adj = G.adj
-    for extra in range(len(others) + 1):
-        supports = []
-        for combo in combinations(others, extra):
-            candidate = members | mask_of(combo)
-            if _connected_within(adj, candidate):
-                supports.append(candidate)
-        if supports:
-            return tuple(supports)
-    raise AssertionError("a connected graph always spans its terminal sets")

@@ -10,15 +10,19 @@ witness and ``explored`` count:
 * ``geodetic_search_by_closure`` and ``k_geodetic_search_by_closure`` pin the
   prefix-incremental cover search (``subsets.first_cover``) behind
   ``geodetic_number`` and ``k_geodetic_number``: they walk
-  ``ascending_subsets`` and rebuild each candidate's closure pair by pair.
+  ``ascending_subsets`` and rebuild each candidate's closure pair by pair;
+* ``oracle_steiner_trees`` lists every minimum-tree support of a terminal set
+  by enumerating connected supersets, independent of the Steiner DP.
 """
 
 import itertools
+from typing import Sequence
 
 import networkx as nx
 
-from coronageo.geodesic import GeodeticResult, _interval_table
-from coronageo.graphs import Graph, Mask, bfs_distances, mask_of, vertex_tuple
+from coronageo.errors import CapExceeded, DomainError
+from coronageo.geodesic import GeodeticResult, interval_table
+from coronageo.graphs import Graph, Mask, bfs_distances, bits, is_connected, mask_of, vertex_tuple
 from coronageo.steiner import is_steiner_set
 from coronageo.subsets import ascending_subsets
 
@@ -108,6 +112,50 @@ def steiner_number_brute(g: Graph) -> tuple[int, tuple[int, ...]]:
     raise AssertionError("no Steiner set found")
 
 
+DEFAULT_ORACLE_CAP = 10
+
+
+def _connected_within(adj: Sequence[Mask], members: Mask) -> bool:
+    start = members & -members
+    seen = frontier = start
+    while frontier:
+        nxt = 0
+        for v in bits(frontier):
+            nxt |= adj[v]
+        nxt &= members & ~seen
+        seen |= nxt
+        frontier = nxt
+    return seen == members
+
+
+def oracle_steiner_trees(G: Graph, members: Mask, *, cap: int = DEFAULT_ORACLE_CAP) -> tuple[Mask, ...]:
+    """All vertex supports of minimum trees containing the set, by exhaustive
+    enumeration of connected supersets.
+
+    Independent of the dynamic program; the union of the supports equals the
+    Steiner hull.  Exponential, so capped at small orders.
+    """
+    if G.n > cap:
+        raise CapExceeded(f"tree enumeration capped at n <= {cap}, got {G.n}")
+    if members == 0:
+        raise DomainError("terminal set is empty")
+    if members & ~G.full_mask:
+        raise DomainError("terminal set is not within the graph")
+    if not is_connected(G):
+        raise DomainError("Steiner trees are defined for connected graphs")
+    others = vertex_tuple(G.full_mask & ~members)
+    adj = G.adj
+    for extra in range(len(others) + 1):
+        supports = []
+        for combo in itertools.combinations(others, extra):
+            candidate = members | mask_of(combo)
+            if _connected_within(adj, candidate):
+                supports.append(candidate)
+        if supports:
+            return tuple(supports)
+    raise AssertionError("a connected graph always spans its terminal sets")
+
+
 def steiner_number_by_dp(g: Graph) -> tuple[int, tuple[int, ...], int]:
     """(value, witness, explored) of the first set, by cardinality then
     lexicographic order, that the package's single-set DP calls Steiner."""
@@ -124,7 +172,7 @@ def geodetic_search_by_closure(g: Graph, forced: Mask) -> GeodeticResult:
     """First set containing ``forced``, by cardinality then lexicographic
     order, whose pairwise interval closure is V(G); ``explored`` counts the
     nonempty candidates tested."""
-    table = _interval_table(bfs_distances(g))
+    table = interval_table(bfs_distances(g))
     explored = 0
     for members in ascending_subsets(g.full_mask, forced):
         if not members:

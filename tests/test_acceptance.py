@@ -30,8 +30,14 @@ from coronageo.harness import (
     check_steiner_corona_eq,
     check_steiner_k1_iff_diam2,
 )
-from coronageo.steiner import oracle_steiner_trees, steiner_hull, steiner_number
-from oracles import geodetic_search_by_closure, steiner_number_brute, steiner_number_by_dp, to_nx
+from coronageo.steiner import steiner_hull, steiner_number
+from oracles import (
+    geodetic_search_by_closure,
+    oracle_steiner_trees,
+    steiner_number_brute,
+    steiner_number_by_dp,
+    to_nx,
+)
 
 ALL_ORDER_LE_3 = [
     complete(1),

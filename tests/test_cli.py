@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from coronageo.formats import encode_graph6, parse_edge_list, parse_graph6
 from coronageo.graphs import complete, corona, cycle
 
@@ -131,9 +133,31 @@ def test_verify_unknown_theorem_exits_2(run_cli):
     assert run_cli("verify", "--theorem", "BOGUS").returncode == 2
 
 
-def test_verify_missing_corpus_exits_2(run_cli):
-    assert run_cli("verify", "--theorem", "GEO_CORONA_EQ").returncode == 2
-    assert run_cli("verify", "--theorem", "WHEEL_GEO").returncode == 2
+_RANDOM_H = ("--random", "n=4,p=0.5,count=1", "--seed", "1")
+
+
+@pytest.mark.parametrize("theorem, flags, missing", [
+    pytest.param("GEO_KN", (), "exactly one corpus", id="single-no-corpus"),
+    pytest.param("GEO_KN", ("--family-g", "path:2..3", "--family-h", "path:2..3"),
+                 "exactly one corpus", id="single-two-corpora"),
+    pytest.param("GEO_CORONA_EQ", (), "needs corpus, corpus_h", id="pair-no-corpus"),
+    pytest.param("GEO_CORONA_EQ", ("--family-g", "path:2..3"), "needs corpus_h", id="pair-no-h"),
+    pytest.param("GEO_CORONA_EQ", ("--family-g", "path:2..3", "--family-h", "path:2..3", *_RANDOM_H),
+                 "not both", id="pair-h-twice"),
+    pytest.param("WHEEL_GEO", (), "needs n_range", id="range-no-range"),
+    pytest.param("CORONA_CYCLE_PATH", ("--family-g", "path:2..3"), "needs n_range",
+                 id="g_range-no-range"),
+    pytest.param("PENDANT_COROLLARY", ("--family-g", "path:2..3", "--family-h", "path:2..3"),
+                 "needs k", id="pendant-no-k"),
+])
+def test_verify_argument_errors_name_the_theorem(run_cli, theorem, flags, missing):
+    """Every argument path of ``verify`` that lacks or doubles an argument
+    exits 2 with a message naming the claim and what is wrong."""
+    res = run_cli("verify", "--theorem", theorem, *flags)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert theorem in res.stderr and missing in res.stderr, res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_verify_random_requires_seed(run_cli):

@@ -10,12 +10,11 @@ from coronageo.errors import CapExceeded, DomainError
 from coronageo.formats import encode_graph6, parse_graph6
 from coronageo.geodesic import (
     GeodeticResult,
-    _interval_table,
     geodetic_number,
     interval,
     interval_closure,
+    interval_table,
     is_geodetic,
-    is_geodominated,
     k_geodetic_number,
 )
 from coronageo.graphs import (
@@ -157,12 +156,12 @@ def test_is_geodetic_domain_errors():
         is_geodetic(path(2), 0)
 
 
-def test_is_geodominated_examples():
-    D = bfs_distances(path(3))
-    assert is_geodominated(D, 0, 0, 2)  # v = x
-    assert is_geodominated(D, 1, 0, 2)
-    D5 = bfs_distances(cycle(5))
-    assert not is_geodominated(D5, 2, 0, 4)  # d(0,4) = 1, interval is the edge
+def test_interval_table_examples():
+    I = interval_table(bfs_distances(path(3)))
+    assert I[0][2] >> 0 & 1  # an end vertex lies on its own geodesics
+    assert I[0][2] >> 1 & 1
+    I5 = interval_table(bfs_distances(cycle(5)))
+    assert not I5[0][4] >> 2 & 1  # d(0,4) = 1, interval is the edge
 
 
 # --- geodetic number ------------------------------------------------------------
@@ -287,7 +286,7 @@ def test_g2_p5_differs_from_g():
 
 
 def _unforced(g):
-    members, explored = first_cover(_interval_table(bfs_distances(g)), g.n, 0)
+    members, explored = first_cover(interval_table(bfs_distances(g)), g.n, 0)
     return GeodeticResult(members.bit_count(), vertex_tuple(members), explored)
 
 

@@ -134,6 +134,37 @@ def test_corona_structure_geo():
     assert r.computed["part_iv"] == 1
 
 
+def test_corona_structure_geo_part_i_fails_with_an_edge_between_copies(monkeypatch):
+    """Edge 2-5 joins the two copies of P3 in P2 ⊙ P3, so copy vertex 2 lies
+    on the geodesic 0-2-5 between two vertices outside its copy."""
+
+    def bridged(G, H):
+        prod, layout = corona(G, H)
+        if G.n == 2:
+            prod = from_edge_list(prod.n, [*prod.edges(), (2, 5)])
+        return prod, layout
+
+    monkeypatch.setattr(harness, "corona", bridged)
+    r = check_corona_structure_geo(path(2), path(3))
+    assert r.computed["part_i"] == 0
+    assert r.verdict == "FAIL"
+
+
+def test_corona_structure_geo_reports_a_witness_missing_a_copy(monkeypatch):
+    """A witness with an empty slice in copy 1 fails parts (ii) and (iv)
+    rather than raising on the empty slice."""
+    search = harness.geodetic_number
+
+    def skewed(G, *, cap):
+        r = search(G, cap=cap)
+        return r if G.n != 8 else dataclasses.replace(r, witness=(2, 4), value=2)
+
+    monkeypatch.setattr(harness, "geodetic_number", skewed)
+    r = check_corona_structure_geo(path(2), path(3))
+    assert r.computed["part_ii"] == r.computed["part_iv"] == 0
+    assert r.verdict == "FAIL"
+
+
 def test_g2_equivalence_both_branches():
     r = check_g2_equivalence(cycle(4))
     assert r.verdict == "PASS"
@@ -300,7 +331,8 @@ def test_steiner_k1_iff_diam2_counterexamples():
     from itertools import combinations
 
     from coronageo.formats import parse_graph6
-    from coronageo.steiner import oracle_steiner_trees, steiner_number
+    from coronageo.steiner import steiner_number
+    from oracles import oracle_steiner_trees
 
     for code in ("EyUG", "EyuG"):
         h = parse_graph6(code)
@@ -382,16 +414,18 @@ def test_registry_covers_all_claims():
 
 
 def test_build_items_argument_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="GEO_KN needs corpus$"):
         build_items("GEO_KN")
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="GEO_CORONA_EQ needs corpus_h$"):
         build_items("GEO_CORONA_EQ", corpus=CorpusSpec.exhaustive(1, 2))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="WHEEL_GEO needs n_range$"):
         build_items("WHEEL_GEO")
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="PENDANT_COROLLARY needs k$"):
         build_items("PENDANT_COROLLARY", corpus=CorpusSpec.exhaustive(1, 1),
                     corpus_h=CorpusSpec.exhaustive(1, 1))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="PENDANT_COROLLARY needs corpus, corpus_h, k$"):
+        build_items("PENDANT_COROLLARY")
+    with pytest.raises(DomainError, match="unknown theorem id"):
         build_items("NO_SUCH_CLAIM", corpus=CorpusSpec.exhaustive(1, 1))
 
 

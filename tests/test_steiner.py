@@ -24,13 +24,13 @@ from coronageo.graphs import (
 from coronageo.steiner import (
     _steiner_distance_table,
     is_steiner_set,
-    oracle_steiner_trees,
     steiner_distance,
     steiner_hull,
     steiner_number,
 )
 
 from oracles import (
+    oracle_steiner_trees,
     steiner_distance_brute,
     steiner_hull_brute,
     steiner_number_brute,
