@@ -157,12 +157,3 @@ class CorpusSpec:
             rng = random.Random(self.seed)
             return [random_connected_graph(self.order, self.p, rng) for _ in range(self.count)]
         raise DomainError(f"unknown corpus kind {self.kind!r}")
-
-    def describe(self) -> str:
-        if self.kind == "exhaustive":
-            return f"all-connected:{self.lo}..{self.hi}"
-        if self.kind == "family":
-            return f"{self.family}:{self.lo}..{self.hi}"
-        if self.kind == "file":
-            return f"file:{self.path}"
-        return f"random(n={self.order},p={self.p},count={self.count},seed={self.seed})"

@@ -5,15 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapExceeded, DomainError
-from .graphs import (
-    DistanceMatrix,
-    Graph,
-    Mask,
-    bfs_distances,
-    extreme_vertices,
-    is_connected,
-    vertex_tuple,
-)
+from .graphs import Graph, Mask, bfs_distances, extreme_vertices, is_connected, vertex_tuple
 from .subsets import first_cover
 
 DEFAULT_GEODETIC_CAP = 20
@@ -39,61 +31,53 @@ class GeodeticResult:
         return self.value is None
 
 
-def _check_vertex(D: DistanceMatrix, v: int) -> None:
-    if not 0 <= v < D.n:
-        raise DomainError(f"vertex {v} out of range")
-
-
-def interval(D: DistanceMatrix, u: int, v: int) -> Mask:
-    """I[u, v]: all vertices w with d(u,w) + d(w,v) = d(u,v)."""
-    _check_vertex(D, u)
-    _check_vertex(D, v)
-    du, dv = D.rows[u], D.rows[v]
+def interval(D: tuple[tuple[int, ...], ...], u: int, v: int) -> Mask:
+    """I[u, v]: all vertices w with d(u,w) + d(w,v) = d(u,v), from the
+    ``bfs_distances`` rows ``D``."""
+    n = len(D)
+    for x in (u, v):
+        if not 0 <= x < n:
+            raise DomainError(f"vertex {x} out of range")
+    du, dv = D[u], D[v]
     target = du[v]
-    if target >= D.unreachable:
+    if target >= n:
         raise DomainError(f"vertices {u} and {v} are in different components")
     out = 0
-    for w in range(D.n):
+    for w in range(n):
         if du[w] + dv[w] == target:
             out |= 1 << w
     return out
 
 
-def interval_closure(D: DistanceMatrix, members: Mask) -> Mask:
-    """Union of I[u, v] over all pairs u, v in the set (contains the set)."""
-    if members == 0:
-        raise DomainError("interval closure of the empty set")
-    vs = vertex_tuple(members)
-    acc = members
-    for i, u in enumerate(vs):
-        for v in vs[i + 1:]:
-            acc |= interval(D, u, v)
-    return acc
-
-
 def is_geodetic(G: Graph, members: Mask) -> bool:
-    """True when the interval closure of the set covers every vertex."""
+    """True when the intervals I[u, v] over pairs of the set, with the set
+    itself, cover every vertex."""
     if not is_connected(G):
         raise DomainError("geodetic sets are defined for connected graphs")
     if members == 0:
         raise DomainError("geodetic sets are nonempty")
     if members & ~G.full_mask:
         raise DomainError("vertex set is not within the graph")
-    return interval_closure(bfs_distances(G), members) == G.full_mask
+    D = bfs_distances(G)
+    vs = vertex_tuple(members)
+    acc = members
+    for i, u in enumerate(vs):
+        for v in vs[i + 1:]:
+            acc |= interval(D, u, v)
+    return acc == G.full_mask
 
 
-def interval_table(D: DistanceMatrix) -> list[list[Mask]]:
+def interval_table(D: tuple[tuple[int, ...], ...]) -> list[list[Mask]]:
     """``table[u][v]`` = I[u, v] for every vertex pair (0 across components)."""
-    n = D.n
-    rows = D.rows
+    n = len(D)
     table: list[list[Mask]] = [[0] * n for _ in range(n)]
     for u in range(n):
-        du = rows[u]
+        du = D[u]
         for v in range(u, n):
-            dv = rows[v]
+            dv = D[v]
             target = du[v]
             m = 0
-            if target < D.unreachable:
+            if target < n:
                 for w in range(n):
                     if du[w] + dv[w] == target:
                         m |= 1 << w
@@ -139,9 +123,9 @@ def k_geodetic_number(G: Graph, k: int, *, cap: int = DEFAULT_GEODETIC_CAP) -> G
     if G.n > cap:
         raise CapExceeded(f"k-geodetic search capped at n <= {cap}, got {G.n}")
     D = bfs_distances(G)
-    if not any(k in row for row in D.rows):
+    if not any(k in row for row in D):
         return GeodeticResult(None, None, 0)
     table = interval_table(D)  # I[u, v] is the k-interval when d(u, v) = k
-    for u, du in enumerate(D.rows):
+    for u, du in enumerate(D):
         table[u] = [m if d == k else 0 for m, d in zip(table[u], du)]
     return _cover_search(table, G.n, 0)

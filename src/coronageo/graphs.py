@@ -147,26 +147,12 @@ def components(G: Graph) -> list[Mask]:
     return out
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """All-pairs hop distances; ``unreachable`` (== n) marks cross-component pairs."""
+def bfs_distances(G: Graph) -> tuple[tuple[int, ...], ...]:
+    """Exact hop distances by breadth-first search from every vertex.
 
-    rows: tuple[tuple[int, ...], ...]
-    unreachable: int
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    def dist(self, u: int, v: int) -> int:
-        return self.rows[u][v]
-
-    def reachable(self, u: int, v: int) -> bool:
-        return self.rows[u][v] < self.unreachable
-
-
-def bfs_distances(G: Graph) -> DistanceMatrix:
-    """Exact hop distances by breadth-first search from every vertex."""
+    Row u holds d(u, w) for every w, and holds n where w is in another
+    component.
+    """
     n = G.n
     adj = G.adj
     out = []
@@ -186,14 +172,13 @@ def bfs_distances(G: Graph) -> DistanceMatrix:
             seen |= nxt
             frontier = nxt
         out.append(tuple(row))
-    return DistanceMatrix(tuple(out), n)
+    return tuple(out)
 
 
 def diameter(G: Graph) -> int | None:
     """Largest pairwise distance, or None when the graph is disconnected."""
-    if not is_connected(G):
-        return None
-    return max(max(row) for row in bfs_distances(G).rows)
+    d = max(max(row) for row in bfs_distances(G))
+    return None if d == G.n else d
 
 
 def is_complete(G: Graph) -> bool:
@@ -294,11 +279,6 @@ class CoronaLayout:
     @property
     def order(self) -> int:
         return self.n1 * (1 + self.n2)
-
-    def g_index(self, i: int) -> int:
-        if not 0 <= i < self.n1:
-            raise DomainError(f"base index {i} out of range")
-        return i
 
     def copy_indices(self, i: int) -> range:
         if not 0 <= i < self.n1:

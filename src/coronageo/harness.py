@@ -91,6 +91,11 @@ class Caps:
     terminals: int = DEFAULT_TERMINAL_CAP
 
 
+def jsonline(payload: dict) -> str:
+    """One JSON Lines record: sorted keys, no spaces."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 @dataclass
 class VerificationReport:
     theorem: str
@@ -114,7 +119,7 @@ class VerificationReport:
             payload["witness"] = self.witness
         if timing:
             payload["elapsed_ms"] = self.elapsed_ms
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return jsonline(payload)
 
 
 def summarize(reports: Iterable[VerificationReport]) -> dict:
@@ -125,7 +130,7 @@ def summarize(reports: Iterable[VerificationReport]) -> dict:
 
 
 def summary_json(reports: Iterable[VerificationReport]) -> str:
-    return json.dumps({"summary": summarize(reports)}, sort_keys=True, separators=(",", ":"))
+    return jsonline({"summary": summarize(reports)})
 
 
 # ---------------------------------------------------------------------------

@@ -90,8 +90,7 @@ def steiner_distance(G: Graph, members: Mask, *, terminal_cap: int = DEFAULT_TER
     """Minimum number of edges of a connected subgraph containing the set
     (necessarily a tree)."""
     terms = _validated_terms(G, members, terminal_cap)
-    dist = [list(r) for r in bfs_distances(G).rows]
-    return _steiner_dp(dist, terms)[-1][terms[0]]
+    return _steiner_dp(bfs_distances(G), terms)[-1][terms[0]]
 
 
 def _hull_from_row(last: Sequence[int], d: int) -> Mask:
@@ -106,8 +105,7 @@ def steiner_hull(G: Graph, members: Mask, *, terminal_cap: int = DEFAULT_TERMINA
     """Vertices lying on at least one minimum tree for the set:
     v is in the hull exactly when d(W + v) = d(W)."""
     terms = _validated_terms(G, members, terminal_cap)
-    dist = [list(r) for r in bfs_distances(G).rows]
-    last = _steiner_dp(dist, terms)[-1]
+    last = _steiner_dp(bfs_distances(G), terms)[-1]
     return _hull_from_row(last, last[terms[0]])
 
 

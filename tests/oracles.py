@@ -192,7 +192,7 @@ def k_geodetic_search_by_closure(g: Graph, k: int) -> GeodeticResult:
     """First set, by cardinality then lexicographic order, whose pairs at
     distance exactly k cover every vertex outside it; unsatisfiable
     (``explored == 0``) when no pair is at distance k."""
-    rows = bfs_distances(g).rows
+    rows = bfs_distances(g)
     n = g.n
     kmask = [[0] * n for _ in range(n)]
     for u in range(n):

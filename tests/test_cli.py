@@ -80,6 +80,33 @@ def test_compute_usage_errors(run_cli):
     assert run_cli("compute", "--g6", "A_", "--measure", "gk").returncode == 2
 
 
+_C6 = encode_graph6(cycle(6))
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("compute", "--g6-file", "{dir}", "--measure", "g"), id="g6-file-dir"),
+    pytest.param(("compute", "--edges", "{dir}", "--measure", "g"), id="edges-dir"),
+    pytest.param(("corona", "--edges", "{dir}", "--g6-h", "@"), id="corona-edges-dir"),
+    pytest.param(("verify", "--theorem", "GEO_KN", "--family-g", "file:{dir}"), id="file-corpus-dir"),
+    pytest.param(("compute", "--g6-file", "{bin}", "--measure", "g"), id="g6-file-not-utf8"),
+    pytest.param(("compute", "--edges", "{bin}", "--measure", "g"), id="edges-not-utf8"),
+    pytest.param(("verify", "--theorem", "GEO_KN", "--family-g", "file:{bin}"),
+                 id="file-corpus-not-utf8"),
+    pytest.param(("compute", "--g6", _C6, "--measure", "steiner-distance", "--vertices", "0,-2"),
+                 id="steiner-distance-negative-vertex"),
+    pytest.param(("compute", "--g6", _C6, "--measure", "steiner-hull", "--vertices", "0,-2"),
+                 id="steiner-hull-negative-vertex"),
+])
+def test_unreadable_input_exits_2_without_traceback(run_cli, tmp_path, argv):
+    """Input the CLI cannot read is a usage error (exit 2), not a crash."""
+    not_utf8 = tmp_path / "latin1.g6"
+    not_utf8.write_bytes(b"A_\n\xff\xfe\n")
+    res = run_cli(*(a.format(dir=tmp_path, bin=not_utf8) for a in argv))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error: "), res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_compute_cap_exit_code(run_cli):
     res = run_cli("compute", "--g6", wheel_code(10), "--measure", "g", "--max-n", "5")
     assert res.returncode == 3

@@ -109,9 +109,3 @@ def test_random_connected_graph_rejects_bad_parameters():
         random_connected_graph(3, 1.5, rng)
     with pytest.raises(DomainError):
         random_connected_graph(4, 0.0, rng, attempts=10)
-
-
-def test_describe_is_stable():
-    assert CorpusSpec.exhaustive(1, 6).describe() == "all-connected:1..6"
-    assert CorpusSpec.from_family("wheel", 4, 9).describe() == "wheel:4..9"
-    assert CorpusSpec.random(7, 0.3, 2, seed=5).describe() == "random(n=7,p=0.3,count=2,seed=5)"

@@ -12,7 +12,6 @@ from coronageo.geodesic import (
     GeodeticResult,
     geodetic_number,
     interval,
-    interval_closure,
     interval_table,
     is_geodetic,
     k_geodetic_number,
@@ -79,55 +78,6 @@ def test_interval_matches_path_enumeration(census):
                     assert vertex_tuple(interval(D, u, v)) == tuple(sorted(interval_vertices(g, u, v)))
 
 
-# --- interval closure ----------------------------------------------------------
-
-
-def test_closure_path_endpoints_cover_everything():
-    g = path(6)
-    D = bfs_distances(g)
-    assert interval_closure(D, mask_of([0, 5])) == g.full_mask
-
-
-def test_closure_of_full_set_is_identity():
-    g = cycle(5)
-    assert interval_closure(bfs_distances(g), g.full_mask) == g.full_mask
-
-
-def test_closure_c6_antipodal_pair():
-    # two antipodal geodesics cover the whole cycle; brute-force confirmed
-    g = cycle(6)
-    assert interval_closure(bfs_distances(g), mask_of([0, 3])) == g.full_mask
-    assert closure_vertices(g, [0, 3]) == set(range(6))
-
-
-def test_closure_rejects_empty_set():
-    with pytest.raises(DomainError):
-        interval_closure(bfs_distances(path(2)), 0)
-
-
-def test_closure_rejects_cross_component_pairs():
-    g = from_edge_list(4, [(0, 1), (2, 3)])
-    with pytest.raises(DomainError):
-        interval_closure(bfs_distances(g), mask_of([0, 2]))
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_closure_extensive_and_monotone(data):
-    n = data.draw(st.integers(min_value=2, max_value=8))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True))
-    edges += [(i, i + 1) for i in range(n - 1)]  # keep it connected
-    g = from_edge_list(n, edges)
-    D = bfs_distances(g)
-    small = data.draw(st.integers(min_value=1, max_value=g.full_mask))
-    extra = data.draw(st.integers(min_value=0, max_value=g.full_mask))
-    big = small | extra
-    c_small = interval_closure(D, small)
-    assert small & ~c_small == 0  # extensive
-    assert c_small & ~interval_closure(D, big) == 0  # monotone
-
-
 # --- geodetic predicates -------------------------------------------------------
 
 
@@ -147,6 +97,33 @@ def test_is_geodetic_wheel_witness():
     r = geodetic_number(w6)
     assert r.value == 3
     assert is_geodetic(w6, mask_of(r.witness))
+
+
+def test_is_geodetic_path_endpoints():
+    g = path(6)
+    assert is_geodetic(g, mask_of([0, 5]))
+    assert not is_geodetic(g, mask_of([0, 4]))
+
+
+def test_is_geodetic_c6_antipodal_pair():
+    # two antipodal geodesics cover the whole cycle; brute-force confirmed
+    g = cycle(6)
+    assert is_geodetic(g, mask_of([0, 3]))
+    assert closure_vertices(g, [0, 3]) == set(range(6))
+    assert not is_geodetic(g, mask_of([0, 2]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_is_geodetic_matches_closure_oracle(data):
+    n = data.draw(st.integers(min_value=2, max_value=8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True))
+    edges += [(i, i + 1) for i in range(n - 1)]  # keep it connected
+    g = from_edge_list(n, edges)
+    members = data.draw(st.integers(min_value=1, max_value=g.full_mask))
+    expected = closure_vertices(g, vertex_tuple(members)) == set(range(n))
+    assert is_geodetic(g, members) == expected
 
 
 def test_is_geodetic_domain_errors():

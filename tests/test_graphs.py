@@ -181,7 +181,6 @@ def test_corona_rejects_oversized_product():
 
 def test_corona_layout_index_bookkeeping():
     _, layout = corona(path(3), path(2))
-    assert layout.g_index(2) == 2
     assert list(layout.copy_indices(0)) == [3, 4]
     assert list(layout.copy_indices(2)) == [7, 8]
     with pytest.raises(DomainError):
@@ -193,28 +192,30 @@ def test_corona_layout_index_bookkeeping():
 
 def test_bfs_distances_path4():
     D = bfs_distances(path(4))
-    assert D.dist(0, 3) == 3
-    assert D.dist(0, 0) == 0
+    assert D[0][3] == D[3][0] == 3
+    assert D[0][0] == 0
+    assert D == ((0, 1, 2, 3), (1, 0, 1, 2), (2, 1, 0, 1), (3, 2, 1, 0))
 
 
 def test_bfs_distances_c6_antipodal():
-    assert bfs_distances(cycle(6)).dist(0, 3) == 3
+    assert bfs_distances(cycle(6))[0][3] == 3
 
 
 def test_bfs_distances_unreachable_sentinel():
-    g = empty(2)
+    g = from_edge_list(3, [(0, 1)])
     D = bfs_distances(g)
-    assert D.dist(0, 1) == D.unreachable == 2
-    assert not D.reachable(0, 1)
+    assert D[0][2] == D[2][1] == g.n
+    assert D[0][1] == 1
 
 
 def test_distance_matrix_matches_adjacency(census):
     for g in census(5):
         D = bfs_distances(g)
+        assert len(D) == g.n and all(len(row) == g.n for row in D)
         for u in range(g.n):
             for v in range(g.n):
-                assert (D.dist(u, v) == 1) == g.has_edge(u, v)
-        assert all(D.dist(u, u) == 0 for u in range(g.n))
+                assert (D[u][v] == 1) == g.has_edge(u, v)
+        assert all(D[u][u] == 0 for u in range(g.n))
 
 
 def test_diameter_examples():
