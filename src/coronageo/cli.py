@@ -56,7 +56,9 @@ def _caps(args: argparse.Namespace) -> Caps:
     return Caps()
 
 
-def _parse_vertices(text: str | None) -> list[int]:
+def _parse_vertices(text: str | None, n: int) -> list[int]:
+    """Vertex indices of ``--vertices``, each checked against the order n
+    before any bitmask is built from it."""
     if not text:
         raise DomainError("this measure needs --vertices (comma-separated list)")
     try:
@@ -65,6 +67,9 @@ def _parse_vertices(text: str | None) -> list[int]:
             raise ValueError
     except ValueError:
         raise DomainError(f"bad --vertices value {text!r}") from None
+    for v in vs:
+        if v >= n:
+            raise DomainError(f"--vertices entry {v} is not in the graph (order {n})")
     return vs
 
 
@@ -90,16 +95,16 @@ def _measure_payload(g: Graph, measure: str, args: argparse.Namespace, caps: Cap
         vs = vertex_tuple(extreme_vertices(g))
         return {"value": len(vs), "witness": list(vs)}
     if measure == "interval":
-        vs = _parse_vertices(args.vertices)
+        vs = _parse_vertices(args.vertices, g.n)
         if len(vs) != 2:
             raise DomainError("measure interval needs --vertices U,V (exactly two)")
         out = vertex_tuple(interval(bfs_distances(g), vs[0], vs[1]))
         return {"vertices": vs, "value": len(out), "witness": list(out)}
     if measure == "steiner-distance":
-        vs = _parse_vertices(args.vertices)
+        vs = _parse_vertices(args.vertices, g.n)
         return {"vertices": vs, "value": steiner_distance(g, mask_of(vs), terminal_cap=caps.terminals)}
     if measure == "steiner-hull":
-        vs = _parse_vertices(args.vertices)
+        vs = _parse_vertices(args.vertices, g.n)
         out = vertex_tuple(steiner_hull(g, mask_of(vs), terminal_cap=caps.terminals))
         return {"vertices": vs, "value": len(out), "witness": list(out)}
     raise DomainError(f"unknown measure {measure!r}")

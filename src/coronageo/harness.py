@@ -60,9 +60,9 @@ from .graphs import (
 from .steiner import (
     DEFAULT_STEINER_CAP,
     DEFAULT_TERMINAL_CAP,
-    is_steiner_set,
     steiner_distance,
     steiner_number,
+    steiner_sets,
 )
 
 PASS = "PASS"
@@ -660,25 +660,38 @@ def check_steiner_k1_iff_diam2(H: Graph, caps: Caps = Caps()) -> Outcome:
 def check_diam2_steiner_geodetic(G: Graph, caps: Caps = Caps()) -> Outcome:
     """Checks that on diameter-2 graphs every Steiner set is geodetic.
 
-    Order <= 8: enumerate every Steiner set and test it.  Any order within
-    caps: assert g <= s and that the canonical minimum Steiner witness is
-    geodetic.  The claim is false: in ``Gvxi]?`` (order 8) the set {2, 6, 7}
-    is a Steiner set but not a geodetic set.
+    Order <= 8 (tier A): read every Steiner set from ``steiner_sets`` and
+    test each, in increasing mask order, against one interval table; the
+    terminal cap is not consumed.  Any order within caps: assert g <= s and
+    that the canonical minimum Steiner witness is geodetic.  The claim is
+    false: in ``Gvxi]?`` (order 8) the set {2, 6, 7} is a Steiner set but
+    not a geodetic set.
     """
     _need(diameter(G) == 2, R_DIAM_NE_2)
     rg = geodetic_number(G, cap=caps.geodetic)
     rs = steiner_number(G, cap=caps.steiner)
+    I = interval_table(bfs_distances(G))
+
+    def geodetic(members: Mask) -> bool:
+        vs = vertex_tuple(members)
+        acc = members
+        for i, u in enumerate(vs):
+            row = I[u]
+            for v in vs[i + 1:]:
+                acc |= row[v]
+        return acc == G.full_mask
+
     tier_a = G.n <= 8
     checked = 0
     offender: Mask | None = None
     if tier_a:
-        for members in range(1, 1 << G.n):
-            if is_steiner_set(G, members, terminal_cap=caps.terminals):
-                checked += 1
-                if not is_geodetic(G, members):
-                    offender = members
-                    break
-    min_witness_geodetic = is_geodetic(G, mask_of(rs.witness))
+        flags = steiner_sets(G, cap=caps.steiner)
+        for members in itertools.compress(range(len(flags)), flags):
+            checked += 1
+            if not geodetic(members):
+                offender = members
+                break
+    min_witness_geodetic = geodetic(mask_of(rs.witness))
     computed = {
         "g": rg.value,
         "s": rs.value,

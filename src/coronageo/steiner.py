@@ -8,14 +8,15 @@ at any terminal) and the Steiner hull, since v lies on a minimum tree for W
 exactly when d(W + v) = d(W).
 
 The Steiner number asks that question of many candidate sets, so it builds
-one table of the Steiner distance of every vertex subset instead.
+one table of the Steiner distance of every vertex subset instead;
+``steiner_sets`` reads every Steiner set from the same table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
-from typing import Sequence
+from operator import add, or_, sub
+from typing import Iterator, Sequence
 
 from .errors import CapExceeded, DomainError
 from .graphs import (
@@ -113,6 +114,23 @@ def is_steiner_set(G: Graph, members: Mask, *, terminal_cap: int = DEFAULT_TERMI
     return steiner_hull(G, members, terminal_cap=terminal_cap) == G.full_mask
 
 
+def _bit_slices(size: int) -> Iterator[tuple[slice, slice]]:
+    """For each bit position in turn, slice pairs that match every subset
+    index without the bit to the same index plus the bit: one strided slice
+    per offset in a block for the low bits, one slice per block for the high
+    ones, so no bit position takes more than sqrt(size) slices."""
+    half = 1
+    while half < size:
+        step = 2 * half
+        if half < size // step:
+            for r in range(half):
+                yield slice(r, None, step), slice(r + half, None, step)
+        else:
+            for lo in range(0, size, step):
+                yield slice(lo, lo + half), slice(lo + half, lo + step)
+        half = step
+
+
 def _steiner_distance_table(G: Graph) -> bytearray:
     """``sd[X]`` = Steiner distance of the vertex set X: the least |C| - 1
     over connected sets C containing X (0 for the empty set)."""
@@ -131,17 +149,39 @@ def _steiner_distance_table(G: Graph) -> bytearray:
                 sd[C] = sd[smaller] + 1
                 break
             rest ^= low
-    half = 1
-    while half < size:  # superset-min, one bit position at a time
-        step = 2 * half
-        if half < size // step:  # low bit: one strided slice per offset in a block
-            for r in range(half):
-                sd[r::step] = bytes(map(min, sd[r::step], sd[r + half::step]))
-        else:  # high bit: one slice per block
-            for lo in range(0, size, step):
-                sd[lo:lo + half] = bytes(map(min, sd[lo:lo + half], sd[lo + half:lo + step]))
-        half = step
+    for without, with_ in _bit_slices(size):  # superset-min
+        sd[without] = bytes(map(min, sd[without], sd[with_]))
     return sd
+
+
+def _checked_table(G: Graph, cap: int, what: str) -> bytearray:
+    if not is_connected(G):
+        raise DomainError(f"{what} defined for connected graphs")
+    if G.n > cap:
+        raise CapExceeded(f"Steiner search capped at n <= {cap}, got {G.n}")
+    return _steiner_distance_table(G)
+
+
+_ZERO_TO_ONE = bytes([1]) + bytes(255)  # translate table: flag the sets whose OR is 0
+
+
+def steiner_sets(G: Graph, *, cap: int = DEFAULT_STEINER_CAP) -> bytearray:
+    """``flags[W]`` = 1 when the vertex set W is a Steiner set, else 0.
+
+    W is a Steiner set exactly when d(W + v) = d(W) for every v, read from
+    the table of ``steiner_number``.  A Steiner distance never drops from a
+    set to a superset, so the differences d(W + v) - d(W) are never negative
+    and W qualifies when their OR is 0.  They are gathered one bit position
+    at a time, over the slices of the superset-min pass.  The empty set is
+    not a Steiner set.
+    """
+    sd = _checked_table(G, cap, "Steiner sets are")
+    grow = bytearray(len(sd))  # OR of d(W + v) - d(W) over the v outside W
+    for without, with_ in _bit_slices(len(sd)):
+        grow[without] = bytes(map(or_, grow[without], map(sub, sd[with_], sd[without])))
+    flags = grow.translate(_ZERO_TO_ONE)
+    flags[0] = 0
+    return flags
 
 
 def steiner_number(G: Graph, *, cap: int = DEFAULT_STEINER_CAP) -> SteinerResult:
@@ -156,11 +196,7 @@ def steiner_number(G: Graph, *, cap: int = DEFAULT_STEINER_CAP) -> SteinerResult
     It takes 2^n bytes (64 KiB at the default cap of 16) and O(n·2^n) time;
     each candidate then costs O(n) lookups.
     """
-    if not is_connected(G):
-        raise DomainError("Steiner number is defined for connected graphs")
-    if G.n > cap:
-        raise CapExceeded(f"Steiner search capped at n <= {cap}, got {G.n}")
-    sd = _steiner_distance_table(G)
+    sd = _checked_table(G, cap, "Steiner number is")
     singles = [1 << v for v in range(G.n)]
     explored = 0
     for members in ascending_subsets(G.full_mask, 0):

@@ -11,6 +11,9 @@ witness and ``explored`` count:
   prefix-incremental cover search (``subsets.first_cover``) behind
   ``geodetic_number`` and ``k_geodetic_number``: they walk
   ``ascending_subsets`` and rebuild each candidate's closure pair by pair;
+* ``diam2_tier_a_by_dp`` pins tier A of ``DIAM2_STEINER_GEODETIC``, which
+  reads its Steiner sets from ``steiner_sets``, to the single-set Steiner DP
+  and ``is_geodetic`` on every vertex set;
 * ``oracle_steiner_trees`` lists every minimum-tree support of a terminal set
   by enumerating connected supersets, independent of the Steiner DP.
 """
@@ -21,7 +24,7 @@ from typing import Sequence
 import networkx as nx
 
 from coronageo.errors import CapExceeded, DomainError
-from coronageo.geodesic import GeodeticResult, interval_table
+from coronageo.geodesic import GeodeticResult, interval_table, is_geodetic
 from coronageo.graphs import Graph, Mask, bfs_distances, bits, is_connected, mask_of, vertex_tuple
 from coronageo.steiner import is_steiner_set
 from coronageo.subsets import ascending_subsets
@@ -166,6 +169,18 @@ def steiner_number_by_dp(g: Graph) -> tuple[int, tuple[int, ...], int]:
             if is_steiner_set(g, mask_of(combo)):
                 return size, combo, explored
     raise AssertionError("no Steiner set found")
+
+
+def diam2_tier_a_by_dp(g: Graph) -> tuple[int, Mask | None]:
+    """(Steiner sets tested, first one that is not geodetic or None), walking
+    every nonempty vertex set in increasing mask order."""
+    checked = 0
+    for members in range(1, 1 << g.n):
+        if is_steiner_set(g, members):
+            checked += 1
+            if not is_geodetic(g, members):
+                return checked, members
+    return checked, None
 
 
 def geodetic_search_by_closure(g: Graph, forced: Mask) -> GeodeticResult:

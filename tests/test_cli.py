@@ -107,6 +107,16 @@ def test_unreadable_input_exits_2_without_traceback(run_cli, tmp_path, argv):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("measure", ["interval", "steiner-distance", "steiner-hull"])
+def test_vertices_beyond_the_order_exit_2(run_cli, measure):
+    """An index past the graph's order is rejected before a bitmask of that
+    many bits is built."""
+    res = run_cli("compute", "--g6", "EhEG", "--measure", measure, "--vertices", "0,80000000")
+    assert res.returncode == 2, res.stderr
+    assert "not in the graph" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_compute_cap_exit_code(run_cli):
     res = run_cli("compute", "--g6", wheel_code(10), "--measure", "g", "--max-n", "5")
     assert res.returncode == 3

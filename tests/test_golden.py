@@ -60,6 +60,10 @@ MANIFEST: dict[str, list[str]] = {
     "parse_error": _verify("GEO_KN", "--family-g", "file:parse_errors.g6"),
     "random_diam2_g_le_s": _verify("DIAM2_G_LE_S", "--random", "n=7,p=0.5,count=12",
                                    "--seed", "3"),
+    # order 8 reaches DIAM2_STEINER_GEODETIC tier A and its FAIL lines
+    "random_diam2_steiner_geodetic": _verify("DIAM2_STEINER_GEODETIC", "--random",
+                                             "n=8,p=0.6,count=40", "--seed", "1",
+                                             "--parallel", "1"),
     "census_6": ["census", "--order", "6", "--json"],
 }
 

@@ -1,19 +1,23 @@
 import dataclasses
 import json
+import random
 
 import pytest
 
 from coronageo import harness
-from coronageo.corpus import CorpusSpec
+from coronageo.corpus import CorpusSpec, random_connected_graph
 from coronageo.errors import DomainError
+from coronageo.formats import encode_graph6, parse_graph6
 from coronageo.graphs import (
     complete,
     corona,
     cycle,
+    diameter,
     empty,
     from_edge_list,
     mask_of,
     path,
+    vertex_tuple,
 )
 from coronageo.harness import (
     Caps,
@@ -49,6 +53,8 @@ from coronageo.harness import (
     summarize,
     summary_json,
 )
+
+from oracles import diam2_tier_a_by_dp
 
 
 def petersen():
@@ -368,6 +374,41 @@ def test_diam2_steiner_geodetic_runs_full_enumeration_at_small_order():
     assert r.computed["steiner_sets_checked"] == 3  # {0,2}, {1,3}, V
 
     assert check_diam2_steiner_geodetic(path(4)).verdict == "SKIPPED"
+
+
+def _assert_tier_a_matches_dp(g):
+    checked, offender = diam2_tier_a_by_dp(g)
+    r = check_diam2_steiner_geodetic(g)
+    assert r.computed["tier_a"] == 1
+    assert r.computed["steiner_sets_checked"] == checked, encode_graph6(g)
+    if offender is not None:
+        assert r.verdict == "FAIL" and r.witness == [list(vertex_tuple(offender))], encode_graph6(g)
+    return offender
+
+
+def test_diam2_steiner_geodetic_tier_a_matches_single_set_dp(census):
+    checked = 0
+    for order in range(1, 7):
+        for g in census(order):
+            if diameter(g) == 2:
+                assert _assert_tier_a_matches_dp(g) is None
+                checked += 1
+    assert checked > 0
+
+
+def test_diam2_steiner_geodetic_tier_a_matches_single_set_dp_order_8():
+    rng = random.Random(2)
+    graphs = [g for g in (random_connected_graph(8, 0.6, rng) for _ in range(12)) if diameter(g) == 2]
+    offenders = [_assert_tier_a_matches_dp(g) for g in graphs]
+    assert len(graphs) == 6 and sum(o is not None for o in offenders) == 1
+
+
+def test_diam2_steiner_geodetic_counterexample_gvxi():
+    r = check_diam2_steiner_geodetic(parse_graph6("Gvxi]?"))
+    assert r.verdict == "FAIL"
+    assert r.witness == [[2, 6, 7]]
+    assert r.computed == {"g": 4, "s": 3, "tier_a": 1, "steiner_sets_checked": 1,
+                          "min_steiner_witness_geodetic": 0}
 
 
 def test_diam2_steiner_geodetic_petersen_tier_b():

@@ -27,6 +27,7 @@ from coronageo.steiner import (
     steiner_distance,
     steiner_hull,
     steiner_number,
+    steiner_sets,
 )
 
 from oracles import (
@@ -235,6 +236,45 @@ def test_subset_table_is_steiner_distance_on_random_graphs():
             assert sd[members] == steiner_distance(g, members), (encode_graph6(g), vertex_tuple(members))
 
 
+def _connected_graphs(data, max_n):
+    n = data.draw(st.integers(min_value=1, max_value=max_n))
+    tree = [(data.draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    extra = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return from_edge_list(n, sorted(set(tree) | set(extra)))
+
+
+def _assert_steiner_sets_match_dp(g):
+    flags = steiner_sets(g)
+    assert len(flags) == 1 << g.n and flags[0] == 0
+    for members in range(1, 1 << g.n):
+        assert flags[members] == is_steiner_set(g, members), (encode_graph6(g), vertex_tuple(members))
+
+
+def test_steiner_sets_match_single_set_dp(census):
+    checked = 0
+    for order in range(1, 7):
+        for g in census(order):
+            _assert_steiner_sets_match_dp(g)
+            checked += 1
+    assert checked == 143
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_steiner_sets_match_single_set_dp_hypothesis(data):
+    _assert_steiner_sets_match_dp(_connected_graphs(data, 9))
+
+
+def test_steiner_sets_errors():
+    with pytest.raises(DomainError):
+        steiner_sets(empty(2))
+    with pytest.raises(CapExceeded):
+        steiner_sets(path(5), cap=4)
+    with pytest.raises(CapExceeded):
+        steiner_sets(corona(complete(1), cycle(16))[0])
+
+
 def test_steiner_number_matches_per_candidate_dp_search(census):
     checked = 0
     for order in range(1, 7):
@@ -248,11 +288,7 @@ def test_steiner_number_matches_per_candidate_dp_search(census):
 @settings(max_examples=20, deadline=None)
 @given(st.data())
 def test_steiner_number_matches_brute_oracle_hypothesis(data):
-    n = data.draw(st.integers(min_value=1, max_value=8))
-    tree = [(data.draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)]
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    extra = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    g = from_edge_list(n, sorted(set(tree) | set(extra)))
+    g = _connected_graphs(data, 8)
     r = steiner_number(g)
     assert (r.value, r.witness) == steiner_number_brute(g)
 
