@@ -17,7 +17,7 @@ from .formats import encode_graph6, format_edge_list, parse_edge_list, parse_gra
 from .geodesic import geodetic_number, interval, k_geodetic_number
 from .graphs import Graph, bfs_distances, corona, diameter, extreme_vertices, mask_of, vertex_tuple
 from .harness import Caps, THEOREM_IDS, THEOREMS, jsonline, run_corpus, summarize, summary_json
-from .steiner import steiner_distance, steiner_hull, steiner_number
+from .steiner import DEFAULT_TERMINAL_CAP, steiner_distance, steiner_hull, steiner_number
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -52,7 +52,7 @@ def _caps(args: argparse.Namespace) -> Caps:
         m = args.max_n
         if m < 1:
             raise DomainError("--max-n must be positive")
-        return Caps(geodetic=m, steiner=m, terminals=m)
+        return Caps(geodetic=m, steiner=m)
     return Caps()
 
 
@@ -100,12 +100,14 @@ def _measure_payload(g: Graph, measure: str, args: argparse.Namespace, caps: Cap
             raise DomainError("measure interval needs --vertices U,V (exactly two)")
         out = vertex_tuple(interval(bfs_distances(g), vs[0], vs[1]))
         return {"vertices": vs, "value": len(out), "witness": list(out)}
+    # --max-n caps the single-set measures' terminal sets too
+    terminal_cap = DEFAULT_TERMINAL_CAP if args.max_n is None else args.max_n
     if measure == "steiner-distance":
         vs = _parse_vertices(args.vertices, g.n)
-        return {"vertices": vs, "value": steiner_distance(g, mask_of(vs), terminal_cap=caps.terminals)}
+        return {"vertices": vs, "value": steiner_distance(g, mask_of(vs), terminal_cap=terminal_cap)}
     if measure == "steiner-hull":
         vs = _parse_vertices(args.vertices, g.n)
-        out = vertex_tuple(steiner_hull(g, mask_of(vs), terminal_cap=caps.terminals))
+        out = vertex_tuple(steiner_hull(g, mask_of(vs), terminal_cap=terminal_cap))
         return {"vertices": vs, "value": len(out), "witness": list(out)}
     raise DomainError(f"unknown measure {measure!r}")
 

@@ -14,6 +14,9 @@ witness and ``explored`` count:
 * ``diam2_tier_a_by_dp`` pins tier A of ``DIAM2_STEINER_GEODETIC``, which
   reads its Steiner sets from ``steiner_sets``, to the single-set Steiner DP
   and ``is_geodetic`` on every vertex set;
+* ``in_every_steiner_tree_by_dp`` is the single-set DP test that part (i) of
+  ``STEINER_CORONA_STRUCT`` made before it became a cut test
+  (``harness._separates``);
 * ``oracle_steiner_trees`` lists every minimum-tree support of a terminal set
   by enumerating connected supersets, independent of the Steiner DP.
 """
@@ -25,8 +28,18 @@ import networkx as nx
 
 from coronageo.errors import CapExceeded, DomainError
 from coronageo.geodesic import GeodeticResult, interval_table, is_geodetic
-from coronageo.graphs import Graph, Mask, bfs_distances, bits, is_connected, mask_of, vertex_tuple
-from coronageo.steiner import is_steiner_set
+from coronageo.graphs import (
+    Graph,
+    Mask,
+    bfs_distances,
+    bits,
+    induced_subgraph,
+    is_connected,
+    mask_of,
+    reachable_set,
+    vertex_tuple,
+)
+from coronageo.steiner import is_steiner_set, steiner_distance
 from coronageo.subsets import ascending_subsets
 
 
@@ -181,6 +194,20 @@ def diam2_tier_a_by_dp(g: Graph) -> tuple[int, Mask | None]:
             if not is_geodetic(g, members):
                 return checked, members
     return checked, None
+
+
+def in_every_steiner_tree_by_dp(g: Graph, terminals: Mask, v: int) -> bool:
+    """Whether vertex v (not a terminal) lies on every minimum tree for the
+    set: deleting v disconnects the terminals, or raises their Steiner
+    distance in the component that keeps the lowest terminal."""
+    base = steiner_distance(g, terminals)
+    start_vertex = (terminals & -terminals).bit_length() - 1
+    reach = reachable_set(g, start_vertex, within=g.full_mask & ~(1 << v))
+    if terminals & ~reach:
+        return True
+    index = {w: i for i, w in enumerate(vertex_tuple(reach))}
+    mapped = mask_of(index[w] for w in bits(terminals))
+    return steiner_distance(induced_subgraph(g, reach), mapped) > base
 
 
 def geodetic_search_by_closure(g: Graph, forced: Mask) -> GeodeticResult:

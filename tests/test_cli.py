@@ -122,6 +122,25 @@ def test_compute_cap_exit_code(run_cli):
     assert res.returncode == 3
 
 
+_P8 = "GhCGGC"  # the path 0-1-...-7
+
+
+def test_compute_terminal_cap_follows_max_n(run_cli):
+    res = run_cli("compute", "--g6", _P8, "--measure", "steiner-distance",
+                  "--vertices", "0,1,2,3,4,5", "--max-n", "5")
+    assert res.returncode == 3
+    assert res.stderr.strip() == "error: terminal sets capped at 5, got 6"
+
+
+def test_compute_steiner_hull_and_distance_at_the_default_terminal_cap(run_cli):
+    res = run_cli("compute", "--g6", _P8, "--measure", "steiner-hull,steiner-distance",
+                  "--vertices", "0,2,7", "--json")
+    assert res.returncode == 0
+    by_measure = {r["measure"]: r for r in map(json.loads, res.stdout.splitlines())}
+    assert by_measure["steiner-hull"]["value"] == 8
+    assert by_measure["steiner-distance"]["value"] == 7
+
+
 def test_corona_of_k1_and_c5_is_the_wheel(run_cli):
     res = run_cli("corona", "--g6", "@", "--g6-h", encode_graph6(cycle(5)))
     assert res.returncode == 0

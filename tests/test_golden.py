@@ -28,7 +28,8 @@ SINGLE = ["GEO_KN", "GEO_K1_LB", "EXTREME_IN_GEODETIC", "G2_EQUIV", "STEINER_KN"
           "STEINER_K1_LB", "STEINER_K1_IFF_DIAM2", "DIAM2_STEINER_GEODETIC", "DIAM2_G_LE_S"]
 PAIR = ["CORONA_GEO_STRUCT", "GEO_BOUNDS", "GEO_CORONA_EQ", "G2_CORONA_EQUIV",
         "DIAM2_GEO_EQ", "GEO_LOWER_MINUS1"]
-# Steiner pair claims take H up to order 3: order 4 costs STEINER_CORONA_EQ alone ~19 s
+# Steiner pair claims keep the H grid (order <= 3) their files were first
+# recorded on; order 4 would now take each of them about 0.2 s
 PAIR_SMALL_H = ["STEINER_CORONA_STRUCT", "STEINER_CORONA_EQ", "CORONA_G_LE_S"]
 RANGE = ["WHEEL_GEO", "FAN_GEO", "WHEEL_STEINER", "FAN_STEINER"]
 
@@ -64,6 +65,10 @@ MANIFEST: dict[str, list[str]] = {
     "random_diam2_steiner_geodetic": _verify("DIAM2_STEINER_GEODETIC", "--random",
                                              "n=8,p=0.6,count=40", "--seed", "1",
                                              "--parallel", "1"),
+    # order-15 products: part (i) of STEINER_CORONA_STRUCT with n1 = 3
+    "steiner_corona_struct_order15": _verify("STEINER_CORONA_STRUCT",
+                                             "--family-g", "all-connected:3..3",
+                                             "--family-h", "all-connected:4..4"),
     "census_6": ["census", "--order", "6", "--json"],
 }
 

@@ -54,7 +54,7 @@ from coronageo.harness import (
     summary_json,
 )
 
-from oracles import diam2_tier_a_by_dp
+from oracles import diam2_tier_a_by_dp, in_every_steiner_tree_by_dp
 
 
 def petersen():
@@ -292,6 +292,37 @@ def test_corona_structure_steiner():
     assert r.computed["part_iii"] == 1 and "part_i" not in r.computed
 
 
+def test_separates_is_a_cut_test():
+    assert harness._separates(path(3), 0b101, 1)
+    assert not harness._separates(cycle(5), 0b101, 1)
+    # 0-1-2 plus the detour 0-3-4-2: vertex 1 is on the one minimum tree of
+    # {0, 2}, but deleting it leaves the terminals connected
+    detour = from_edge_list(5, [(0, 1), (1, 2), (0, 3), (3, 4), (4, 2)])
+    assert in_every_steiner_tree_by_dp(detour, 0b101, 1)
+    assert not harness._separates(detour, 0b101, 1)
+
+
+def test_separates_matches_the_dp_on_part_i_candidates(census, monkeypatch):
+    """Every (terminal set, base vertex) the checker tests on census G of
+    order 2..3 x H of order 1..3, and on P2 x H of order 4."""
+    cases = []
+    separates = harness._separates
+
+    def spy(prod, A, v):
+        cases.append((prod, A, v))
+        return separates(prod, A, v)
+
+    monkeypatch.setattr(harness, "_separates", spy)
+    pairs = [(g, h) for order in (2, 3) for g in census(order)
+             for h_order in (1, 2, 3) for h in census(h_order)]
+    pairs += [(path(2), h) for h in census(4)]
+    for g, h in pairs:
+        assert check_corona_structure_steiner(g, h).verdict == "PASS"
+    assert len({prod for prod, _, _ in cases}) == 18 and len(cases) == 44
+    for prod, A, v in cases:
+        assert separates(prod, A, v) == in_every_steiner_tree_by_dp(prod, A, v), (prod, A, v)
+
+
 def test_steiner_kn_census(census):
     for order in (1, 2, 3, 4):
         for g in census(order):
@@ -520,7 +551,7 @@ def test_report_json_skipped_schema():
 
 
 def test_caps_propagate_to_skips():
-    caps = Caps(geodetic=4, steiner=4, terminals=4)
+    caps = Caps(geodetic=4, steiner=4)
     r = check_geo_corona_eq(path(2), path(3), caps)
     assert r.verdict == "SKIPPED"
     assert r.reason.startswith("cap-exceeded")
@@ -573,13 +604,13 @@ def test_checkers_accept_keyword_arguments():
 
 
 def test_cap_exceeded_after_the_first_search_is_a_skip():
-    # s(P2 ⊙ P3) is found within the Steiner cap; part (i) then asks for the
-    # Steiner distance of all six copy vertices, beyond a terminal cap of 5.
-    r = check_corona_structure_steiner(path(2), path(3), Caps(terminals=5))
+    # C5 has diameter 2 and g(C5) is found within the geodetic cap; the
+    # Steiner search that follows is capped below the order.
+    r = check_diam2_g_le_s(cycle(5), Caps(steiner=4))
     assert r.verdict == "SKIPPED"
-    assert r.reason == "cap-exceeded: terminal sets capped at 5, got 6"
+    assert r.reason == "cap-exceeded: Steiner search capped at n <= 4, got 5"
     assert r.computed == {} and r.witness is None
-    assert check_corona_structure_steiner(path(2), path(3), Caps(terminals=6)).verdict == "PASS"
+    assert check_diam2_g_le_s(cycle(5), Caps(steiner=5)).verdict == "PASS"
 
 
 class _FakeContext:
