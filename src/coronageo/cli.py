@@ -17,7 +17,7 @@ from .formats import encode_graph6, format_edge_list, parse_edge_list, parse_gra
 from .geodesic import geodetic_number, interval, k_geodetic_number
 from .graphs import Graph, bfs_distances, corona, diameter, extreme_vertices, mask_of, vertex_tuple
 from .harness import Caps, THEOREM_IDS, THEOREMS, jsonline, run_corpus, summarize, summary_json
-from .steiner import DEFAULT_TERMINAL_CAP, steiner_distance, steiner_hull, steiner_number
+from .steiner import steiner_distance, steiner_hull, steiner_number
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -100,14 +100,12 @@ def _measure_payload(g: Graph, measure: str, args: argparse.Namespace, caps: Cap
             raise DomainError("measure interval needs --vertices U,V (exactly two)")
         out = vertex_tuple(interval(bfs_distances(g), vs[0], vs[1]))
         return {"vertices": vs, "value": len(out), "witness": list(out)}
-    # --max-n caps the single-set measures' terminal sets too
-    terminal_cap = DEFAULT_TERMINAL_CAP if args.max_n is None else args.max_n
     if measure == "steiner-distance":
         vs = _parse_vertices(args.vertices, g.n)
-        return {"vertices": vs, "value": steiner_distance(g, mask_of(vs), terminal_cap=terminal_cap)}
+        return {"vertices": vs, "value": steiner_distance(g, mask_of(vs), cap=caps.steiner)}
     if measure == "steiner-hull":
         vs = _parse_vertices(args.vertices, g.n)
-        out = vertex_tuple(steiner_hull(g, mask_of(vs), terminal_cap=terminal_cap))
+        out = vertex_tuple(steiner_hull(g, mask_of(vs), cap=caps.steiner))
         return {"vertices": vs, "value": len(out), "witness": list(out)}
     raise DomainError(f"unknown measure {measure!r}")
 
@@ -181,9 +179,10 @@ def _random_corpus(args: argparse.Namespace) -> CorpusSpec | None:
     if args.seed is None:
         raise DomainError("--random corpora need --seed")
     try:
-        return CorpusSpec.random(int(fields["n"]), float(fields["p"]), int(fields["count"]), args.seed)
+        n, p, count = int(fields["n"]), float(fields["p"]), int(fields["count"])
     except ValueError:
         raise DomainError(f"bad --random value in {args.random!r}") from None
+    return CorpusSpec.random(n, p, count, args.seed)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

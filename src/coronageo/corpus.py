@@ -121,6 +121,8 @@ class CorpusSpec:
 
     @classmethod
     def random(cls, order: int, p: float, count: int, seed: int) -> "CorpusSpec":
+        if count < 1:
+            raise DomainError(f"random corpora need count >= 1, got {count}")
         return cls(kind="random", order=order, p=p, count=count, seed=seed)
 
     @classmethod

@@ -35,6 +35,7 @@ from .geodesic import (
     k_geodetic_number,
 )
 from .graphs import (
+    MAX_VERTICES,
     CoronaLayout,
     Graph,
     Mask,
@@ -649,11 +650,10 @@ def check_diam2_steiner_geodetic(G: Graph, caps: Caps = Caps()) -> Outcome:
     """Checks that on diameter-2 graphs every Steiner set is geodetic.
 
     Order <= 8 (tier A): read every Steiner set from ``steiner_sets`` and
-    test each, in increasing mask order, against one interval table; the
-    terminal cap is not consumed.  Any order within caps: assert g <= s and
-    that the canonical minimum Steiner witness is geodetic.  The claim is
-    false: in ``Gvxi]?`` (order 8) the set {2, 6, 7} is a Steiner set but
-    not a geodetic set.
+    test each, in increasing mask order, against one interval table.  Any
+    order within caps: assert g <= s and that the canonical minimum Steiner
+    witness is geodetic.  The claim is false: in ``Gvxi]?`` (order 8) the
+    set {2, 6, 7} is a Steiner set but not a geodetic set.
     """
     _need(diameter(G) == 2, R_DIAM_NE_2)
     rg = geodetic_number(G, cap=caps.geodetic)
@@ -778,6 +778,9 @@ def build_items(
     missing = [name for name in names if given[name] is None]
     if missing:
         raise DomainError(f"{theorem} needs {', '.join(missing)}")
+    if "n_range" in names and n_range[1] > MAX_VERTICES:
+        raise DomainError(f"{theorem} range ends at {n_range[1]}, above the "
+                          f"{MAX_VERTICES}-vertex limit")
     axes = {
         "corpus": lambda: corpus.load(),
         "corpus_h": lambda: corpus_h.load(),

@@ -1,37 +1,30 @@
-"""Steiner distance, Steiner hulls, and the Steiner number.
+"""Steiner distance, Steiner hulls, Steiner sets and the Steiner number.
 
-Queries about one terminal set go through a dynamic program over terminal
-subsets with the classic split/regrow recurrence: ``dp[T][v]`` is the minimum
-number of edges of a tree containing the terminals in ``T`` plus the vertex
-``v``.  One table per terminal set yields both the Steiner distance (last row
-at any terminal) and the Steiner hull, since v lies on a minimum tree for W
-exactly when d(W + v) = d(W).
-
-The Steiner number asks that question of many candidate sets, so it builds
-one table of the Steiner distance of every vertex subset instead;
-``steiner_sets`` reads every Steiner set from the same table.
+One table of the Steiner distance of every vertex subset serves every query:
+the distance of a terminal set W is one entry, and v lies on a minimum tree
+for W exactly when d(W + v) = d(W), so the hull of W, the Steiner-set test,
+``steiner_sets`` and ``steiner_number`` all compare entries of the same
+table.  Every query is capped by the order of the graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, or_, sub
-from typing import Iterator, Sequence
+from operator import or_, sub
+from typing import Iterator
 
 from .errors import CapExceeded, DomainError
 from .graphs import (
     Graph,
     Mask,
-    bfs_distances,
     is_connected,
+    mask_of,
     vertex_tuple,
 )
 from .subsets import ascending_subsets
 
 DEFAULT_STEINER_CAP = 16
-DEFAULT_TERMINAL_CAP = 16
 
-_INF = 1 << 30
 _UNSET = 255  # not yet marked; Steiner distances stay below the 62-vertex limit
 
 
@@ -43,75 +36,6 @@ class SteinerResult:
     value: int
     witness: tuple[int, ...]
     explored: int
-
-
-def _steiner_dp(dist: Sequence[Sequence[int]], terms: Sequence[int]) -> list:
-    """dp rows indexed by terminal-subset bitmask; dp[m][v] = min edges of a
-    tree containing {terms[i] : bit i of m} plus v."""
-    n = len(dist)
-    size = 1 << len(terms)
-    dp: list = [None] * size
-    for i, t in enumerate(terms):
-        dp[1 << i] = list(dist[t])
-    for m in range(3, size):
-        if dp[m] is not None:  # singleton rows are exact already
-            continue
-        low = m & -m
-        rest = m ^ low
-        best = [_INF] * n
-        b = rest
-        while b:  # unordered splits of m, the low terminal staying on one side
-            best = list(map(min, best, map(add, dp[m ^ b], dp[b])))
-            b = (b - 1) & rest
-        row = best
-        for u in range(n):  # regrow: attach v by a shortest path to the split vertex u
-            bu = best[u]
-            if bu >= _INF:
-                continue
-            du = dist[u]
-            row = list(map(min, row, [bu + d for d in du]))
-        dp[m] = row
-    return dp
-
-
-def _validated_terms(G: Graph, members: Mask, terminal_cap: int) -> tuple[int, ...]:
-    if members == 0:
-        raise DomainError("terminal set is empty")
-    if members & ~G.full_mask:
-        raise DomainError("terminal set is not within the graph")
-    if not is_connected(G):
-        raise DomainError("Steiner distance is defined for connected graphs")
-    terms = vertex_tuple(members)
-    if len(terms) > terminal_cap:
-        raise CapExceeded(f"terminal sets capped at {terminal_cap}, got {len(terms)}")
-    return terms
-
-
-def steiner_distance(G: Graph, members: Mask, *, terminal_cap: int = DEFAULT_TERMINAL_CAP) -> int:
-    """Minimum number of edges of a connected subgraph containing the set
-    (necessarily a tree)."""
-    terms = _validated_terms(G, members, terminal_cap)
-    return _steiner_dp(bfs_distances(G), terms)[-1][terms[0]]
-
-
-def _hull_from_row(last: Sequence[int], d: int) -> Mask:
-    m = 0
-    for v, c in enumerate(last):
-        if c == d:
-            m |= 1 << v
-    return m
-
-
-def steiner_hull(G: Graph, members: Mask, *, terminal_cap: int = DEFAULT_TERMINAL_CAP) -> Mask:
-    """Vertices lying on at least one minimum tree for the set:
-    v is in the hull exactly when d(W + v) = d(W)."""
-    terms = _validated_terms(G, members, terminal_cap)
-    last = _steiner_dp(bfs_distances(G), terms)[-1]
-    return _hull_from_row(last, last[terms[0]])
-
-
-def is_steiner_set(G: Graph, members: Mask, *, terminal_cap: int = DEFAULT_TERMINAL_CAP) -> bool:
-    return steiner_hull(G, members, terminal_cap=terminal_cap) == G.full_mask
 
 
 def _bit_slices(size: int) -> Iterator[tuple[slice, slice]]:
@@ -160,6 +84,32 @@ def _checked_table(G: Graph, cap: int, what: str) -> bytearray:
     if G.n > cap:
         raise CapExceeded(f"Steiner search capped at n <= {cap}, got {G.n}")
     return _steiner_distance_table(G)
+
+
+def _terminal_table(G: Graph, members: Mask, cap: int) -> bytearray:
+    if members == 0:
+        raise DomainError("terminal set is empty")
+    if members & ~G.full_mask:
+        raise DomainError("terminal set is not within the graph")
+    return _checked_table(G, cap, "Steiner distance is")
+
+
+def steiner_distance(G: Graph, members: Mask, *, cap: int = DEFAULT_STEINER_CAP) -> int:
+    """Minimum number of edges of a connected subgraph containing the set
+    (necessarily a tree)."""
+    return _terminal_table(G, members, cap)[members]
+
+
+def steiner_hull(G: Graph, members: Mask, *, cap: int = DEFAULT_STEINER_CAP) -> Mask:
+    """Vertices lying on at least one minimum tree for the set:
+    v is in the hull exactly when d(W + v) = d(W)."""
+    sd = _terminal_table(G, members, cap)
+    d = sd[members]
+    return mask_of(v for v in range(G.n) if sd[members | 1 << v] == d)
+
+
+def is_steiner_set(G: Graph, members: Mask, *, cap: int = DEFAULT_STEINER_CAP) -> bool:
+    return steiner_hull(G, members, cap=cap) == G.full_mask
 
 
 _ZERO_TO_ONE = bytes([1]) + bytes(255)  # translate table: flag the sets whose OR is 0

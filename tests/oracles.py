@@ -5,6 +5,11 @@ sharing no code with the package's engines, except the per-candidate
 searches that faster engines replaced, kept to pin those engines' value,
 witness and ``explored`` count:
 
+* ``steiner_distance_by_dp``, ``steiner_hull_by_dp`` and
+  ``is_steiner_set_by_dp`` run the Dreyfus–Wagner terminal DP (Networks 1,
+  1971) on one terminal set, independent of the subset table that every
+  Steiner query of the package reads; the checks of that table compare
+  against them;
 * ``steiner_number_by_dp`` pins the subset table of ``steiner_number`` to the
   single-set Steiner DP;
 * ``geodetic_search_by_closure`` and ``k_geodetic_search_by_closure`` pin the
@@ -22,6 +27,7 @@ witness and ``explored`` count:
 """
 
 import itertools
+from operator import add
 from typing import Sequence
 
 import networkx as nx
@@ -39,7 +45,6 @@ from coronageo.graphs import (
     reachable_set,
     vertex_tuple,
 )
-from coronageo.steiner import is_steiner_set, steiner_distance
 from coronageo.subsets import ascending_subsets
 
 
@@ -172,14 +177,66 @@ def oracle_steiner_trees(G: Graph, members: Mask, *, cap: int = DEFAULT_ORACLE_C
     raise AssertionError("a connected graph always spans its terminal sets")
 
 
+_INF = 1 << 30
+
+
+def _steiner_dp(dist: Sequence[Sequence[int]], terms: Sequence[int]) -> list:
+    """dp rows indexed by terminal-subset bitmask; dp[m][v] = min edges of a
+    tree containing {terms[i] : bit i of m} plus v."""
+    n = len(dist)
+    size = 1 << len(terms)
+    dp: list = [None] * size
+    for i, t in enumerate(terms):
+        dp[1 << i] = list(dist[t])
+    for m in range(3, size):
+        if dp[m] is not None:  # singleton rows are exact already
+            continue
+        low = m & -m
+        rest = m ^ low
+        best = [_INF] * n
+        b = rest
+        while b:  # unordered splits of m, the low terminal staying on one side
+            best = list(map(min, best, map(add, dp[m ^ b], dp[b])))
+            b = (b - 1) & rest
+        row = best
+        for u in range(n):  # regrow: attach v by a shortest path to the split vertex u
+            bu = best[u]
+            if bu >= _INF:
+                continue
+            du = dist[u]
+            row = list(map(min, row, [bu + d for d in du]))
+        dp[m] = row
+    return dp
+
+
+def _last_dp_row(g: Graph, members: Mask) -> tuple[list[int], int]:
+    """(d(W + v) for every v, d(W)) for the nonempty set W of a connected graph."""
+    terms = vertex_tuple(members)
+    last = _steiner_dp(bfs_distances(g), terms)[-1]
+    return last, last[terms[0]]
+
+
+def steiner_distance_by_dp(g: Graph, members: Mask) -> int:
+    return _last_dp_row(g, members)[1]
+
+
+def steiner_hull_by_dp(g: Graph, members: Mask) -> Mask:
+    last, d = _last_dp_row(g, members)
+    return mask_of(v for v, c in enumerate(last) if c == d)
+
+
+def is_steiner_set_by_dp(g: Graph, members: Mask) -> bool:
+    return steiner_hull_by_dp(g, members) == g.full_mask
+
+
 def steiner_number_by_dp(g: Graph) -> tuple[int, tuple[int, ...], int]:
     """(value, witness, explored) of the first set, by cardinality then
-    lexicographic order, that the package's single-set DP calls Steiner."""
+    lexicographic order, that the terminal DP calls Steiner."""
     explored = 0
     for size in range(1, g.n + 1):
         for combo in itertools.combinations(range(g.n), size):
             explored += 1
-            if is_steiner_set(g, mask_of(combo)):
+            if is_steiner_set_by_dp(g, mask_of(combo)):
                 return size, combo, explored
     raise AssertionError("no Steiner set found")
 
@@ -189,7 +246,7 @@ def diam2_tier_a_by_dp(g: Graph) -> tuple[int, Mask | None]:
     every nonempty vertex set in increasing mask order."""
     checked = 0
     for members in range(1, 1 << g.n):
-        if is_steiner_set(g, members):
+        if is_steiner_set_by_dp(g, members):
             checked += 1
             if not is_geodetic(g, members):
                 return checked, members
@@ -200,14 +257,14 @@ def in_every_steiner_tree_by_dp(g: Graph, terminals: Mask, v: int) -> bool:
     """Whether vertex v (not a terminal) lies on every minimum tree for the
     set: deleting v disconnects the terminals, or raises their Steiner
     distance in the component that keeps the lowest terminal."""
-    base = steiner_distance(g, terminals)
+    base = steiner_distance_by_dp(g, terminals)
     start_vertex = (terminals & -terminals).bit_length() - 1
     reach = reachable_set(g, start_vertex, within=g.full_mask & ~(1 << v))
     if terminals & ~reach:
         return True
     index = {w: i for i, w in enumerate(vertex_tuple(reach))}
     mapped = mask_of(index[w] for w in bits(terminals))
-    return steiner_distance(induced_subgraph(g, reach), mapped) > base
+    return steiner_distance_by_dp(induced_subgraph(g, reach), mapped) > base
 
 
 def geodetic_search_by_closure(g: Graph, forced: Mask) -> GeodeticResult:

@@ -3,7 +3,9 @@ import json
 import pytest
 
 from coronageo.formats import encode_graph6, parse_edge_list, parse_graph6
-from coronageo.graphs import complete, corona, cycle
+from coronageo.graphs import complete, corona, cycle, mask_of, path, vertex_tuple
+
+from oracles import steiner_hull_by_dp
 
 
 def wheel_code(n: int) -> str:
@@ -96,13 +98,24 @@ _C6 = encode_graph6(cycle(6))
                  id="steiner-distance-negative-vertex"),
     pytest.param(("compute", "--g6", _C6, "--measure", "steiner-hull", "--vertices", "0,-2"),
                  id="steiner-hull-negative-vertex"),
+    # a range is checked against the vertex limit before it is materialized
+    pytest.param(("verify", "--theorem", "WHEEL_GEO", "--range", "3..100000000000"),
+                 id="range-above-vertex-limit"),
+    pytest.param(("verify", "--theorem", "CORONA_CYCLE_PATH", "--family-g", "path:2..3",
+                  "--range", "1..63"), id="g_range-above-vertex-limit"),
+    pytest.param(("verify", "--theorem", "GEO_KN", "--random", "n=5,p=0.5,count=-1",
+                  "--seed", "1"), id="random-count-negative"),
+    pytest.param(("verify", "--theorem", "GEO_KN", "--random", "n=5,p=0.5,count=0",
+                  "--seed", "1"), id="random-count-zero"),
 ])
 def test_unreadable_input_exits_2_without_traceback(run_cli, tmp_path, argv):
-    """Input the CLI cannot read is a usage error (exit 2), not a crash."""
+    """Input the CLI cannot read or accept is a usage error (exit 2) with
+    no output, not a crash."""
     not_utf8 = tmp_path / "latin1.g6"
     not_utf8.write_bytes(b"A_\n\xff\xfe\n")
     res = run_cli(*(a.format(dir=tmp_path, bin=not_utf8) for a in argv))
     assert res.returncode == 2, res.stderr
+    assert res.stdout == ""
     assert res.stderr.startswith("error: "), res.stderr
     assert "Traceback" not in res.stderr
 
@@ -126,10 +139,26 @@ _P8 = "GhCGGC"  # the path 0-1-...-7
 
 
 def test_compute_terminal_cap_follows_max_n(run_cli):
+    """The single-set measures are under the Steiner order cap, which
+    --max-n sets like every other cap."""
     res = run_cli("compute", "--g6", _P8, "--measure", "steiner-distance",
                   "--vertices", "0,1,2,3,4,5", "--max-n", "5")
     assert res.returncode == 3
-    assert res.stderr.strip() == "error: terminal sets capped at 5, got 6"
+    assert res.stderr.strip() == "error: Steiner search capped at n <= 5, got 8"
+
+
+def test_compute_steiner_hull_past_the_order_cap_needs_max_n(run_cli):
+    p17 = path(17)
+    argv = ("compute", "--g6", encode_graph6(p17), "--measure", "steiner-hull",
+            "--vertices", "0,5,16", "--json")
+    res = run_cli(*argv)
+    assert res.returncode == 3
+    assert res.stdout == ""
+    assert res.stderr.strip() == "error: Steiner search capped at n <= 16, got 17"
+    res = run_cli(*argv, "--max-n", "17")
+    assert res.returncode == 0, res.stderr
+    expected = vertex_tuple(steiner_hull_by_dp(p17, mask_of([0, 5, 16])))
+    assert json.loads(res.stdout)["witness"] == list(expected) == list(range(17))
 
 
 def test_compute_steiner_hull_and_distance_at_the_default_terminal_cap(run_cli):

@@ -70,6 +70,10 @@ MANIFEST: dict[str, list[str]] = {
                                              "--family-g", "all-connected:3..3",
                                              "--family-h", "all-connected:4..4"),
     "census_6": ["census", "--order", "6", "--json"],
+    # single-set measures on the order-6 census, P8 and the order-16 P2 ⊙ C7
+    "compute_single_set": ["compute", "--g6-file", "single_set.g6",
+                           "--measure", "steiner-distance,steiner-hull",
+                           "--vertices", "0,2,5", "--json"],
 }
 
 REASON_CODES = ["g-not-connected", "h-not-connected", "h-complete", "n1-lt-2",

@@ -31,8 +31,10 @@ from coronageo.steiner import (
 )
 
 from oracles import (
+    is_steiner_set_by_dp,
     oracle_steiner_trees,
     steiner_distance_brute,
+    steiner_distance_by_dp,
     steiner_hull_brute,
     steiner_number_brute,
     steiner_number_by_dp,
@@ -76,7 +78,16 @@ def test_steiner_distance_errors():
     with pytest.raises(DomainError):
         steiner_distance(path(3), 0b1000)
     with pytest.raises(CapExceeded):
-        steiner_distance(complete(6), complete(6).full_mask, terminal_cap=4)
+        steiner_distance(complete(6), complete(6).full_mask, cap=4)
+    # empty set, set outside the graph, disconnected graph, then the order cap
+    for members, message in ((0, "terminal set is empty"),
+                             (1 << 20, "terminal set is not within the graph"),
+                             (0b11, "Steiner distance is defined for connected graphs")):
+        for query in (steiner_distance, steiner_hull, is_steiner_set):
+            with pytest.raises(DomainError, match=message):
+                query(empty(20), members, cap=4)
+    with pytest.raises(CapExceeded, match="Steiner search capped at n <= 16, got 17"):
+        steiner_hull(path(17), 0b101)
 
 
 def test_steiner_distance_matches_brute_oracle(census):
@@ -109,6 +120,14 @@ def test_steiner_distance_bounds_and_monotonicity(census):
                 for v in range(g.n):
                     assert steiner_distance(g, W | 1 << v) >= d
         assert steiner_distance(g, full) == g.n - 1
+
+
+def test_terminal_dp_oracle_matches_brute_oracle(census):
+    for order in (1, 2, 3, 4, 5):
+        for g in census(order):
+            for members in range(1, 1 << g.n):
+                combo = vertex_tuple(members)
+                assert steiner_distance_by_dp(g, members) == steiner_distance_brute(g, combo)
 
 
 def test_steiner_distance_matches_brute_on_random_graphs_large_terminal_sets():
@@ -218,7 +237,7 @@ def test_subset_table_is_steiner_distance(census):
             sd = _steiner_distance_table(g)
             assert len(sd) == 1 << g.n and sd[0] == 0
             for members in range(1, 1 << g.n):
-                assert sd[members] == steiner_distance(g, members)
+                assert sd[members] == steiner_distance_by_dp(g, members)
 
 
 def test_subset_table_is_steiner_distance_on_random_graphs():
@@ -233,7 +252,7 @@ def test_subset_table_is_steiner_distance_on_random_graphs():
         small = [mask_of(c) for size in (1, 2, 3) for c in itertools.combinations(range(n), size)]
         large = [mask_of(rng.sample(range(n), rng.randint(4, 6))) for _ in range(30)]
         for members in small + large:
-            assert sd[members] == steiner_distance(g, members), (encode_graph6(g), vertex_tuple(members))
+            assert sd[members] == steiner_distance_by_dp(g, members), (encode_graph6(g), vertex_tuple(members))
 
 
 def _connected_graphs(data, max_n):
@@ -248,7 +267,7 @@ def _assert_steiner_sets_match_dp(g):
     flags = steiner_sets(g)
     assert len(flags) == 1 << g.n and flags[0] == 0
     for members in range(1, 1 << g.n):
-        assert flags[members] == is_steiner_set(g, members), (encode_graph6(g), vertex_tuple(members))
+        assert flags[members] == is_steiner_set_by_dp(g, members), (encode_graph6(g), vertex_tuple(members))
 
 
 def test_steiner_sets_match_single_set_dp(census):
