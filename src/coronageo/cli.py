@@ -224,30 +224,30 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_census(args: argparse.Namespace) -> int:
+    """Prints each row as soon as it is computed.  Every graph of an order
+    has the same n, so a cap error fires on the first one, before any output."""
     caps = _caps(args)
-    rows = []
-    for code in census_lines(args.order):
+    for i, code in enumerate(census_lines(args.order)):
         g = parse_graph6(code)
         rg = geodetic_number(g, cap=caps.geodetic)
         rg2 = k_geodetic_number(g, 2, cap=caps.geodetic)
         rs = steiner_number(g, cap=caps.steiner)
-        rows.append({
+        row = {
             "g6": code,
             "g": rg.value,
             "g2": rg2.value,
             "s": rs.value,
             "diameter": diameter(g),
             "g_le_s": rg.value <= rs.value,
-        })
-    if args.json:
-        for row in rows:
+        }
+        if args.json:
             print(jsonline(row))
-    else:
-        print(f"{'g6':<12} {'g':>3} {'g2':>3} {'s':>3} {'diam':>4}  g<=s")
-        for row in rows:
-            g2 = "-" if row["g2"] is None else row["g2"]
-            print(f"{row['g6']:<12} {row['g']:>3} {g2:>3} {row['s']:>3} "
-                  f"{row['diameter']:>4}  {'yes' if row['g_le_s'] else 'NO'}")
+            continue
+        if i == 0:
+            print(f"{'g6':<12} {'g':>3} {'g2':>3} {'s':>3} {'diam':>4}  g<=s")
+        g2 = "-" if row["g2"] is None else row["g2"]
+        print(f"{row['g6']:<12} {row['g']:>3} {g2:>3} {row['s']:>3} "
+              f"{row['diameter']:>4}  {'yes' if row['g_le_s'] else 'NO'}")
     return EXIT_OK
 
 

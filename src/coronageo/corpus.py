@@ -23,6 +23,9 @@ CENSUS_ENV = "CORONA_CENSUS_DIR"
 CENSUS_MAX_ORDER = 7
 # connected graphs per order, used to sanity-check the data files
 CENSUS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+# a random corpus is built whole before the first report; a graph takes
+# about 200 B at order 8 and 2.9 KB at order 62, so this keeps it under 300 MB
+RANDOM_MAX_COUNT = 100_000
 
 FAMILIES = {
     "path": path,
@@ -121,8 +124,8 @@ class CorpusSpec:
 
     @classmethod
     def random(cls, order: int, p: float, count: int, seed: int) -> "CorpusSpec":
-        if count < 1:
-            raise DomainError(f"random corpora need count >= 1, got {count}")
+        if not 1 <= count <= RANDOM_MAX_COUNT:
+            raise DomainError(f"random corpora need 1 <= count <= {RANDOM_MAX_COUNT}, got {count}")
         return cls(kind="random", order=order, p=p, count=count, seed=seed)
 
     @classmethod

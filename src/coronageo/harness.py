@@ -59,6 +59,7 @@ from .graphs import (
 )
 from .steiner import (
     DEFAULT_STEINER_CAP,
+    _first_steiner_set,
     steiner_number,
     steiner_sets,
 )
@@ -650,14 +651,17 @@ def check_diam2_steiner_geodetic(G: Graph, caps: Caps = Caps()) -> Outcome:
     """Checks that on diameter-2 graphs every Steiner set is geodetic.
 
     Order <= 8 (tier A): read every Steiner set from ``steiner_sets`` and
-    test each, in increasing mask order, against one interval table.  Any
-    order within caps: assert g <= s and that the canonical minimum Steiner
-    witness is geodetic.  The claim is false: in ``Gvxi]?`` (order 8) the
-    set {2, 6, 7} is a Steiner set but not a geodetic set.
+    test each, in increasing mask order, against one interval table; s and
+    its witness come from the same flags.  Any order within caps: assert
+    g <= s and that the canonical minimum Steiner witness is geodetic.  The
+    claim is false: in ``Gvxi]?`` (order 8) the set {2, 6, 7} is a Steiner
+    set but not a geodetic set.
     """
     _need(diameter(G) == 2, R_DIAM_NE_2)
     rg = geodetic_number(G, cap=caps.geodetic)
-    rs = steiner_number(G, cap=caps.steiner)
+    tier_a = G.n <= 8
+    flags = steiner_sets(G, cap=caps.steiner) if tier_a else b""
+    rs = _first_steiner_set(flags) if tier_a else steiner_number(G, cap=caps.steiner)
     I = interval_table(bfs_distances(G))
 
     def geodetic(members: Mask) -> bool:
@@ -669,16 +673,13 @@ def check_diam2_steiner_geodetic(G: Graph, caps: Caps = Caps()) -> Outcome:
                 acc |= row[v]
         return acc == G.full_mask
 
-    tier_a = G.n <= 8
     checked = 0
     offender: Mask | None = None
-    if tier_a:
-        flags = steiner_sets(G, cap=caps.steiner)
-        for members in itertools.compress(range(len(flags)), flags):
-            checked += 1
-            if not geodetic(members):
-                offender = members
-                break
+    for members in itertools.compress(range(len(flags)), flags):
+        checked += 1
+        if not geodetic(members):
+            offender = members
+            break
     min_witness_geodetic = geodetic(mask_of(rs.witness))
     computed = {
         "g": rg.value,

@@ -5,27 +5,35 @@ the distance of a terminal set W is one entry, and v lies on a minimum tree
 for W exactly when d(W + v) = d(W), so the hull of W, the Steiner-set test,
 ``steiner_sets`` and ``steiner_number`` all compare entries of the same
 table.  Every query is capped by the order of the graph.
+
+The table is one Python int of 2^n bytes with one byte lane per vertex
+subset: lane C is byte C, little-endian.  Every pass over the table is then
+a few whole-int operations ("SIMD within a register": Lamport, CACM 18(8),
+1975; Knuth, TAOCP 4A, §7.1.3).  ``P[v]`` holds 1 in every lane that
+contains v, and a shift by ``8 << v`` moves lane C to lane C + v for every
+C without v.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import or_, sub
-from typing import Iterator
+from functools import cache, reduce
+from math import comb
+from operator import or_
 
 from .errors import CapExceeded, DomainError
 from .graphs import (
     Graph,
     Mask,
+    bits,
     is_connected,
     mask_of,
     vertex_tuple,
 )
-from .subsets import ascending_subsets
 
 DEFAULT_STEINER_CAP = 16
 
-_UNSET = 255  # not yet marked; Steiner distances stay below the 62-vertex limit
+_FAR = 127  # lane of a set that is not connected, before the superset minima; below 0x80
 
 
 @dataclass(frozen=True)
@@ -38,47 +46,48 @@ class SteinerResult:
     explored: int
 
 
-def _bit_slices(size: int) -> Iterator[tuple[slice, slice]]:
-    """For each bit position in turn, slice pairs that match every subset
-    index without the bit to the same index plus the bit: one strided slice
-    per offset in a block for the low bits, one slice per block for the high
-    ones, so no bit position takes more than sqrt(size) slices."""
-    half = 1
-    while half < size:
-        step = 2 * half
-        if half < size // step:
-            for r in range(half):
-                yield slice(r, None, step), slice(r + half, None, step)
-        else:
-            for lo in range(0, size, step):
-                yield slice(lo, lo + half), slice(lo + half, lo + step)
-        half = step
+@cache
+def _lane_patterns(n: int) -> tuple[int, tuple[int, ...], int]:
+    """(ones, P, pc) for order n: ``ones`` holds 1 in every lane, ``P[v]``
+    holds 1 in every lane that contains v, and ``pc`` holds each lane's
+    popcount."""
+    P = tuple(int.from_bytes((bytes(1 << v) + b"\1" * (1 << v)) * (1 << (n - v - 1)), "little")
+              for v in range(n))
+    return int.from_bytes(b"\1" * (1 << n), "little"), P, sum(P)
 
 
-def _steiner_distance_table(G: Graph) -> bytearray:
-    """``sd[X]`` = Steiner distance of the vertex set X: the least |C| - 1
-    over connected sets C containing X (0 for the empty set)."""
-    size = 1 << G.n
-    adj = {1 << v: row for v, row in enumerate(G.adj)}
-    sd = bytearray([_UNSET]) * size
-    for C in range(1, size):  # C minus a vertex precedes C, so its mark is final
-        if C & (C - 1) == 0:
-            sd[C] = 0
-            continue
-        rest = C
-        while rest:
-            low = rest & -rest
-            smaller = C ^ low
-            if sd[smaller] != _UNSET and adj[low] & smaller:
-                sd[C] = sd[smaller] + 1
-                break
-            rest ^= low
-    for without, with_ in _bit_slices(size):  # superset-min
-        sd[without] = bytes(map(min, sd[without], sd[with_]))
-    return sd
+def _steiner_distance_table(G: Graph) -> int:
+    """Lane X holds the Steiner distance of the vertex set X: the least
+    |C| - 1 over connected sets C containing X (0 for the empty set).
+
+    The connected sets are marked first: a set of two or more vertices is
+    connected when dropping some vertex v leaves a connected set that holds
+    a neighbour of v.  The sweeps over v repeat until no lane changes.
+    Superset minima over each bit position follow, a zeta transform as in
+    Björklund, Husfeldt, Kaski and Koivisto (STOC 2007); the guard bit 0x80
+    of each lane keeps the subtraction that compares lanes from borrowing.
+    """
+    ones, P, pc = _lane_patterns(G.n)
+    low = [ones ^ p for p in P]  # the lanes without v
+    # the lanes that hold v and a neighbour of v
+    touch = [p & reduce(or_, (P[u] for u in bits(row)), 0) for p, row in zip(P, G.adj)]
+    conn = sum(1 << (8 << v) for v in range(G.n))  # the singletons
+    last = 0
+    while conn != last:
+        last = conn
+        for v, (lo, t) in enumerate(zip(low, touch)):
+            conn |= ((conn & lo) << (8 << v)) & t
+    x = (pc - conn) | (ones ^ conn) * _FAR  # |C| - 1 in the connected lanes
+    guard = ones << 7
+    for v, lo in enumerate(low):  # lane C without v takes min(C, C + v)
+        m = lo * 0xFF
+        a, b = x & m, (x >> (8 << v)) & m
+        ge = ((a | guard) - b) & guard  # 0x80 in the lanes where a >= b
+        x ^= (a ^ b) & (ge - (ge >> 7))  # there, a ^ (a ^ b) = b
+    return x
 
 
-def _checked_table(G: Graph, cap: int, what: str) -> bytearray:
+def _checked_table(G: Graph, cap: int, what: str) -> int:
     if not is_connected(G):
         raise DomainError(f"{what} defined for connected graphs")
     if G.n > cap:
@@ -86,12 +95,12 @@ def _checked_table(G: Graph, cap: int, what: str) -> bytearray:
     return _steiner_distance_table(G)
 
 
-def _terminal_table(G: Graph, members: Mask, cap: int) -> bytearray:
+def _terminal_table(G: Graph, members: Mask, cap: int) -> bytes:
     if members == 0:
         raise DomainError("terminal set is empty")
     if members & ~G.full_mask:
         raise DomainError("terminal set is not within the graph")
-    return _checked_table(G, cap, "Steiner distance is")
+    return _checked_table(G, cap, "Steiner distance is").to_bytes(1 << G.n, "little")
 
 
 def steiner_distance(G: Graph, members: Mask, *, cap: int = DEFAULT_STEINER_CAP) -> int:
@@ -112,49 +121,69 @@ def is_steiner_set(G: Graph, members: Mask, *, cap: int = DEFAULT_STEINER_CAP) -
     return steiner_hull(G, members, cap=cap) == G.full_mask
 
 
-_ZERO_TO_ONE = bytes([1]) + bytes(255)  # translate table: flag the sets whose OR is 0
+_ZERO_TO_ONE = bytes([1]) + bytes(255)  # translate table: flag the lanes that are 0
+
+
+def _flags(G: Graph, cap: int, what: str) -> bytearray:
+    x = _checked_table(G, cap, what)
+    ones, P, _ = _lane_patterns(G.n)
+    grow = 0  # OR over v of d(W + v) - d(W); 0 in the lanes that hold v
+    for v, p in enumerate(P):
+        m = (ones ^ p) * 0xFF
+        grow |= ((x >> (8 << v)) & m) - (x & m)
+    flags = bytearray(grow.to_bytes(1 << G.n, "little")).translate(_ZERO_TO_ONE)
+    flags[0] = 0
+    return flags
 
 
 def steiner_sets(G: Graph, *, cap: int = DEFAULT_STEINER_CAP) -> bytearray:
     """``flags[W]`` = 1 when the vertex set W is a Steiner set, else 0.
 
-    W is a Steiner set exactly when d(W + v) = d(W) for every v, read from
-    the table of ``steiner_number``.  A Steiner distance never drops from a
-    set to a superset, so the differences d(W + v) - d(W) are never negative
-    and W qualifies when their OR is 0.  They are gathered one bit position
-    at a time, over the slices of the superset-min pass.  The empty set is
-    not a Steiner set.
+    W is a Steiner set exactly when d(W + v) = d(W) for every v.  A Steiner
+    distance never drops from a set to a superset, so the lane differences
+    d(W + v) - d(W) never borrow, and W qualifies when their OR is 0.  The
+    empty set is not a Steiner set.
     """
-    sd = _checked_table(G, cap, "Steiner sets are")
-    grow = bytearray(len(sd))  # OR of d(W + v) - d(W) over the v outside W
-    for without, with_ in _bit_slices(len(sd)):
-        grow[without] = bytes(map(or_, grow[without], map(sub, sd[with_], sd[without])))
-    flags = grow.translate(_ZERO_TO_ONE)
-    flags[0] = 0
-    return flags
+    return _flags(G, cap, "Steiner sets are")
+
+
+def _first_steiner_set(flags: bytes) -> SteinerResult:
+    """The canonical minimum Steiner set of ``flags`` (as ``steiner_sets``
+    returns them): the least cardinality s, then the set A for which the
+    lowest bit of A ^ B is in A for every other flagged B of size s.  Its
+    ``explored`` is its 1-based rank among the nonempty sets in that order:
+    every set of size below s, then the lexicographic rank of the sorted
+    tuple (t_0 < ... < t_{s-1}) among the s-sets, which is the sum over j of
+    C(n - 1 - x, s - 1 - j) for t_{j-1} < x < t_j.
+    """
+    n = len(flags).bit_length() - 1
+    ones, _, pc = _lane_patterns(n)
+    # popcount in the flagged lanes, 255 elsewhere (lane 0 is never flagged)
+    key = (pc | (ones ^ int.from_bytes(flags, "little")) * 0xFF).to_bytes(len(flags), "little")
+    s = min(key)
+    best = i = key.find(s)
+    while (i := key.find(s, i + 1)) >= 0:
+        if (best ^ i) & -(best ^ i) & i:
+            best = i
+    witness = vertex_tuple(best)
+    explored = 1 + sum(comb(n, j) for j in range(1, s))
+    for j, t in enumerate(witness):
+        start = witness[j - 1] + 1 if j else 0
+        explored += sum(comb(n - 1 - x, s - 1 - j) for x in range(start, t))
+    return SteinerResult(s, witness, explored)
 
 
 def steiner_number(G: Graph, *, cap: int = DEFAULT_STEINER_CAP) -> SteinerResult:
     """Minimum Steiner set by exact search, cardinality then lexicographic order.
 
-    One table of the Steiner distance of every vertex subset serves all
-    candidates: W is a Steiner set exactly when d(W + v) = d(W) for every v.
-    The table is built by marking the connected sets (a set of two or more
-    vertices is connected when dropping some vertex leaves a connected set
-    adjacent to it) and taking superset minima over each bit position, a
-    zeta transform as in Björklund, Husfeldt, Kaski and Koivisto (STOC 2007).
-    It takes 2^n bytes (64 KiB at the default cap of 16) and O(n·2^n) time;
-    each candidate then costs O(n) lookups.
+    The flags of ``steiner_sets`` mark every Steiner set at once, so the
+    search is one pass over them: s is the least popcount of a flagged lane,
+    the witness is the lexicographically first flagged set of that size, and
+    ``explored`` is the witness's rank in the order of
+    ``subsets.ascending_subsets``, computed rather than counted.  The table
+    is a 2^n-byte int and the flags a 2^n-byte array (64 KiB each at the
+    default cap of 16).  Each pass over the table is n whole-int steps; the
+    mark repeats its pass until no lane changes, which took at most four
+    passes on every census graph.
     """
-    sd = _checked_table(G, cap, "Steiner number is")
-    singles = [1 << v for v in range(G.n)]
-    explored = 0
-    for members in ascending_subsets(G.full_mask, 0):
-        if not members:
-            continue
-        explored += 1
-        d = sd[members]
-        if all(sd[members | b] == d for b in singles):
-            terms = vertex_tuple(members)
-            return SteinerResult(len(terms), terms, explored)
-    raise AssertionError("the full vertex set is always a Steiner set")
+    return _first_steiner_set(_flags(G, cap, "Steiner number is"))

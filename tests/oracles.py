@@ -12,6 +12,10 @@ witness and ``explored`` count:
   against them;
 * ``steiner_number_by_dp`` pins the subset table of ``steiner_number`` to the
   single-set Steiner DP;
+* ``steiner_distance_table_by_marking`` and ``steiner_sets_by_table`` are the
+  byte-per-subset table (a mark loop over the subsets, then superset minima
+  over strided slices) and the per-set test that the lane-parallel table and
+  flags of ``coronageo.steiner`` replaced;
 * ``geodetic_search_by_closure`` and ``k_geodetic_search_by_closure`` pin the
   prefix-incremental cover search (``subsets.first_cover``) behind
   ``geodetic_number`` and ``k_geodetic_number``: they walk
@@ -28,7 +32,7 @@ witness and ``explored`` count:
 
 import itertools
 from operator import add
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import networkx as nx
 
@@ -265,6 +269,62 @@ def in_every_steiner_tree_by_dp(g: Graph, terminals: Mask, v: int) -> bool:
     index = {w: i for i, w in enumerate(vertex_tuple(reach))}
     mapped = mask_of(index[w] for w in bits(terminals))
     return steiner_distance_by_dp(induced_subgraph(g, reach), mapped) > base
+
+
+_UNSET = 255  # not yet marked; Steiner distances stay below the 62-vertex limit
+
+
+def _bit_slices(size: int) -> Iterator[tuple[slice, slice]]:
+    """For each bit position in turn, slice pairs that match every subset
+    index without the bit to the same index plus the bit: one strided slice
+    per offset in a block for the low bits, one slice per block for the high
+    ones."""
+    half = 1
+    while half < size:
+        step = 2 * half
+        if half < size // step:
+            for r in range(half):
+                yield slice(r, None, step), slice(r + half, None, step)
+        else:
+            for lo in range(0, size, step):
+                yield slice(lo, lo + half), slice(lo + half, lo + step)
+        half = step
+
+
+def steiner_distance_table_by_marking(g: Graph) -> bytearray:
+    """``sd[X]`` = Steiner distance of the vertex set X, one byte per subset:
+    mark each connected set from a connected set one vertex smaller, then
+    take superset minima one bit position at a time."""
+    size = 1 << g.n
+    adj = {1 << v: row for v, row in enumerate(g.adj)}
+    sd = bytearray([_UNSET]) * size
+    for C in range(1, size):  # C minus a vertex precedes C, so its mark is final
+        if C & (C - 1) == 0:
+            sd[C] = 0
+            continue
+        rest = C
+        while rest:
+            low = rest & -rest
+            smaller = C ^ low
+            if sd[smaller] != _UNSET and adj[low] & smaller:
+                sd[C] = sd[smaller] + 1
+                break
+            rest ^= low
+    for without, with_ in _bit_slices(size):  # superset-min
+        sd[without] = bytes(map(min, sd[without], sd[with_]))
+    return sd
+
+
+def steiner_sets_by_table(g: Graph) -> bytearray:
+    """``flags[W]`` = 1 when d(W + v) = d(W) for every v, tested set by set
+    on ``steiner_distance_table_by_marking``; the empty set is not flagged."""
+    sd = steiner_distance_table_by_marking(g)
+    singles = [1 << v for v in range(g.n)]
+    flags = bytearray(1 << g.n)
+    for members in range(1, 1 << g.n):
+        d = sd[members]
+        flags[members] = all(sd[members | b] == d for b in singles)
+    return flags
 
 
 def geodetic_search_by_closure(g: Graph, forced: Mask) -> GeodeticResult:

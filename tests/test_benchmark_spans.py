@@ -1,20 +1,29 @@
-"""Every function the benchmark tracer wraps still exists in the package.
+"""Every function the benchmark tracer wraps still exists in the package,
+and one traced run gives a whole record.
 
 ``perfbench/tracer.py`` reports a span whose name it cannot resolve as
 ``null`` instead of failing, so a renamed or deleted function would only
 show up as a malformed benchmark record.  This reads the tracer's ``SPANS``
 table from its source, without importing the benchmark, and resolves every
-(module, attribute path) pair here.
+(module, attribute path) pair here.  The tracer also hashes the arguments of
+every search span, so one traced run of a workload checks that they stay
+hashable.  Nothing under ``perfbench/`` is changed.
 """
 
 import ast
 import functools
+import hashlib
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _spans() -> dict[str, tuple[str, str]]:
@@ -35,3 +44,15 @@ def test_spans_table_is_read():
 def test_traced_name_resolves(name):
     module, path = SPANS[name]
     functools.reduce(getattr, path.split("."), importlib.import_module(module))
+
+
+def test_traced_run_gives_a_whole_record():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    res = subprocess.run([sys.executable, str(TRACER), "diam2-hull", "1"],
+                         capture_output=True, text=True, timeout=120, env=env)
+    assert res.returncode == 0, res.stderr
+    trace = json.loads(res.stdout.splitlines()[-1])
+    assert [n for n, span in trace["spans"].items() if span is None] == []
+    want = json.loads((ROOT / "perfbench" / "expected.json").read_text())["diam2-hull"]["1"]
+    got = {"rc": trace["rc"], "sha256": hashlib.sha256(trace["stdout"].encode()).hexdigest()}
+    assert got == want

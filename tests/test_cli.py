@@ -107,6 +107,9 @@ _C6 = encode_graph6(cycle(6))
                   "--seed", "1"), id="random-count-negative"),
     pytest.param(("verify", "--theorem", "GEO_KN", "--random", "n=5,p=0.5,count=0",
                   "--seed", "1"), id="random-count-zero"),
+    # a random corpus is built whole, so its count is bounded before any graph is drawn
+    pytest.param(("verify", "--theorem", "GEO_KN", "--random", "n=5,p=0.5,count=100000000000",
+                  "--seed", "1"), id="random-count-above-ceiling"),
 ])
 def test_unreadable_input_exits_2_without_traceback(run_cli, tmp_path, argv):
     """Input the CLI cannot read or accept is a usage error (exit 2) with
@@ -289,6 +292,16 @@ def test_census_diameter_two_rows_have_g_le_s(run_cli):
         row = json.loads(ln)
         if row["diameter"] == 2:
             assert row["g_le_s"] is True
+
+
+@pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["table", "json"])
+def test_census_cap_error_prints_no_rows(run_cli, fmt):
+    """Rows stream as they are computed, but every graph of an order has the
+    same n, so a cap error fires on the first one: no header, no row."""
+    res = run_cli("census", "--order", "7", "--max-n", "5", *fmt)
+    assert res.returncode == 3, res.stderr
+    assert res.stdout == ""
+    assert res.stderr.strip() == "error: geodetic search capped at n <= 5, got 7"
 
 
 def test_census_missing_order_exits_2(run_cli):

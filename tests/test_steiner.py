@@ -22,6 +22,7 @@ from coronageo.graphs import (
     vertex_tuple,
 )
 from coronageo.steiner import (
+    _first_steiner_set,
     _steiner_distance_table,
     is_steiner_set,
     steiner_distance,
@@ -29,15 +30,18 @@ from coronageo.steiner import (
     steiner_number,
     steiner_sets,
 )
+from coronageo.subsets import ascending_subsets
 
 from oracles import (
     is_steiner_set_by_dp,
     oracle_steiner_trees,
     steiner_distance_brute,
     steiner_distance_by_dp,
+    steiner_distance_table_by_marking,
     steiner_hull_brute,
     steiner_number_brute,
     steiner_number_by_dp,
+    steiner_sets_by_table,
 )
 
 
@@ -230,25 +234,28 @@ def test_steiner_number_errors():
         steiner_number(corona(complete(1), cycle(16))[0])
 
 
+def _table_bytes(g):
+    return _steiner_distance_table(g).to_bytes(1 << g.n, "little")
+
+
 def test_subset_table_is_steiner_distance(census):
     # sd[X | 1 << v] is d(X + v), the quantity the Steiner hull compares
     for order in (1, 2, 3, 4, 5):
         for g in census(order):
-            sd = _steiner_distance_table(g)
+            sd = _table_bytes(g)
             assert len(sd) == 1 << g.n and sd[0] == 0
             for members in range(1, 1 << g.n):
                 assert sd[members] == steiner_distance_by_dp(g, members)
 
 
 def test_subset_table_is_steiner_distance_on_random_graphs():
-    # n = 9..11: the superset-min pass slices by stride on the low bit
-    # positions and by block on the high ones, so both kinds run several times
+    # n = 9..11, past the census orders
     rng = random.Random(11)
     for n in (9, 9, 10, 10, 11, 11):
         edges = {(rng.randrange(v), v) for v in range(1, n)}
         edges |= {(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < 0.15}
         g = from_edge_list(n, sorted(edges))
-        sd = _steiner_distance_table(g)
+        sd = _table_bytes(g)
         small = [mask_of(c) for size in (1, 2, 3) for c in itertools.combinations(range(n), size)]
         large = [mask_of(rng.sample(range(n), rng.randint(4, 6))) for _ in range(30)]
         for members in small + large:
@@ -261,6 +268,45 @@ def _connected_graphs(data, max_n):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     extra = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     return from_edge_list(n, sorted(set(tree) | set(extra)))
+
+
+def _assert_lanes_match_byte_table(g):
+    assert _table_bytes(g) == steiner_distance_table_by_marking(g), encode_graph6(g)
+    assert steiner_sets(g) == steiner_sets_by_table(g), encode_graph6(g)
+
+
+def test_lane_table_matches_byte_table(census):
+    checked = 0
+    for order in range(1, 8):
+        for g in census(order):
+            _assert_lanes_match_byte_table(g)
+            checked += 1
+    assert checked == 996
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_lane_table_matches_byte_table_hypothesis(data):
+    _assert_lanes_match_byte_table(_connected_graphs(data, 12))
+
+
+def test_lane_table_matches_byte_table_order_16():
+    prod, _ = corona(path(2), cycle(7))
+    assert prod.n == 16
+    _assert_lanes_match_byte_table(prod)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pick_ranks_every_set_as_ascending_subsets_does(n):
+    """With every set from the k-th of the canonical order on flagged, the
+    pick is the k-th set and its computed ``explored`` is k."""
+    order = [m for m in ascending_subsets((1 << n) - 1) if m]
+    for k, members in enumerate(order, 1):
+        flags = bytearray(1 << n)
+        for later in order[k - 1:]:
+            flags[later] = 1
+        r = _first_steiner_set(flags)
+        assert (r.value, r.witness, r.explored) == (members.bit_count(), vertex_tuple(members), k)
 
 
 def _assert_steiner_sets_match_dp(g):
