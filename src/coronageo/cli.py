@@ -15,7 +15,7 @@ from .corpus import CENSUS_MAX_ORDER, CorpusSpec, census_lines, parse_range
 from .errors import CapExceeded, DomainError, FormatError
 from .formats import encode_graph6, format_edge_list, parse_edge_list, parse_graph6, parse_graph6_lines
 from .geodesic import geodetic_number, interval, k_geodetic_number
-from .graphs import Graph, bfs_distances, corona, diameter, extreme_vertices, mask_of, vertex_tuple
+from .graphs import Graph, corona, diameter, extreme_vertices, mask_of, vertex_tuple
 from .harness import Caps, THEOREM_IDS, THEOREMS, jsonline, run_corpus, summarize, summary_json
 from .steiner import steiner_distance, steiner_hull, steiner_number
 
@@ -98,7 +98,7 @@ def _measure_payload(g: Graph, measure: str, args: argparse.Namespace, caps: Cap
         vs = _parse_vertices(args.vertices, g.n)
         if len(vs) != 2:
             raise DomainError("measure interval needs --vertices U,V (exactly two)")
-        out = vertex_tuple(interval(bfs_distances(g), vs[0], vs[1]))
+        out = vertex_tuple(interval(g.distances, vs[0], vs[1]))
         return {"vertices": vs, "value": len(out), "witness": list(out)}
     if measure == "steiner-distance":
         vs = _parse_vertices(args.vertices, g.n)

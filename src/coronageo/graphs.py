@@ -8,6 +8,7 @@ the exact searches.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import DomainError
@@ -40,7 +41,12 @@ def vertex_tuple(mask: Mask) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple graph; ``adj[v]`` is the neighbor bitmask of ``v``."""
+    """Immutable simple graph; ``adj[v]`` is the neighbor bitmask of ``v``.
+
+    ``distances`` and ``intervals`` are computed on first use and kept on
+    the instance, so every search and invariant of one graph shares one BFS
+    and one interval table, and both are freed with the graph.
+    """
 
     n: int
     adj: tuple[Mask, ...]
@@ -76,6 +82,16 @@ class Graph:
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
+
+    @cached_property
+    def distances(self) -> tuple[tuple[int, ...], ...]:
+        """``bfs_distances(self)``, computed once."""
+        return bfs_distances(self)
+
+    @cached_property
+    def intervals(self) -> tuple[tuple[Mask, ...], ...]:
+        """``interval_table(self.distances)``, computed once."""
+        return interval_table(self.distances)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.n}, edges={self.edges()!r})"
@@ -147,6 +163,64 @@ def components(G: Graph) -> list[Mask]:
     return out
 
 
+def blocks(G: Graph) -> list[Mask]:
+    """Blocks (maximal connected subgraphs without a cut vertex of their
+    own; a bridge is a block) as vertex masks.  An isolated vertex lies in
+    no block, and the cut vertices are the vertices in two or more blocks.
+
+    One depth-first search, as in Hopcroft and Tarjan, "Efficient
+    algorithms for graph manipulation", CACM 16(6), 1973, kept on an
+    explicit stack: ``low[v]`` is the least discovery time reachable from
+    the subtree of v by one back edge, and when a child v of p has
+    low[v] >= disc[p], the vertices stacked since v, with p, form a block.
+    A vertex's back edges all lead to ancestors, which are already seen
+    when it is discovered, so each vertex reads them once, then.
+    """
+    adj = G.adj
+    disc = [0] * G.n  # discovery time from 1
+    low = [0] * G.n
+    out = []
+    t = seen = 0
+    for root in range(G.n):
+        if seen >> root & 1 or not adj[root]:
+            continue
+        t += 1
+        disc[root] = low[root] = t
+        seen |= 1 << root
+        stack = [root]  # vertices whose block is still open
+        path, parent = [root], [-1]  # the DFS path and the parent of each
+        while path:
+            v = path[-1]
+            if rest := adj[v] & ~seen:
+                w = (rest & -rest).bit_length() - 1
+                t += 1
+                disc[w] = low[w] = t
+                seen |= 1 << w
+                # a seen neighbour of w other than v is an ancestor: a back edge
+                back = adj[w] & seen & ~(1 << v)
+                while back:
+                    bit = back & -back
+                    if (d := disc[bit.bit_length() - 1]) < low[w]:
+                        low[w] = d
+                    back ^= bit
+                stack.append(w)
+                path.append(w)
+                parent.append(v)
+                continue
+            path.pop()
+            p = parent.pop()
+            if p < 0:
+                continue
+            if low[v] < low[p]:
+                low[p] = low[v]
+            if low[v] >= disc[p]:
+                block = 1 << p
+                while (w := stack.pop()) != v:
+                    block |= 1 << w
+                out.append(block | 1 << v)
+    return out
+
+
 def bfs_distances(G: Graph) -> tuple[tuple[int, ...], ...]:
     """Exact hop distances by breadth-first search from every vertex.
 
@@ -163,21 +237,56 @@ def bfs_distances(G: Graph) -> tuple[tuple[int, ...], ...]:
         d = 0
         while frontier:
             nxt = 0
-            for v in bits(frontier):
-                nxt |= adj[v]
-            nxt &= ~seen
-            d += 1
-            for v in bits(nxt):
-                row[v] = d
+            while frontier:
+                low = frontier & -frontier
+                nxt |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = nxt = nxt & ~seen
             seen |= nxt
-            frontier = nxt
+            d += 1
+            while nxt:
+                low = nxt & -nxt
+                row[low.bit_length() - 1] = d
+                nxt ^= low
         out.append(tuple(row))
     return tuple(out)
 
 
+def interval_table(D: tuple[tuple[int, ...], ...]) -> tuple[tuple[Mask, ...], ...]:
+    """``table[u][v]`` = I[u, v], every w with d(u, w) + d(w, v) = d(u, v),
+    for every vertex pair of the ``bfs_distances`` rows ``D`` (0 across
+    components).
+
+    Each row is first split into distance layers, so I[u, v] is the union
+    over i of layer i of u and layer d(u, v) - i of v.
+    """
+    n = len(D)
+    layers = []
+    for row in D:
+        by_d = [0] * (n + 1)
+        bit = 1
+        for d in row:
+            by_d[d] |= bit
+            bit <<= 1
+        layers.append(by_d)
+    table = [[0] * n for _ in range(n)]
+    for u in range(n):
+        du, lu, tu = D[u], layers[u], table[u]
+        tu[u] = 1 << u
+        for v in range(u + 1, n):
+            target = du[v]
+            if target < n:
+                lv = layers[v]
+                m = 0
+                for i in range(target + 1):
+                    m |= lu[i] & lv[target - i]
+                tu[v] = table[v][u] = m
+    return tuple(map(tuple, table))
+
+
 def diameter(G: Graph) -> int | None:
     """Largest pairwise distance, or None when the graph is disconnected."""
-    d = max(max(row) for row in bfs_distances(G))
+    d = max(max(row) for row in G.distances)
     return None if d == G.n else d
 
 

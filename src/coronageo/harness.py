@@ -21,7 +21,6 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from multiprocessing import get_context
 from typing import Callable, Iterable, Sequence
 
 from .corpus import CorpusEntry, CorpusSpec
@@ -30,7 +29,6 @@ from .formats import encode_graph6
 from .geodesic import (
     DEFAULT_GEODETIC_CAP,
     geodetic_number,
-    interval_table,
     is_geodetic,
     k_geodetic_number,
 )
@@ -39,7 +37,6 @@ from .graphs import (
     CoronaLayout,
     Graph,
     Mask,
-    bfs_distances,
     complete,
     components,
     corona,
@@ -267,7 +264,7 @@ def check_corona_structure_geo(G: Graph, H: Graph, caps: Caps = Caps()) -> Outco
     prod, layout = _build_corona(G, H)
     r = geodetic_number(prod, cap=caps.geodetic)
 
-    I = interval_table(bfs_distances(prod))
+    I = prod.intervals
     blocks = [layout.copy_mask(i) for i in range(layout.n1)]
     part_i = not any(
         I[a][b] & block & ~(1 << a | 1 << b)
@@ -662,7 +659,7 @@ def check_diam2_steiner_geodetic(G: Graph, caps: Caps = Caps()) -> Outcome:
     tier_a = G.n <= 8
     flags = steiner_sets(G, cap=caps.steiner) if tier_a else b""
     rs = _first_steiner_set(flags) if tier_a else steiner_number(G, cap=caps.steiner)
-    I = interval_table(bfs_distances(G))
+    I = G.intervals
 
     def geodetic(members: Mask) -> bool:
         vs = vertex_tuple(members)
@@ -789,6 +786,13 @@ def build_items(
         "k": lambda: (k,),
     }
     return [(theorem, args, caps) for args in itertools.product(*(axes[name]() for name in names))]
+
+
+def get_context():
+    """``multiprocessing.get_context()``, imported only when a pool starts."""
+    import multiprocessing
+
+    return multiprocessing.get_context()
 
 
 def run_corpus(

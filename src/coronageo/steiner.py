@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, reduce
-from math import comb
 from operator import or_
 
 from .errors import CapExceeded, DomainError
@@ -30,6 +29,7 @@ from .graphs import (
     mask_of,
     vertex_tuple,
 )
+from .subsets import candidate_rank
 
 DEFAULT_STEINER_CAP = 16
 
@@ -151,10 +151,7 @@ def _first_steiner_set(flags: bytes) -> SteinerResult:
     """The canonical minimum Steiner set of ``flags`` (as ``steiner_sets``
     returns them): the least cardinality s, then the set A for which the
     lowest bit of A ^ B is in A for every other flagged B of size s.  Its
-    ``explored`` is its 1-based rank among the nonempty sets in that order:
-    every set of size below s, then the lexicographic rank of the sorted
-    tuple (t_0 < ... < t_{s-1}) among the s-sets, which is the sum over j of
-    C(n - 1 - x, s - 1 - j) for t_{j-1} < x < t_j.
+    ``explored`` is its ``subsets.candidate_rank`` among all vertex sets.
     """
     n = len(flags).bit_length() - 1
     ones, _, pc = _lane_patterns(n)
@@ -165,12 +162,7 @@ def _first_steiner_set(flags: bytes) -> SteinerResult:
     while (i := key.find(s, i + 1)) >= 0:
         if (best ^ i) & -(best ^ i) & i:
             best = i
-    witness = vertex_tuple(best)
-    explored = 1 + sum(comb(n, j) for j in range(1, s))
-    for j, t in enumerate(witness):
-        start = witness[j - 1] + 1 if j else 0
-        explored += sum(comb(n - 1 - x, s - 1 - j) for x in range(start, t))
-    return SteinerResult(s, witness, explored)
+    return SteinerResult(s, vertex_tuple(best), candidate_rank(best, (1 << n) - 1))
 
 
 def steiner_number(G: Graph, *, cap: int = DEFAULT_STEINER_CAP) -> SteinerResult:

@@ -27,6 +27,29 @@ def ascending_subsets(universe: Mask, forced: Mask = 0) -> Iterator[Mask]:
             yield forced | mask_of(combo)
 
 
+def candidate_rank(members: Mask, universe: Mask, forced: Mask = 0) -> int:
+    """1-based position of ``members`` among the nonempty sets that
+    ``ascending_subsets(universe, forced)`` yields, computed without the walk.
+
+    With m free vertices (``universe`` minus ``forced``) and t of them in
+    ``members``, the candidates before it are the C(m, j) sets with j < t
+    free vertices (for j = 0, ``forced`` itself, which is no candidate when
+    empty), and the t-sets lexicographically before its sorted free
+    positions (p_0 < ... < p_{t-1}), which number the sum over j of
+    C(m - 1 - x, t - 1 - j) for p_{j-1} < x < p_j.
+    """
+    free = vertex_tuple(universe & ~forced)
+    m = len(free)
+    picks = [i for i, v in enumerate(free) if members >> v & 1]
+    t = len(picks)
+    rank = sum(comb(m, j) for j in range(t)) + 1 - (forced == 0)
+    start = 0
+    for j, p in enumerate(picks):
+        rank += sum(comb(m - 1 - x, t - 1 - j) for x in range(start, p))
+        start = p + 1
+    return rank
+
+
 def first_cover(table: Sequence[Sequence[Mask]], n: int, forced: Mask) -> tuple[Mask | None, int]:
     """First nonempty S ⊇ ``forced``, in the order of ``ascending_subsets``,
     whose closure S ∪ ⋃_{u<v in S} table[u][v] (``table`` symmetric, n × n)

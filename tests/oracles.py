@@ -37,13 +37,14 @@ from typing import Iterator, Sequence
 import networkx as nx
 
 from coronageo.errors import CapExceeded, DomainError
-from coronageo.geodesic import GeodeticResult, interval_table, is_geodetic
+from coronageo.geodesic import GeodeticResult, is_geodetic
 from coronageo.graphs import (
     Graph,
     Mask,
     bfs_distances,
     bits,
     induced_subgraph,
+    interval_table,
     is_connected,
     mask_of,
     reachable_set,

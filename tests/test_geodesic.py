@@ -5,19 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coronageo import subsets
+from coronageo import graphs, subsets
 from coronageo.errors import CapExceeded, DomainError
 from coronageo.formats import encode_graph6, parse_graph6
 from coronageo.geodesic import (
     GeodeticResult,
     geodetic_number,
     interval,
-    interval_table,
     is_geodetic,
     k_geodetic_number,
 )
 from coronageo.graphs import (
     bfs_distances,
+    blocks,
     complete,
     corona,
     cycle,
@@ -25,11 +25,12 @@ from coronageo.graphs import (
     empty,
     extreme_vertices,
     from_edge_list,
+    interval_table,
     mask_of,
     path,
     vertex_tuple,
 )
-from coronageo.subsets import ascending_subsets, first_cover
+from coronageo.subsets import ascending_subsets, candidate_rank, first_cover
 
 from oracles import (
     closure_vertices,
@@ -267,6 +268,12 @@ def _unforced(g):
     return GeodeticResult(members.bit_count(), vertex_tuple(members), explored)
 
 
+def _flat(g):
+    """The search over the whole graph that the block search replaces."""
+    members, explored = first_cover(g.intervals, g.n, extreme_vertices(g))
+    return GeodeticResult(members.bit_count(), vertex_tuple(members), explored)
+
+
 def test_cover_search_matches_closure_search_on_census(census):
     checked = unsatisfiable = 0
     for order in range(1, 7):
@@ -301,7 +308,9 @@ def test_cover_search_matches_references_hypothesis(data):
 
 
 # GEO_CORONA_EQ products G ⊙ H of order 15-20 whose witnesses lie thousands of
-# candidates deep, so whole subtrees are skipped by the bound
+# candidates deep, so whole subtrees are skipped by the bound.  geodetic_number
+# searches these products block by block, so the test runs the whole-graph
+# search itself.
 @pytest.mark.parametrize("g6_g,g6_h", [("Bo", "Cl"), ("Bo", "D]o"), ("Bo", "Dhc"), ("CF", "Ck")])
 def test_cover_search_skips_subtrees_on_corona_products(g6_g, g6_h, monkeypatch):
     product, _ = corona(parse_graph6(g6_g), parse_graph6(g6_h))
@@ -313,9 +322,85 @@ def test_cover_search_skips_subtrees_on_corona_products(g6_g, g6_h, monkeypatch)
         return skipped[-1]
 
     monkeypatch.setattr(subsets, "comb", counting_comb)
-    r = geodetic_number(product)
-    assert r == geodetic_search_by_closure(product, extreme_vertices(product))
+    ref = geodetic_search_by_closure(product, extreme_vertices(product))
+    assert _flat(product) == ref
     assert max(skipped) > 1
+    assert geodetic_number(product) == ref
+
+
+# --- geodetic number by blocks against the whole-graph search ---------------------
+
+
+def test_block_search_matches_flat_search_on_census(census):
+    split = 0
+    for order in range(1, 8):
+        for g in census(order):
+            assert geodetic_number(g) == _flat(g), encode_graph6(g)
+            split += len(blocks(g)) > 1
+    assert split == 456
+
+
+def test_block_search_matches_flat_search_on_corona_products(census):
+    checked = 0
+    for g in (g for order in range(1, 5) for g in census(order)):
+        for h in (h for order in range(1, 6) for h in census(order)):
+            if g.n * (h.n + 1) <= 20:
+                product, _ = corona(g, h)
+                assert geodetic_number(product) == _flat(product), (encode_graph6(g), encode_graph6(h))
+                checked += 1
+    assert checked == 184
+
+
+@st.composite
+def glued_blocks(draw):
+    """A connected graph of order <= 14 glued from small blocks, each a cycle
+    with chords (or one edge) sharing one vertex with the graph so far, then
+    relabeled; returns the graph and its blocks."""
+    n, edges, parts = 1, [], []
+    for k in draw(st.lists(st.integers(min_value=2, max_value=5), min_size=1, max_size=8)):
+        if n + k - 1 > 14:
+            break
+        vs = [draw(st.integers(min_value=0, max_value=n - 1)), *range(n, n + k - 1)]
+        n += k - 1
+        edges += [(vs[i], vs[(i + 1) % k]) for i in range(k if k > 2 else 1)]
+        edges += draw(st.lists(st.sampled_from(list(itertools.combinations(vs, 2))), max_size=3))
+        parts.append(vs)
+    label = draw(st.permutations(range(n)))
+    g = from_edge_list(n, [(label[u], label[v]) for u, v in edges])
+    return g, sorted(mask_of(label[v] for v in vs) for vs in parts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(glued_blocks())
+def test_block_search_matches_flat_search_hypothesis(case):
+    g, parts = case
+    assert sorted(blocks(g)) == parts
+    r = geodetic_number(g)
+    assert r == _flat(g)
+    if g.n <= 10:
+        assert (r.value, r.witness) == geodetic_number_brute(g)
+
+
+def test_tables_are_computed_once_per_graph(monkeypatch):
+    calls = []
+    bfs = graphs.bfs_distances
+    monkeypatch.setattr(graphs, "bfs_distances", lambda g: calls.append(g) or bfs(g))
+    g = corona(path(2), cycle(4))[0]
+    geodetic_number(g)
+    k_geodetic_number(g, 2)
+    is_geodetic(g, g.full_mask)
+    diameter(g)
+    assert calls == [g]  # through the module-level name, which the benchmark tracer wraps
+    assert g.distances is g.distances and g.intervals is g.intervals
+
+
+def test_k_geodetic_search_leaves_the_shared_table_as_it_is(census):
+    for g in census(6):
+        table = interval_table(bfs_distances(g))
+        for k in (2, 3):
+            k_geodetic_number(g, k)
+        assert g.intervals == table and all(type(row) is tuple for row in g.intervals)
+        assert geodetic_number(g) == _flat(from_edge_list(g.n, g.edges()))
 
 
 # --- canonical search order -------------------------------------------------------
@@ -331,6 +416,20 @@ def test_ascending_subsets_matches_filtered_lexicographic_enumeration():
             if m & forced == forced:
                 expected.append(m)
     assert produced == expected
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_candidate_rank_is_the_position_among_nonempty_candidates(n):
+    full = (1 << n) - 1
+    for forced in range(1 << n):
+        candidates = [m for m in ascending_subsets(full, forced) if m]
+        assert [candidate_rank(m, full, forced) for m in candidates] == list(range(1, len(candidates) + 1))
+
+
+def test_candidate_rank_within_a_universe():
+    universe, forced = mask_of([1, 3, 4, 6]), mask_of([3])
+    candidates = list(ascending_subsets(universe, forced))
+    assert [candidate_rank(m, universe, forced) for m in candidates] == list(range(1, 9))
 
 
 def test_ascending_subsets_unrestricted_is_size_then_lex():

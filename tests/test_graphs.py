@@ -1,13 +1,18 @@
 import itertools
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coronageo.errors import DomainError
+from coronageo.formats import encode_graph6
 from coronageo.graphs import (
     Graph,
     bfs_distances,
     bits,
+    blocks,
     complete,
     components,
     corona,
@@ -28,7 +33,7 @@ from coronageo.graphs import (
     wheel,
 )
 
-from oracles import extreme_by_double_loop
+from oracles import extreme_by_double_loop, to_nx
 
 
 def test_from_edge_list_path():
@@ -307,6 +312,54 @@ def test_induced_rejects_empty_and_foreign_sets():
         induced_subgraph(cycle(3), 0)
     with pytest.raises(DomainError):
         induced_subgraph(cycle(3), 0b1000)
+
+
+# --- blocks -----------------------------------------------------------------------
+
+
+def _blocks_and_cut_vertices(g):
+    """``blocks(g)`` sorted, and the vertices in two or more of them."""
+    parts = blocks(g)
+    cut = seen = 0
+    for b in parts:
+        cut |= seen & b
+        seen |= b
+    return sorted(parts), cut
+
+
+def _networkx_blocks(g):
+    gx = to_nx(g)
+    return sorted(mask_of(b) for b in nx.biconnected_components(gx)), mask_of(nx.articulation_points(gx))
+
+
+def test_blocks_examples():
+    assert blocks(path(1)) == [] and blocks(empty(3)) == []
+    assert sorted(blocks(path(4))) == [0b0011, 0b0110, 0b1100]
+    assert blocks(cycle(5)) == [0b11111]
+    product, layout = corona(path(3), cycle(4))
+    # G's two edges, and one copy of K1 ⊙ C4 per base vertex
+    assert sorted(blocks(product)) == sorted([0b011, 0b110] + [1 << i | layout.copy_mask(i) for i in range(3)])
+
+
+def test_blocks_match_networkx_on_census(census):
+    checked = with_cut = 0
+    for order in range(1, 8):
+        for g in census(order):
+            got = _blocks_and_cut_vertices(g)
+            assert got == _networkx_blocks(g), encode_graph6(g)
+            checked += 1
+            with_cut += got[1] != 0
+    assert (checked, with_cut) == (996, 456)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_blocks_match_networkx_hypothesis(data):
+    n = data.draw(st.integers(min_value=1, max_value=14))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=24)) if pairs else []
+    g = from_edge_list(n, edges)
+    assert _blocks_and_cut_vertices(g) == _networkx_blocks(g)
 
 
 # --- randomized structural invariants ---------------------------------------

@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -660,6 +663,14 @@ def test_run_corpus_rejects_parallel_below_one(monkeypatch, parallel):
     with pytest.raises(DomainError, match="at least 1"):
         run_corpus("WHEEL_GEO", n_range=(4, 7), parallel=parallel)
     assert fake.sizes == []
+
+
+def test_multiprocessing_is_imported_only_when_a_pool_starts():
+    code = "import sys, coronageo.cli; sys.exit('multiprocessing' in sys.modules)"
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=package_root), timeout=60)
+    assert res.returncode == 0, res.stderr
 
 
 def test_structure_lemmas_hold_on_small_grid(census):
