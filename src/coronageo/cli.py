@@ -135,6 +135,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
                 if payload.get("witness") is not None:
                     text += f" witness={payload['witness']}"
                 print(text)
+        g.drop_tables()
     return EXIT_OK
 
 

@@ -85,15 +85,16 @@ def geodetic_number(G: Graph, *, cap: int = DEFAULT_GEODETIC_CAP) -> GeodeticRes
     Candidates are the supersets of the extreme vertices X (every geodetic
     set contains them), by cardinality then lexicographic order; the
     witness is the first geodetic one, and ``explored`` its rank among the
-    nonempty candidates.  A graph with one block runs one ``first_cover``
-    over the whole graph.  Otherwise let C be the cut vertices and, for a
-    block B, C_B = B ∩ C and F_B = B minus (C ∪ X), its free vertices.  Each
+    nonempty candidates.  Let C be the cut vertices and, for a block B,
+    C_B = B ∩ C and F_B = B minus (C ∪ X), its free vertices.  Each
     block with F_B nonempty runs ``first_cover`` on the graph's interval
     table with every vertex outside F_B forced, and picks the first subset
     of F_B that passes.  The witness is X with every pick, and ``explored``
     is its ``subsets.candidate_rank`` with X forced: [X nonempty], plus
     C(m, j) for 1 <= j < t, plus the lexicographic rank of the t picked
     vertices among the m vertices outside X, plus 1 (just 1 when t = 0).
+    A graph with one block has C empty and runs one search over the whole
+    graph, with X forced.
 
     Lemma: that witness is the flat search's.
     (1) Gates.  Fix a block B.  A vertex u outside B reaches B through one
@@ -128,8 +129,6 @@ def geodetic_number(G: Graph, *, cap: int = DEFAULT_GEODETIC_CAP) -> GeodeticRes
         raise CapExceeded(f"geodetic search capped at n <= {cap}, got {G.n}")
     table, n, ext = G.intervals, G.n, extreme_vertices(G)
     parts = blocks(G)
-    if len(parts) <= 1:
-        return _cover_search(table, n, ext)
     cut = seen = 0
     for b in parts:
         cut |= seen & b

@@ -45,7 +45,9 @@ class Graph:
 
     ``distances`` and ``intervals`` are computed on first use and kept on
     the instance, so every search and invariant of one graph shares one BFS
-    and one interval table, and both are freed with the graph.
+    and one interval table.  Both are freed with the graph, or earlier by
+    ``drop_tables``, which a caller holding many graphs runs once it is done
+    with one.
     """
 
     n: int
@@ -92,6 +94,11 @@ class Graph:
     def intervals(self) -> tuple[tuple[Mask, ...], ...]:
         """``interval_table(self.distances)``, computed once."""
         return interval_table(self.distances)
+
+    def drop_tables(self) -> None:
+        """Free ``distances`` and ``intervals``; the next use recomputes them."""
+        vars(self).pop("distances", None)
+        vars(self).pop("intervals", None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.n}, edges={self.edges()!r})"

@@ -752,10 +752,16 @@ def _entry_report(theorem: str, entry: CorpusEntry) -> VerificationReport:
 
 def _execute(item: tuple) -> VerificationReport:
     theorem, args, caps = item
+    """Checks one item, then frees the tables its graphs built: a corpus
+    run holds every item until the last report."""
     for a in args:
         if isinstance(a, CorpusEntry):
             return _entry_report(theorem, a)
-    return THEOREMS[theorem].checker(*args, caps)
+    report = THEOREMS[theorem].checker(*args, caps)
+    for a in args:
+        if isinstance(a, Graph):
+            a.drop_tables()
+    return report
 
 
 def build_items(

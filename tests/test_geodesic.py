@@ -392,6 +392,10 @@ def test_tables_are_computed_once_per_graph(monkeypatch):
     diameter(g)
     assert calls == [g]  # through the module-level name, which the benchmark tracer wraps
     assert g.distances is g.distances and g.intervals is g.intervals
+    table = g.intervals
+    g.drop_tables()
+    assert "distances" not in vars(g) and "intervals" not in vars(g)
+    assert g.intervals == table and calls == [g, g]
 
 
 def test_k_geodetic_search_leaves_the_shared_table_as_it_is(census):

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -663,6 +664,26 @@ def test_run_corpus_rejects_parallel_below_one(monkeypatch, parallel):
     with pytest.raises(DomainError, match="at least 1"):
         run_corpus("WHEEL_GEO", n_range=(4, 7), parallel=parallel)
     assert fake.sizes == []
+
+
+def test_run_corpus_frees_each_graphs_tables_once_it_is_checked():
+    # DIAM2_G_LE_S reads the distance rows of each order-62 graph (about
+    # 34 KB, against 3 KB for the graph) and then hits the cap; a run that
+    # kept every graph's rows until the last report would peak about ten
+    # times above the corpus
+    spec = CorpusSpec.random(62, 0.5, 40, 1)
+    tracemalloc.start()
+    try:
+        items = harness.build_items("DIAM2_G_LE_S", corpus=spec)
+        corpus_peak = tracemalloc.get_traced_memory()[1]
+        del items
+        tracemalloc.reset_peak()
+        reports = run_corpus("DIAM2_G_LE_S", corpus=spec)
+        run_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == 40
+    assert run_peak < 2 * corpus_peak
 
 
 def test_multiprocessing_is_imported_only_when_a_pool_starts():
