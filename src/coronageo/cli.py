@@ -10,13 +10,15 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from .corpus import CENSUS_MAX_ORDER, CorpusSpec, census_lines, parse_range
 from .errors import CapExceeded, DomainError, FormatError
 from .formats import encode_graph6, format_edge_list, parse_edge_list, parse_graph6, parse_graph6_lines
 from .geodesic import geodetic_number, interval, k_geodetic_number
 from .graphs import Graph, corona, diameter, extreme_vertices, mask_of, vertex_tuple
-from .harness import Caps, THEOREM_IDS, THEOREMS, jsonline, run_corpus, summarize, summary_json
+from .harness import (Caps, THEOREM_IDS, THEOREMS, VerificationReport, jsonline, run_corpus,
+                      summarize, summary_json)
 from .steiner import steiner_distance, steiner_hull, steiner_number
 
 EXIT_OK = 0
@@ -188,7 +190,10 @@ def _random_corpus(args: argparse.Namespace) -> CorpusSpec | None:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """Map the corpus flags onto the claim's arguments; ``build_items``
-    reports any argument that is still missing."""
+    reports any argument that is still missing, before any output.  Each
+    report is written as it arrives and tallied for the summary line and
+    the exit code.  An error mid-run leaves the reports before it, with no
+    summary line."""
     caps = _caps(args)
     kind = THEOREMS[args.theorem].kind
     corpus = _corpus_from_flags(args, which="g")
@@ -218,10 +223,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
         caps=caps,
         parallel=args.parallel,
     )
+    try:
+        counts = summarize(_written(reports, args.timing))
+    finally:
+        reports.close()
+    _write_line(summary_json(counts))
+    return EXIT_FAIL if counts["fail"] else EXIT_OK
+
+
+def _written(reports: Iterator[VerificationReport], timing: bool) -> Iterator[VerificationReport]:
+    """Writes each report's line as it is drawn, then passes the report on."""
     for report in reports:
-        print(report.to_json(timing=args.timing))
-    print(summary_json(reports))
-    return EXIT_FAIL if summarize(reports)["fail"] else EXIT_OK
+        _write_line(report.to_json(timing=timing))
+        yield report
+
+
+def _write_line(line: str) -> None:
+    """One ``write`` per line; ``print`` makes two when stdout is unbuffered."""
+    sys.stdout.write(line + "\n")
 
 
 def cmd_census(args: argparse.Namespace) -> int:
@@ -242,13 +261,13 @@ def cmd_census(args: argparse.Namespace) -> int:
             "g_le_s": rg.value <= rs.value,
         }
         if args.json:
-            print(jsonline(row))
+            _write_line(jsonline(row))
             continue
         if i == 0:
-            print(f"{'g6':<12} {'g':>3} {'g2':>3} {'s':>3} {'diam':>4}  g<=s")
+            _write_line(f"{'g6':<12} {'g':>3} {'g2':>3} {'s':>3} {'diam':>4}  g<=s")
         g2 = "-" if row["g2"] is None else row["g2"]
-        print(f"{row['g6']:<12} {row['g']:>3} {g2:>3} {row['s']:>3} "
-              f"{row['diameter']:>4}  {'yes' if row['g_le_s'] else 'NO'}")
+        _write_line(f"{row['g6']:<12} {row['g']:>3} {g2:>3} {row['s']:>3} "
+                    f"{row['diameter']:>4}  {'yes' if row['g_le_s'] else 'NO'}")
     return EXIT_OK
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import CapExceeded, DomainError
 from .graphs import Graph, Mask, blocks, extreme_vertices, is_connected, vertex_tuple
@@ -72,11 +71,6 @@ def is_geodetic(G: Graph, members: Mask) -> bool:
 def _require_connected(G: Graph) -> None:
     if not is_connected(G):
         raise DomainError("search requires a connected graph")
-
-
-def _cover_search(table: Sequence[Sequence[Mask]], n: int, forced: Mask) -> GeodeticResult:
-    members, explored = first_cover(table, n, forced)
-    return GeodeticResult(members.bit_count(), vertex_tuple(members), explored)
 
 
 def geodetic_number(G: Graph, *, cap: int = DEFAULT_GEODETIC_CAP) -> GeodeticResult:
@@ -150,6 +144,13 @@ def k_geodetic_number(G: Graph, k: int, *, cap: int = DEFAULT_GEODETIC_CAP) -> G
     exactly k (e.g. k exceeds the diameter) the result is unsatisfiable
     (``value is None``) rather than an error.  k-intervals do not split by
     blocks, so this search runs over the whole graph.
+
+    The search forces the extreme vertices X.  An interior vertex of a
+    geodesic has two non-adjacent neighbours on it, so an extreme vertex is
+    interior to none; a vertex outside S is interior to a k-geodesic between
+    members of S, so every k-geodetic set contains X.  The first minimum set
+    in the full order is therefore the first among the supersets of X, and
+    ``explored`` is its ``candidate_rank`` with nothing forced.
     """
     _require_connected(G)
     if k < 2:
@@ -161,4 +162,6 @@ def k_geodetic_number(G: Graph, k: int, *, cap: int = DEFAULT_GEODETIC_CAP) -> G
         return GeodeticResult(None, None, 0)
     # I[u, v] is the k-interval when d(u, v) = k; the shared table stays as it is
     table = [[m if d == k else 0 for m, d in zip(row, du)] for row, du in zip(G.intervals, D)]
-    return _cover_search(table, G.n, 0)
+    witness = first_cover(table, G.n, extreme_vertices(G))[0]
+    return GeodeticResult(witness.bit_count(), vertex_tuple(witness),
+                          candidate_rank(witness, G.full_mask))

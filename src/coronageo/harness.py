@@ -5,7 +5,8 @@ PASS, FAIL, or SKIPPED (hypothesis not met / resource cap), the computed
 values, and canonical witnesses.  Checkers are registered in ``THEOREMS`` by
 the ``claim`` decorator, which also times them, records the instance and
 builds the report.  ``run_corpus`` drives a checker over a deterministic
-corpus and serializes reports as JSON Lines.
+corpus and yields the reports in canonical order, each serialized as one
+JSON Lines record by ``VerificationReport.to_json``.
 
 Hypothesis discipline: a checker never asserts a claim outside its stated
 hypotheses; out-of-hypothesis instances are SKIPPED with a reason code,
@@ -18,10 +19,11 @@ import functools
 import inspect
 import itertools
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Generator, Iterable, Sequence
 
 from .corpus import CorpusEntry, CorpusSpec
 from .errors import CapExceeded, DomainError
@@ -124,8 +126,9 @@ def summarize(reports: Iterable[VerificationReport]) -> dict:
     return counts
 
 
-def summary_json(reports: Iterable[VerificationReport]) -> str:
-    return jsonline({"summary": summarize(reports)})
+def summary_json(counts: dict) -> str:
+    """The summary line of a ``summarize`` tally."""
+    return jsonline({"summary": counts})
 
 
 # ---------------------------------------------------------------------------
@@ -751,9 +754,9 @@ def _entry_report(theorem: str, entry: CorpusEntry) -> VerificationReport:
 
 
 def _execute(item: tuple) -> VerificationReport:
-    theorem, args, caps = item
     """Checks one item, then frees the tables its graphs built: a corpus
     run holds every item until the last report."""
+    theorem, args, caps = item
     for a in args:
         if isinstance(a, CorpusEntry):
             return _entry_report(theorem, a)
@@ -810,18 +813,26 @@ def run_corpus(
     k: int | None = None,
     caps: Caps = Caps(),
     parallel: int = 1,
-) -> list[VerificationReport]:
-    """Run one checker over a corpus; reports come back in canonical instance
-    order regardless of the degree of parallelism.
+) -> Generator[VerificationReport, None, None]:
+    """Run one checker over a corpus, yielding each report in canonical
+    instance order as soon as its item is checked.
 
-    ``parallel`` must be at least 1; the pool never has more workers than
-    CPUs or work items."""
+    The arguments are checked and the items built at the call, so a bad
+    argument raises before any report.  ``parallel`` must be at least 1;
+    the pool never has more workers than CPUs or work items, and takes the
+    items in chunks of ceil(items / (4 * workers)), ``Pool.map``'s default.
+    Closing the generator early terminates the pool."""
     if parallel < 1:
         raise DomainError(f"parallel worker count must be at least 1, got {parallel}")
     items = build_items(theorem, corpus=corpus, corpus_h=corpus_h,
                         n_range=n_range, k=k, caps=caps)
-    workers = min(parallel, os.cpu_count() or 1, len(items))
+    return _reports(items, min(parallel, os.cpu_count() or 1, len(items)))
+
+
+def _reports(items: list[tuple], workers: int) -> Generator[VerificationReport, None, None]:
     if workers > 1:
         with get_context().Pool(workers) as pool:
-            return pool.map(_execute, items)
-    return [_execute(item) for item in items]
+            yield from pool.imap(_execute, items, math.ceil(len(items) / (4 * workers)))
+    else:
+        for item in items:
+            yield _execute(item)

@@ -235,6 +235,17 @@ def test_gk_requires_connected():
         k_geodetic_number(empty(2), 2)
 
 
+def test_gk_witness_contains_extreme_vertices(census):
+    # the search forces them; test_cover_search_matches_closure_search_on_census
+    # checks, against a search that forces nothing, that this changes no witness
+    for order in range(1, 7):
+        for g in census(order):
+            for k in (2, 3):
+                r = k_geodetic_number(g, k)
+                if not r.unsatisfiable:
+                    assert extreme_vertices(g) & ~mask_of(r.witness) == 0
+
+
 def test_g_le_gk_on_census_through_order_7(census):
     for order in range(2, 8):
         for g in census(order):

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import random
@@ -8,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from coronageo import harness
+from coronageo import cli, harness
 from coronageo.corpus import CorpusSpec, random_connected_graph
 from coronageo.errors import DomainError
 from coronageo.formats import encode_graph6, parse_graph6
@@ -506,14 +508,14 @@ def test_build_items_argument_validation():
 
 
 def test_run_corpus_geo_corona_eq_small_grid():
-    reports = run_corpus(
+    reports = list(run_corpus(
         "GEO_CORONA_EQ",
         corpus=CorpusSpec.exhaustive(1, 3),
         corpus_h=CorpusSpec.exhaustive(1, 3),
-    )
+    ))
     counts = summarize(reports)
     assert counts == {"pass": 4, "fail": 0, "skipped": 12}
-    assert json.loads(summary_json(reports)) == {"summary": counts}
+    assert json.loads(summary_json(summarize(reports))) == {"summary": counts}
 
 
 def test_run_corpus_is_deterministic_and_parallel_safe():
@@ -530,7 +532,7 @@ def test_run_corpus_is_deterministic_and_parallel_safe():
 def test_run_corpus_reports_file_parse_failures_in_place(tmp_path):
     target = tmp_path / "corpus.g6"
     target.write_text("A_\n~zzz\nBw\n")
-    reports = run_corpus("GEO_KN", corpus=CorpusSpec.from_file(str(target)))
+    reports = list(run_corpus("GEO_KN", corpus=CorpusSpec.from_file(str(target))))
     assert [r.verdict for r in reports] == ["PASS", "SKIPPED", "PASS"]
     assert reports[1].reason.startswith("parse-error:")
 
@@ -567,7 +569,7 @@ def test_run_corpus_range_kind():
 
 
 def test_run_corpus_steiner_kn_on_complete_family():
-    reports = run_corpus("STEINER_KN", corpus=CorpusSpec.from_family("complete", 2, 8))
+    reports = list(run_corpus("STEINER_KN", corpus=CorpusSpec.from_family("complete", 2, 8)))
     assert summarize(reports) == {"pass": 7, "fail": 0, "skipped": 0}
     assert [r.computed["s"] for r in reports] == list(range(2, 9))
 
@@ -594,7 +596,7 @@ def test_run_corpus_calls_the_registered_checker(monkeypatch):
         return info.checker(*args)
 
     monkeypatch.setitem(THEOREMS, "GEO_KN", dataclasses.replace(info, checker=spy))
-    reports = run_corpus("GEO_KN", corpus=CorpusSpec.from_family("complete", 1, 3))
+    reports = list(run_corpus("GEO_KN", corpus=CorpusSpec.from_family("complete", 1, 3)))
     assert [args[0] for args in calls] == [complete(1), complete(2), complete(3)]
     assert all(args[1] == Caps() for args in calls)
     assert summarize(reports) == {"pass": 3, "fail": 0, "skipped": 0}
@@ -619,10 +621,13 @@ def test_cap_exceeded_after_the_first_search_is_a_skip():
 
 class _FakeContext:
     """Stands in for ``multiprocessing.get_context()``: records the pool
-    size asked for and maps in this process."""
+    size and chunk size asked for and the pool's exits, and maps lazily in
+    this process."""
 
     def __init__(self):
         self.sizes = []
+        self.chunksizes = []
+        self.exits = 0
 
     def __call__(self):
         return self
@@ -635,10 +640,12 @@ class _FakeContext:
         return self
 
     def __exit__(self, *exc):
+        self.exits += 1
         return False
 
-    def map(self, fn, items):
-        return [fn(item) for item in items]
+    def imap(self, fn, items, chunksize):
+        self.chunksizes.append(chunksize)
+        return map(fn, items)
 
 
 @pytest.mark.parametrize("parallel, cpus, expected", [
@@ -652,7 +659,7 @@ def test_run_corpus_pool_size_is_bounded(monkeypatch, parallel, cpus, expected):
     fake = _FakeContext()
     monkeypatch.setattr(harness, "get_context", fake)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
-    reports = run_corpus("WHEEL_GEO", n_range=(4, 7), parallel=parallel)
+    reports = list(run_corpus("WHEEL_GEO", n_range=(4, 7), parallel=parallel))
     assert fake.sizes == expected
     assert [r.to_json() for r in reports] == [r.to_json() for r in run_corpus("WHEEL_GEO", n_range=(4, 7))]
 
@@ -664,6 +671,143 @@ def test_run_corpus_rejects_parallel_below_one(monkeypatch, parallel):
     with pytest.raises(DomainError, match="at least 1"):
         run_corpus("WHEEL_GEO", n_range=(4, 7), parallel=parallel)
     assert fake.sizes == []
+
+
+@pytest.mark.parametrize("parallel, chunksize", [
+    (2, 5),  # ceil(37 / 8)
+    (3, 4),  # ceil(37 / 12)
+    (8, 2),  # ceil(37 / 32)
+])
+def test_run_corpus_hands_the_pool_chunks_of_a_quarter_per_worker(monkeypatch, parallel, chunksize):
+    fake = _FakeContext()
+    monkeypatch.setattr(harness, "get_context", fake)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+    reports = list(run_corpus("WHEEL_GEO", n_range=(4, 40), parallel=parallel))
+    assert len(reports) == 37
+    assert fake.sizes == [parallel]
+    assert fake.chunksizes == [chunksize]
+
+
+def test_closing_the_report_generator_exits_the_pool(monkeypatch):
+    fake = _FakeContext()
+    monkeypatch.setattr(harness, "get_context", fake)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+    reports = run_corpus("WHEEL_GEO", n_range=(4, 7), parallel=2)
+    assert next(reports).instance["params"] == {"n": 4}
+    assert fake.exits == 0
+    reports.close()
+    assert fake.exits == 1
+
+
+@pytest.mark.parametrize("theorem, kwargs, match", [
+    ("NO_SUCH_CLAIM", dict(corpus=CorpusSpec.exhaustive(1, 1)), "unknown theorem"),
+    ("GEO_CORONA_EQ", dict(corpus=CorpusSpec.exhaustive(1, 2)), "needs corpus_h"),
+    ("GEO_KN", dict(corpus=CorpusSpec.from_file("missing-corpus.g6")), "missing-corpus.g6"),
+    ("WHEEL_GEO", dict(n_range=(4, 7), parallel=0), "at least 1"),
+])
+def test_run_corpus_raises_at_the_call_before_any_report(theorem, kwargs, match):
+    with pytest.raises((DomainError, OSError), match=match):
+        run_corpus(theorem, **kwargs)  # no next(): the call itself raises
+
+
+@pytest.mark.parametrize("flags", [
+    ["--theorem", "GEO_CORONA_EQ", "--family-g", "path:1..2"],
+    ["--theorem", "GEO_KN", "--family-g", "file:missing-corpus.g6"],
+    ["--theorem", "WHEEL_GEO", "--range", "4..7", "--parallel", "0"],
+])
+def test_verify_argument_errors_leave_stdout_empty(capsys, flags):
+    assert cli.main(["verify", *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_verify_writes_each_report_before_the_next_check(monkeypatch):
+    out = io.StringIO()
+    lines_at_call = []
+    info = THEOREMS["GEO_KN"]
+
+    def spy(*args):
+        lines_at_call.append(out.getvalue().count("\n"))
+        return info.checker(*args)
+
+    monkeypatch.setitem(THEOREMS, "GEO_KN", dataclasses.replace(info, checker=spy))
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(["verify", "--theorem", "GEO_KN", "--family-g", "complete:1..5"])
+    assert rc == 0
+    assert lines_at_call == [0, 1, 2, 3, 4]
+    assert json.loads(out.getvalue().splitlines()[-1]) == {
+        "summary": {"pass": 5, "fail": 0, "skipped": 0}}
+
+
+def test_verify_error_mid_run_keeps_the_reports_before_it(monkeypatch, capsys):
+    fake = _FakeContext()
+    monkeypatch.setattr(harness, "get_context", fake)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+    info = THEOREMS["GEO_KN"]
+
+    def checker(G, caps):
+        if G.n == 3:
+            raise OSError("disk gone")
+        return info.checker(G, caps)
+
+    monkeypatch.setitem(THEOREMS, "GEO_KN", dataclasses.replace(info, checker=checker))
+    rc = cli.main(["verify", "--theorem", "GEO_KN", "--family-g", "complete:1..5",
+                   "--parallel", "2"])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert [json.loads(line)["instance"]["params"] for line in out.splitlines()] == [
+        {"n": 1}, {"n": 2}]
+    assert err == "error: disk gone\n"
+    assert fake.exits == 1
+
+
+def test_verify_closes_the_report_generator_when_a_write_fails(monkeypatch, capsys):
+    fake = _FakeContext()
+    monkeypatch.setattr(harness, "get_context", fake)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+    kept = []  # holds the generator, so only an explicit close exits the pool
+
+    def keep(*args, **kwargs):
+        kept.append(run_corpus(*args, **kwargs))
+        return kept[-1]
+
+    class OneLineStdout(io.StringIO):
+        def write(self, text):
+            if self.getvalue():
+                raise BrokenPipeError(32, "Broken pipe")
+            return super().write(text)
+
+    monkeypatch.setattr(cli, "run_corpus", keep)
+    out = OneLineStdout()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(["verify", "--theorem", "WHEEL_GEO", "--range", "4..7", "--parallel", "2"])
+    assert rc == 2
+    assert out.getvalue().count("\n") == 1
+    assert len(kept) == 1 and fake.exits == 1
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+
+def test_verify_closes_the_pool_when_stdout_closes(tmp_path):
+    # 995 reports, about 150 KB: more than a pipe holds, so the run cannot
+    # finish before the reader closes its end
+    code_root = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    with open(tmp_path / "stderr", "w+") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "coronageo", "verify", "--theorem", "EXTREME_IN_GEODETIC",
+             "--family-g", "all-connected:1..7", "--parallel", "2"],
+            stdout=subprocess.PIPE, stderr=err, text=True,
+            env=dict(os.environ, PYTHONPATH=code_root))
+        try:
+            first = json.loads(proc.stdout.readline())
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 2
+        finally:
+            proc.kill()
+            proc.wait()
+        err.seek(0)
+        assert err.read() == "error: [Errno 32] Broken pipe\n"
+    assert first["instance"]["g6"] == ["@"]
 
 
 def test_run_corpus_frees_each_graphs_tables_once_it_is_checked():
@@ -678,7 +822,7 @@ def test_run_corpus_frees_each_graphs_tables_once_it_is_checked():
         corpus_peak = tracemalloc.get_traced_memory()[1]
         del items
         tracemalloc.reset_peak()
-        reports = run_corpus("DIAM2_G_LE_S", corpus=spec)
+        reports = list(run_corpus("DIAM2_G_LE_S", corpus=spec))
         run_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
