@@ -3,12 +3,23 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import CapExceeded, DomainError
-from .graphs import Graph, Mask, blocks, extreme_vertices, is_connected, vertex_tuple
+from .graphs import (
+    Graph,
+    Mask,
+    bits,
+    blocks,
+    extreme_vertices,
+    induced_rows,
+    is_connected,
+    vertex_tuple,
+)
 from .subsets import candidate_rank, first_cover
 
 DEFAULT_GEODETIC_CAP = 20
+_BLOCK_PICK_CACHE_SIZE = 1024  # block searches that ``_block_pick`` keeps, across calls
 
 
 @dataclass(frozen=True)
@@ -73,6 +84,18 @@ def _require_connected(G: Graph) -> None:
         raise DomainError("search requires a connected graph")
 
 
+@lru_cache(maxsize=_BLOCK_PICK_CACHE_SIZE)
+def _block_pick(rows: tuple[Mask, ...], forced: Mask) -> Mask:
+    """The free vertices (those outside ``forced``) that ``first_cover``
+    adds in the graph with adjacency ``rows``, as a mask of its labels.
+
+    The pick depends on nothing else, so blocks alike up to ``induced_rows``
+    share one search, within a graph and across graphs.
+    """
+    g = Graph(len(rows), rows)
+    return first_cover(g.intervals, g.n, forced)[0] & ~forced
+
+
 def geodetic_number(G: Graph, *, cap: int = DEFAULT_GEODETIC_CAP) -> GeodeticResult:
     """Minimum geodetic set by exact search, block by block.
 
@@ -81,14 +104,17 @@ def geodetic_number(G: Graph, *, cap: int = DEFAULT_GEODETIC_CAP) -> GeodeticRes
     witness is the first geodetic one, and ``explored`` its rank among the
     nonempty candidates.  Let C be the cut vertices and, for a block B,
     C_B = B ∩ C and F_B = B minus (C ∪ X), its free vertices.  Each
-    block with F_B nonempty runs ``first_cover`` on the graph's interval
-    table with every vertex outside F_B forced, and picks the first subset
-    of F_B that passes.  The witness is X with every pick, and ``explored``
-    is its ``subsets.candidate_rank`` with X forced: [X nonempty], plus
-    C(m, j) for 1 <= j < t, plus the lexicographic rank of the t picked
-    vertices among the m vertices outside X, plus 1 (just 1 when t = 0).
-    A graph with one block has C empty and runs one search over the whole
-    graph, with X forced.
+    block with F_B nonempty runs ``first_cover`` on its own subgraph G[B],
+    relabeled by ``induced_rows``, with B minus F_B = C_B ∪ (X ∩ B) forced,
+    and picks the first subset of F_B that passes.  ``_block_pick`` keeps
+    each pick by the block's rows and forced mask, so alike blocks, such as
+    the n1 copies of K1 ⊙ H in G ⊙ H, are searched once, and the graph's own
+    tables are not built.  A graph that is one block has C empty and runs
+    one search over its own interval table, with X forced.  The witness is
+    X with every pick, and ``explored`` is its ``subsets.candidate_rank``
+    with X forced: [X nonempty], plus C(m, j) for 1 <= j < t, plus the
+    lexicographic rank of the t picked vertices among the m vertices
+    outside X, plus 1 (just 1 when t = 0).
 
     Lemma: that witness is the flat search's.
     (1) Gates.  Fix a block B.  A vertex u outside B reaches B through one
@@ -103,9 +129,7 @@ def geodetic_number(G: Graph, *, cap: int = DEFAULT_GEODETIC_CAP) -> GeodeticRes
     also covers c, and its gates in B are (S ∩ B) ∪ C_B.
     (3) Blocks.  By (1) and (2), a set S ⊇ X that meets every such
     component is geodetic exactly when, for every block B, F_B lies in the
-    closure of C_B ∪ (X ∩ B) ∪ (S ∩ F_B).  The vertices forced in the
-    block's search have exactly those gates (the vertices outside B meet
-    every branch at C_B), so its test on S ∩ F_B is this one.
+    closure of C_B ∪ (X ∩ B) ∪ (S ∩ F_B).
     (4) The union.  Each component Q of G - c holds an end block, one with
     a single cut vertex, whose other vertices are in Q and extreme or free;
     a nonempty F_B there needs a nonempty pick, since one gate covers only
@@ -117,11 +141,17 @@ def geodetic_number(G: Graph, *, cap: int = DEFAULT_GEODETIC_CAP) -> GeodeticRes
     and each S ∩ F_B is a least pick; the lowest vertex where S and W
     differ is in some F_B, where W's pick is lexicographically first among
     the least picks, so it is in W, and W comes first.
+    (6) Subgraphs.  A block is isometric: a path that leaves B returns
+    through the cut vertex it left by, so no geodesic between two vertices
+    of B leaves it.  So G[B]'s intervals are G's between vertices of B, and
+    the search on G[B] with C_B ∪ (X ∩ B) forced runs step (3)'s test on
+    S ∩ F_B.  The relabeling keeps the order of F_B, so it picks the first
+    least subset of F_B that passes, as (5) needs.
     """
     _require_connected(G)
     if G.n > cap:
         raise CapExceeded(f"geodetic search capped at n <= {cap}, got {G.n}")
-    table, n, ext = G.intervals, G.n, extreme_vertices(G)
+    ext = extreme_vertices(G)
     parts = blocks(G)
     cut = seen = 0
     for b in parts:
@@ -130,8 +160,15 @@ def geodetic_number(G: Graph, *, cap: int = DEFAULT_GEODETIC_CAP) -> GeodeticRes
     witness = ext
     for b in parts:
         free = b & ~(cut | ext)
-        if free:
-            witness |= first_cover(table, n, G.full_mask ^ free)[0] & free
+        if not free:
+            continue
+        if b == G.full_mask:
+            witness |= first_cover(G.intervals, G.n, ext)[0] & free
+            continue
+        vs = vertex_tuple(b)
+        forced = sum(1 << i for i, v in enumerate(vs) if not free >> v & 1)
+        for i in bits(_block_pick(induced_rows(G, b), forced)):
+            witness |= 1 << vs[i]
     return GeodeticResult(witness.bit_count(), vertex_tuple(witness),
                           candidate_rank(witness, G.full_mask, ext))
 

@@ -43,11 +43,11 @@ def vertex_tuple(mask: Mask) -> tuple[int, ...]:
 class Graph:
     """Immutable simple graph; ``adj[v]`` is the neighbor bitmask of ``v``.
 
-    ``distances`` and ``intervals`` are computed on first use and kept on
-    the instance, so every search and invariant of one graph shares one BFS
-    and one interval table.  Both are freed with the graph, or earlier by
-    ``drop_tables``, which a caller holding many graphs runs once it is done
-    with one.
+    ``distances``, ``intervals`` and ``extreme_vertices`` are computed on
+    first use and kept on the instance, so every search and invariant of one
+    graph shares one BFS, one interval table and one extreme-vertex pass.
+    They are freed with the graph, or earlier by ``drop_tables``, which a
+    caller holding many graphs runs once it is done with one.
     """
 
     n: int
@@ -95,10 +95,22 @@ class Graph:
         """``interval_table(self.distances)``, computed once."""
         return interval_table(self.distances)
 
+    @cached_property
+    def extreme_vertices(self) -> Mask:
+        """The vertices whose neighborhood induces a complete subgraph, as
+        a mask, computed once; ``extreme_vertices(G)`` reads it."""
+        adj = self.adj
+        out = 0
+        for v, nb in enumerate(adj):
+            if all(nb & ~adj[u] == 1 << u for u in bits(nb)):
+                out |= 1 << v
+        return out
+
     def drop_tables(self) -> None:
-        """Free ``distances`` and ``intervals``; the next use recomputes them."""
-        vars(self).pop("distances", None)
-        vars(self).pop("intervals", None)
+        """Free ``distances``, ``intervals`` and ``extreme_vertices``; the
+        next use recomputes them."""
+        for name in ("distances", "intervals", "extreme_vertices"):
+            vars(self).pop(name, None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.n}, edges={self.edges()!r})"
@@ -128,13 +140,22 @@ def induced_subgraph(G: Graph, members: Mask) -> Graph:
         raise DomainError("cannot induce a subgraph on the empty set")
     if members & ~G.full_mask:
         raise DomainError("vertex set is not within the graph")
+    rows = induced_rows(G, members)
+    return Graph(len(rows), rows)
+
+
+def induced_rows(G: Graph, members: Mask) -> tuple[Mask, ...]:
+    """Adjacency rows of the subgraph induced by ``members``, relabeled as
+    ``induced_subgraph`` does, without building or checking a ``Graph``."""
     vs = vertex_tuple(members)
-    index = {v: i for i, v in enumerate(vs)}
-    rows = [0] * len(vs)
-    for i, v in enumerate(vs):
+    index = {v: 1 << i for i, v in enumerate(vs)}
+    rows = []
+    for v in vs:
+        row = 0
         for u in bits(G.adj[v] & members):
-            rows[i] |= 1 << index[u]
-    return Graph(len(vs), tuple(rows))
+            row |= index[u]
+        rows.append(row)
+    return tuple(rows)
 
 
 def reachable_set(G: Graph, start: int, within: Mask | None = None) -> Mask:
@@ -306,14 +327,9 @@ def extreme_vertices(G: Graph) -> Mask:
     """Vertices whose neighborhood induces a complete subgraph.
 
     Includes isolated and pendant vertices; every geodetic set must contain
-    all of these.
+    all of these.  Read from the graph's ``extreme_vertices`` memo.
     """
-    out = 0
-    for v in range(G.n):
-        nb = G.adj[v]
-        if all(nb & ~G.adj[u] == 1 << u for u in bits(nb)):
-            out |= 1 << v
-    return out
+    return G.extreme_vertices
 
 
 # ---------------------------------------------------------------------------

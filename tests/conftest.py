@@ -7,6 +7,7 @@ import pytest
 
 import coronageo
 from coronageo.corpus import census_graphs
+from coronageo.geodesic import _block_pick
 
 # Directory holding the imported ``coronageo`` package, so that CLI
 # subprocesses run the same checkout as the in-process tests, installed or not.
@@ -16,6 +17,13 @@ _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(coronageo.__file
 @functools.lru_cache(maxsize=None)
 def _census(order: int):
     return tuple(census_graphs(order))
+
+
+@pytest.fixture(autouse=True)
+def cold_block_picks():
+    """Each test starts with an empty block-pick cache, which otherwise lives
+    as long as the process, so no test depends on the ones run before it."""
+    _block_pick.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coronageo import graphs, subsets
+from coronageo import geodesic, graphs, subsets
 from coronageo.errors import CapExceeded, DomainError
 from coronageo.formats import encode_graph6, parse_graph6
 from coronageo.geodesic import (
     GeodeticResult,
+    _block_pick,
     geodetic_number,
     interval,
     is_geodetic,
@@ -29,6 +30,7 @@ from coronageo.graphs import (
     mask_of,
     path,
     vertex_tuple,
+    wheel,
 )
 from coronageo.subsets import ascending_subsets, candidate_rank, first_cover
 
@@ -397,16 +399,44 @@ def test_tables_are_computed_once_per_graph(monkeypatch):
     bfs = graphs.bfs_distances
     monkeypatch.setattr(graphs, "bfs_distances", lambda g: calls.append(g) or bfs(g))
     g = corona(path(2), cycle(4))[0]
-    geodetic_number(g)
+    geodetic_number(g)  # searches its two K1 ⊙ C4 blocks on one block graph
     k_geodetic_number(g, 2)
     is_geodetic(g, g.full_mask)
     diameter(g)
-    assert calls == [g]  # through the module-level name, which the benchmark tracer wraps
+    # through the module-level name, which the benchmark tracer wraps
+    block, g_calls = [c for c in calls if c is not g], [c for c in calls if c is g]
+    assert g_calls == [g] and len(block) == 1 and block[0].n == 5
     assert g.distances is g.distances and g.intervals is g.intervals
     table = g.intervals
     g.drop_tables()
     assert "distances" not in vars(g) and "intervals" not in vars(g)
-    assert g.intervals == table and calls == [g, g]
+    assert g.intervals == table and calls == [*block, g, g]
+
+
+def test_corona_copies_are_searched_once_without_the_products_tables(monkeypatch):
+    calls = []
+    monkeypatch.setattr(geodesic, "first_cover", lambda *a: calls.append(a) or first_cover(*a))
+    prod = corona(path(4), cycle(5))[0]
+    r = geodetic_number(prod, cap=prod.n)  # order 24, above the default cap
+    assert "intervals" not in vars(prod) and "distances" not in vars(prod)
+    assert len(calls) == 1 and calls[0][1] == 6  # one K1 ⊙ C5 for the four copies
+    assert r.value == 4 * geodetic_number(wheel(5)).value == 12
+    assert is_geodetic(prod, mask_of(r.witness))
+
+
+def test_block_picks_are_keyed_by_the_forced_vertices_too(census):
+    # Both graphs hold a C4 block with rows (12, 12, 3, 3): DbW forces its
+    # local vertex 0 and picks 1, EBy? forces 3 and picks 2.
+    cases = [parse_graph6(code) for code in ("DbW", "EBy?", "DbW")]
+    for g in cases:
+        assert geodetic_number(g) == _flat(g), encode_graph6(g)
+    assert _block_pick((12, 12, 3, 3), 1) == 2 and _block_pick((12, 12, 3, 3), 8) == 4
+    graphs_7 = [g for order in range(1, 8) for g in census(order)]
+    cold = []
+    for g in graphs_7:
+        _block_pick.cache_clear()
+        cold.append(geodetic_number(g))
+    assert [geodetic_number(g) for g in graphs_7] == cold  # each reads the picks of those before it
 
 
 def test_k_geodetic_search_leaves_the_shared_table_as_it_is(census):

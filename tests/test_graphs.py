@@ -22,6 +22,7 @@ from coronageo.graphs import (
     extreme_vertices,
     fan,
     from_edge_list,
+    induced_rows,
     induced_subgraph,
     is_complete,
     is_connected,
@@ -292,6 +293,14 @@ def test_extreme_double_loop_on_disconnected_graphs():
         assert vertex_tuple(extreme_vertices(g)) == tuple(sorted(extreme_by_double_loop(g)))
 
 
+def test_extreme_vertices_are_computed_once_per_graph():
+    g = fan(4)
+    ext = extreme_vertices(g)
+    assert vars(g)["extreme_vertices"] == ext == mask_of([1, 4])
+    g.drop_tables()
+    assert "extreme_vertices" not in vars(g) and extreme_vertices(g) == ext
+
+
 # --- induced subgraphs and neighborhoods ------------------------------------
 
 
@@ -305,6 +314,12 @@ def test_induced_single_vertex_and_full_set():
     g = cycle(4)
     assert induced_subgraph(g, 0b0100) == complete(1)
     assert induced_subgraph(g, g.full_mask) == g
+
+
+def test_induced_rows_are_the_induced_subgraphs_rows(census):
+    for g in census(5):
+        for members in range(1, 1 << g.n):
+            assert induced_rows(g, members) == induced_subgraph(g, members).adj
 
 
 def test_induced_rejects_empty_and_foreign_sets():
