@@ -29,6 +29,15 @@ EXIT_CAP = 3
 MEASURES = ("g", "g2", "gk", "s", "diameter", "extreme", "interval",
             "steiner-distance", "steiner-hull")
 
+# the corpus and parameter flags of ``verify`` that each kind of claim takes
+VERIFY_FLAGS = {
+    "single": ("family_g", "family_h", "random"),
+    "pair": ("family_g", "family_h", "random"),
+    "pendant": ("family_g", "family_h", "random", "k"),
+    "range": ("range",),
+    "g_range": ("family_g", "range"),
+}
+
 
 def _load_one_graph(g6: str | None, edges_path: str | None, what: str) -> Graph:
     if (g6 is None) == (edges_path is None):
@@ -189,13 +198,18 @@ def _random_corpus(args: argparse.Namespace) -> CorpusSpec | None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    """Map the corpus flags onto the claim's arguments; ``build_items``
-    reports any argument that is still missing, before any output.  Each
-    report is written as it arrives and tallied for the summary line and
-    the exit code.  An error mid-run leaves the reports before it, with no
-    summary line."""
+    """Map the corpus flags onto the claim's arguments; a flag the claim
+    does not take is an error, and ``build_items`` reports any argument that
+    is still missing, both before any output.  Each report is written as it
+    arrives and tallied for the summary line and the exit code.  An error
+    mid-run leaves the reports before it, with no summary line."""
     caps = _caps(args)
     kind = THEOREMS[args.theorem].kind
+    for flag in ("family_g", "family_h", "random", "range", "k"):
+        if getattr(args, flag) is not None and flag not in VERIFY_FLAGS[kind]:
+            raise DomainError(f"{args.theorem} does not take --{flag.replace('_', '-')}")
+    if args.seed is not None and args.random is None:
+        raise DomainError("--seed needs --random")
     corpus = _corpus_from_flags(args, which="g")
     corpus_h = _corpus_from_flags(args, which="h")
     rand = _random_corpus(args)

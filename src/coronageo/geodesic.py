@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache, reduce
+from operator import and_
 
 from .errors import CapExceeded, DomainError
 from .graphs import (
@@ -82,6 +83,45 @@ def is_geodetic(G: Graph, members: Mask) -> bool:
 def _require_connected(G: Graph) -> None:
     if not is_connected(G):
         raise DomainError("search requires a connected graph")
+
+
+@cache
+def _set_patterns(n: int) -> tuple[int, ...]:
+    """``Q[u]`` for order n: bit W set exactly when u is in the vertex set W,
+    that is runs of 2^u zero bits and 2^u one bits, repeated to 2^n bits."""
+    Q = []
+    for u in range(n):
+        q, width = ((1 << (1 << u)) - 1) << (1 << u), 2 << u
+        while width < 1 << n:
+            q |= q << width
+            width <<= 1
+        Q.append(q)
+    return tuple(Q)
+
+
+def geodetic_sets(G: Graph, *, cap: int = DEFAULT_GEODETIC_CAP) -> int:
+    """An int of 2^n bits whose bit W is set exactly when the vertex set W
+    is geodetic.
+
+    w is in the closure of W when w is in W, or when some pair u < v of W
+    has w in I[u, v].  So with ``Q[u]`` the sets that hold u, the sets whose
+    closure holds w are ``cover[w]`` = Q[w] OR the Q[u] & Q[v] over the pairs
+    with w in I[u, v], and the geodetic sets are the AND of every
+    ``cover[w]``: about n^3 / 2 operations on 2^n-bit ints, one bit per set
+    (the word-parallel idea of Knuth, TAOCP 4A, §7.1.3).  No Q[u] holds bit
+    0, so the empty set is never geodetic.
+    """
+    _require_connected(G)
+    if G.n > cap:
+        raise CapExceeded(f"geodetic search capped at n <= {cap}, got {G.n}")
+    Q = _set_patterns(G.n)
+    cover = list(Q)
+    for u, row in enumerate(G.intervals):
+        for v in range(u + 1, G.n):
+            both = Q[u] & Q[v]
+            for w in bits(row[v] & ~(1 << u | 1 << v)):
+                cover[w] |= both
+    return reduce(and_, cover)
 
 
 @lru_cache(maxsize=_BLOCK_PICK_CACHE_SIZE)

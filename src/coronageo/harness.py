@@ -31,6 +31,7 @@ from .formats import encode_graph6
 from .geodesic import (
     DEFAULT_GEODETIC_CAP,
     geodetic_number,
+    geodetic_sets,
     is_geodetic,
     k_geodetic_number,
 )
@@ -646,50 +647,43 @@ def check_steiner_k1_iff_diam2(H: Graph, caps: Caps = Caps()) -> Outcome:
 # Geodetic-vs-Steiner checkers.
 
 
+_FLAG_DIGITS = b"01" + bytes(254)  # translate table: 0/1 flags to ASCII digits
+
+
 @claim("DIAM2_STEINER_GEODETIC", "single", "every Steiner set of a diameter-2 graph is geodetic")
 def check_diam2_steiner_geodetic(G: Graph, caps: Caps = Caps()) -> Outcome:
-    """Checks that on diameter-2 graphs every Steiner set is geodetic.
+    """Checks that on diameter-2 graphs every Steiner set is geodetic, at
+    every order within the caps.
 
-    Order <= 8 (tier A): read every Steiner set from ``steiner_sets`` and
-    test each, in increasing mask order, against one interval table; s and
-    its witness come from the same flags.  Any order within caps: assert
-    g <= s and that the canonical minimum Steiner witness is geodetic.  The
-    claim is false: in ``Gvxi]?`` (order 8) the set {2, 6, 7} is a Steiner
-    set but not a geodetic set.
+    The flags of ``steiner_sets`` are packed to one bit per vertex set, and
+    the Steiner sets that are not geodetic are those bits AND NOT
+    ``geodetic_sets``.  The offender is the lowest of them, the first in
+    increasing mask order, and ``steiner_sets_checked`` counts the Steiner
+    sets up to and including it (all of them when there is none).  s and
+    its witness come from the same flags, and g from ``geodetic_number``.
+    ``tier_a`` is always 1.  The claim is false: in ``Gvxi]?`` (order 8) the
+    set {2, 6, 7} is a Steiner set but not a geodetic set, and so are
+    {1, 3, 6, 8} in ``Ithp^a?Zw`` (order 10) and {2, 3, 6, 7, 8} in
+    ``K~Pc[LGeEZsh`` (order 12).
     """
     _need(diameter(G) == 2, R_DIAM_NE_2)
     rg = geodetic_number(G, cap=caps.geodetic)
-    tier_a = G.n <= 8
-    flags = steiner_sets(G, cap=caps.steiner) if tier_a else b""
-    rs = _first_steiner_set(flags) if tier_a else steiner_number(G, cap=caps.steiner)
-    I = G.intervals
-
-    def geodetic(members: Mask) -> bool:
-        vs = vertex_tuple(members)
-        acc = members
-        for i, u in enumerate(vs):
-            row = I[u]
-            for v in vs[i + 1:]:
-                acc |= row[v]
-        return acc == G.full_mask
-
-    checked = 0
-    offender: Mask | None = None
-    for members in itertools.compress(range(len(flags)), flags):
-        checked += 1
-        if not geodetic(members):
-            offender = members
-            break
-    min_witness_geodetic = geodetic(mask_of(rs.witness))
+    flags = steiner_sets(G, cap=caps.steiner)
+    rs = _first_steiner_set(flags)
+    geo = geodetic_sets(G, cap=caps.geodetic)
+    steiner = int(flags.translate(_FLAG_DIGITS)[::-1], 2)
+    bad = steiner & ~geo
+    first = bad & -bad  # 0 when every Steiner set is geodetic
+    min_witness_geodetic = geo >> mask_of(rs.witness) & 1
     computed = {
         "g": rg.value,
         "s": rs.value,
-        "tier_a": int(tier_a),
-        "steiner_sets_checked": checked,
-        "min_steiner_witness_geodetic": int(min_witness_geodetic),
+        "tier_a": 1,
+        "steiner_sets_checked": (steiner & ((first << 1) - 1)).bit_count(),
+        "min_steiner_witness_geodetic": min_witness_geodetic,
     }
-    ok = rg.value <= rs.value and min_witness_geodetic and offender is None
-    witness = [vertex_tuple(offender)] if offender is not None else [rs.witness]
+    ok = not bad  # rs.witness is a Steiner set, so g <= s and its bit follow
+    witness = [vertex_tuple(first.bit_length() - 1)] if bad else [rs.witness]
     return ok, computed, witness, None
 
 

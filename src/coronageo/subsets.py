@@ -102,12 +102,15 @@ def first_cover(table: Sequence[Sequence[Mask]], n: int, forced: Mask) -> tuple[
                 return found | 1 << free[i]
         return None
 
-    if forced:
-        explored = 1
-        if closure == full:
-            return forced, explored
-    for need in range(1, m + 1):
-        found = search(closure, rows, 0, need)
-        if found is not None:
-            return forced | found, explored
-    return None, explored
+    try:
+        if forced:
+            explored = 1
+            if closure == full:
+                return forced, explored
+        for need in range(1, m + 1):
+            found = search(closure, rows, 0, need)
+            if found is not None:
+                return forced | found, explored
+        return None, explored
+    finally:
+        del search  # it refers to itself; without this the tables wait for the cyclic GC

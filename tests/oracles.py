@@ -20,9 +20,10 @@ witness and ``explored`` count:
   prefix-incremental cover search (``subsets.first_cover``) behind
   ``geodetic_number`` and ``k_geodetic_number``: they walk
   ``ascending_subsets`` and rebuild each candidate's closure pair by pair;
-* ``diam2_tier_a_by_dp`` pins tier A of ``DIAM2_STEINER_GEODETIC``, which
-  reads its Steiner sets from ``steiner_sets``, to the single-set Steiner DP
-  and ``is_geodetic`` on every vertex set;
+* ``diam2_tier_a_by_dp`` pins the ``DIAM2_STEINER_GEODETIC`` check, which
+  reads its Steiner sets from ``steiner_sets`` and its geodetic sets from
+  ``geodetic_sets`` at every order, to the single-set Steiner DP and
+  ``is_geodetic`` on every vertex set;
 * ``in_every_steiner_tree_by_dp`` is the single-set DP test that part (i) of
   ``STEINER_CORONA_STRUCT`` made before it became a cut test
   (``harness._separates``);

@@ -237,6 +237,18 @@ _RANDOM_H = ("--random", "n=4,p=0.5,count=1", "--seed", "1")
                  id="g_range-no-range"),
     pytest.param("PENDANT_COROLLARY", ("--family-g", "path:2..3", "--family-h", "path:2..3"),
                  "needs k", id="pendant-no-k"),
+    # a flag the claim does not take is refused, not dropped
+    pytest.param("GEO_KN", ("--family-g", "all-connected:1..3", "--range", "1..2"),
+                 "does not take --range", id="single-takes-no-range"),
+    pytest.param("GEO_BOUNDS", ("--family-g", "path:2..3", "--family-h", "path:2..3", "--k", "2"),
+                 "does not take --k", id="pair-takes-no-k"),
+    pytest.param("PENDANT_COROLLARY", ("--family-g", "path:2..3", "--family-h", "path:2..3",
+                                       "--k", "2", "--range", "1..3"),
+                 "does not take --range", id="pendant-takes-no-range"),
+    pytest.param("WHEEL_GEO", ("--range", "3..5", "--family-g", "path:2..3"),
+                 "does not take --family-g", id="range-takes-no-corpus"),
+    pytest.param("CORONA_CYCLE_PATH", ("--family-g", "path:2..3", "--range", "1..2", *_RANDOM_H),
+                 "does not take --random", id="g_range-takes-no-random"),
 ])
 def test_verify_argument_errors_name_the_theorem(run_cli, theorem, flags, missing):
     """Every argument path of ``verify`` that lacks or doubles an argument
@@ -251,6 +263,12 @@ def test_verify_argument_errors_name_the_theorem(run_cli, theorem, flags, missin
 def test_verify_random_requires_seed(run_cli):
     res = run_cli("verify", "--theorem", "DIAM2_G_LE_S", "--random", "n=6,p=0.5,count=2")
     assert res.returncode == 2
+
+
+def test_verify_seed_requires_random(run_cli):
+    res = run_cli("verify", "--theorem", "GEO_KN", "--family-g", "path:2..3", "--seed", "1")
+    assert res.returncode == 2 and res.stdout == ""
+    assert "--seed needs --random" in res.stderr
 
 
 def test_verify_output_is_valid_json_lines(run_cli):

@@ -1,3 +1,4 @@
+import gc
 import itertools
 from math import comb
 
@@ -12,6 +13,7 @@ from coronageo.geodesic import (
     GeodeticResult,
     _block_pick,
     geodetic_number,
+    geodetic_sets,
     interval,
     is_geodetic,
     k_geodetic_number,
@@ -32,6 +34,8 @@ from coronageo.graphs import (
     vertex_tuple,
     wheel,
 )
+from coronageo.harness import check_diam2_steiner_geodetic
+from coronageo.steiner import _first_steiner_set, steiner_number
 from coronageo.subsets import ascending_subsets, candidate_rank, first_cover
 
 from oracles import (
@@ -446,6 +450,99 @@ def test_k_geodetic_search_leaves_the_shared_table_as_it_is(census):
             k_geodetic_number(g, k)
         assert g.intervals == table and all(type(row) is tuple for row in g.intervals)
         assert geodetic_number(g) == _flat(from_edge_list(g.n, g.edges()))
+
+
+# --- every geodetic set as one bitset ---------------------------------------------
+
+
+def _assert_sets_match_is_geodetic(g):
+    geo = geodetic_sets(g)
+    assert geo >> (1 << g.n) == 0 and geo & 1 == 0  # 2^n bits, the empty set not among them
+    for members in range(1, 1 << g.n):
+        assert geo >> members & 1 == is_geodetic(g, members), (encode_graph6(g), members)
+
+
+def test_geodetic_sets_match_is_geodetic_on_census(census):
+    checked = 0
+    for order in range(1, 7):
+        for g in census(order):
+            _assert_sets_match_is_geodetic(g)
+            checked += 1
+    assert checked == 143
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_geodetic_sets_match_is_geodetic_hypothesis(data):
+    n = data.draw(st.integers(min_value=1, max_value=10))
+    tree = [(data.draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    extra = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)) if pairs else []
+    _assert_sets_match_is_geodetic(from_edge_list(n, sorted(set(tree) | set(extra))))
+
+
+_DIGIT_FLAGS = bytes(49) + b"\1" + bytes(206)  # translate table: ASCII '0'/'1' to 0/1
+
+
+def _assert_first_set_is_geodetic_number(g):
+    """The first set of ``geodetic_sets``, by cardinality then lexicographic
+    order, is ``geodetic_number``'s value and witness, and its rank with the
+    extreme vertices forced is ``explored``."""
+    geo = geodetic_sets(g)
+    first = _first_steiner_set(format(geo, f"0{1 << g.n}b")[::-1].encode().translate(_DIGIT_FLAGS))
+    r = geodetic_number(g)
+    assert (first.value, first.witness) == (r.value, r.witness), encode_graph6(g)
+    assert candidate_rank(mask_of(first.witness), g.full_mask, extreme_vertices(g)) == r.explored
+
+
+def test_first_geodetic_set_is_geodetic_number_on_census(census):
+    checked = 0
+    for order in range(1, 8):
+        for g in census(order):
+            _assert_first_set_is_geodetic_number(g)
+            checked += 1
+    assert checked == 996
+
+
+def test_first_geodetic_set_is_geodetic_number_on_corona_products(census):
+    checked = 0
+    for g in (g for order in range(1, 5) for g in census(order)):
+        for h in (h for order in range(1, 6) for h in census(order)):
+            if g.n * (h.n + 1) <= 20:
+                product, _ = corona(g, h)
+                _assert_first_set_is_geodetic_number(product)
+                checked += 1
+    assert checked == 184
+
+
+def test_geodetic_sets_errors():
+    with pytest.raises(DomainError):
+        geodetic_sets(empty(3))
+    with pytest.raises(CapExceeded):
+        geodetic_sets(wheel(6), cap=6)
+    with pytest.raises(CapExceeded):
+        geodetic_sets(path(21))
+    assert geodetic_sets(complete(1)) == 1 << 0b1
+    assert geodetic_sets(path(3)) == 1 << 0b101 | 1 << 0b111  # {0, 2} and {0, 1, 2}
+
+
+def test_searches_leave_no_reference_cycles(census):
+    """Each call's tables are freed by reference counting when it returns,
+    not left for the cyclic collector."""
+    calls = (geodetic_number, lambda g: k_geodetic_number(g, 2), steiner_number,
+             geodetic_sets, check_diam2_steiner_geodetic)
+    sample = census(7)[:40]
+    for call in calls:  # fill the per-order caches first
+        call(sample[0])
+    gc.collect()
+    gc.disable()
+    try:
+        for g in sample:
+            for call in calls:
+                call(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # --- canonical search order -------------------------------------------------------

@@ -61,10 +61,17 @@ MANIFEST: dict[str, list[str]] = {
     "parse_error": _verify("GEO_KN", "--family-g", "file:parse_errors.g6"),
     "random_diam2_g_le_s": _verify("DIAM2_G_LE_S", "--random", "n=7,p=0.5,count=12",
                                    "--seed", "3"),
-    # order 8 reaches DIAM2_STEINER_GEODETIC tier A and its FAIL lines
+    # order 8 reaches DIAM2_STEINER_GEODETIC's FAIL lines
     "random_diam2_steiner_geodetic": _verify("DIAM2_STEINER_GEODETIC", "--random",
                                              "n=8,p=0.6,count=40", "--seed", "1",
                                              "--parallel", "1"),
+    # orders 10 and 12 get the full check too: Ithp^a?Zw and K~Pc[LGeEZsh fail it
+    "random_diam2_steiner_geodetic_order10": _verify("DIAM2_STEINER_GEODETIC", "--random",
+                                                     "n=10,p=0.5,count=40", "--seed", "1",
+                                                     "--parallel", "1"),
+    "random_diam2_steiner_geodetic_order12": _verify("DIAM2_STEINER_GEODETIC", "--random",
+                                                     "n=12,p=0.45,count=40", "--seed", "1",
+                                                     "--parallel", "1"),
     # order-15 products: part (i) of STEINER_CORONA_STRUCT with n1 = 3
     "steiner_corona_struct_order15": _verify("STEINER_CORONA_STRUCT",
                                              "--family-g", "all-connected:3..3",

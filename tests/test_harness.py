@@ -7,13 +7,16 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
+import networkx as nx
 import pytest
 
 from coronageo import cli, harness
 from coronageo.corpus import CorpusSpec, random_connected_graph
 from coronageo.errors import DomainError
 from coronageo.formats import encode_graph6, parse_graph6
+from coronageo.geodesic import geodetic_sets
 from coronageo.graphs import (
     complete,
     corona,
@@ -59,8 +62,17 @@ from coronageo.harness import (
     summarize,
     summary_json,
 )
+from coronageo.steiner import steiner_sets
 
-from oracles import diam2_tier_a_by_dp, in_every_steiner_tree_by_dp
+from oracles import (
+    closure_vertices,
+    diam2_tier_a_by_dp,
+    in_every_steiner_tree_by_dp,
+    steiner_hull_brute,
+    to_nx,
+)
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def petersen():
@@ -448,11 +460,52 @@ def test_diam2_steiner_geodetic_counterexample_gvxi():
                           "min_steiner_witness_geodetic": 0}
 
 
-def test_diam2_steiner_geodetic_petersen_tier_b():
+def test_diam2_steiner_geodetic_bitset_holds_only_the_counterexample():
+    g = parse_graph6("Gvxi]?")
+    steiner = sum(1 << members for members, flag in enumerate(steiner_sets(g)) if flag)
+    assert steiner & ~geodetic_sets(g) == 1 << mask_of([2, 6, 7])
+
+
+def test_diam2_steiner_geodetic_petersen_full_check():
     r = check_diam2_steiner_geodetic(petersen())
     assert r.verdict == "PASS"
-    assert r.computed["tier_a"] == 0
+    assert r.computed["tier_a"] == 1
+    assert r.computed["steiner_sets_checked"] == 21  # every Steiner set, at order 10
     assert r.computed["g"] <= r.computed["s"]
+
+
+@pytest.mark.parametrize("code, checked, offender", [
+    ("Ithp^a?Zw", 1, [1, 3, 6, 8]),
+    ("K~Pc[LGeEZsh", 2, [2, 3, 6, 7, 8]),
+])
+def test_diam2_steiner_geodetic_counterexamples_above_order_8(code, checked, offender):
+    """Orders 9 and up get the same full check as order 8 and below; these
+    two graphs pass a test of g <= s and of the minimum Steiner witness
+    alone."""
+    g = parse_graph6(code)
+    r = check_diam2_steiner_geodetic(g)
+    assert r.verdict == "FAIL" and r.computed["min_steiner_witness_geodetic"] == 1
+    assert r.computed["g"] <= r.computed["s"]
+    assert _assert_tier_a_matches_dp(g) == mask_of(offender)
+    assert r.computed["steiner_sets_checked"] == checked
+
+
+def test_diam2_golden_fail_lines_are_confirmed_by_networkx():
+    """Every FAIL line of a golden DIAM2_STEINER_GEODETIC run names a
+    diameter-2 graph and a vertex set that the brute-force oracles find to
+    be a Steiner set and not a geodetic set."""
+    fails = []
+    for path_ in sorted(GOLDEN.glob("*.jsonl")):
+        for line in path_.read_text().splitlines():
+            report = json.loads(line)
+            if report.get("theorem") == "DIAM2_STEINER_GEODETIC" and report["verdict"] == "FAIL":
+                fails.append((report["instance"]["g6"][0], report["witness"][0]))
+    for code, members in fails:
+        g = parse_graph6(code)
+        assert nx.diameter(to_nx(g)) == 2, code
+        assert steiner_hull_brute(g, members) == set(range(g.n)), code
+        assert closure_vertices(g, members) != set(range(g.n)), code
+    assert len(fails) == 5 + 4 + 8  # the orders 8, 10 and 12 random runs
 
 
 def test_diam2_g_le_s():
