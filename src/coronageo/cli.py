@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
-from typing import Iterator
+from collections.abc import Iterator
 
-from .corpus import CENSUS_MAX_ORDER, CorpusSpec, census_lines, parse_range
+from .corpus import CENSUS_MAX_ORDER, CorpusSpec, census_lines, parse_range, read_text
 from .errors import CapExceeded, DomainError, FormatError
 from .formats import encode_graph6, format_edge_list, parse_edge_list, parse_graph6, parse_graph6_lines
 from .geodesic import geodetic_number, interval, k_geodetic_number
@@ -44,7 +43,7 @@ def _load_one_graph(g6: str | None, edges_path: str | None, what: str) -> Graph:
         raise DomainError(f"provide exactly one source for {what} (graph6 or edge-list file)")
     if g6 is not None:
         return parse_graph6(g6)
-    return parse_edge_list(Path(edges_path).read_text())
+    return parse_edge_list(read_text(edges_path))
 
 
 def _load_compute_graphs(args: argparse.Namespace) -> list[Graph]:
@@ -54,8 +53,8 @@ def _load_compute_graphs(args: argparse.Namespace) -> list[Graph]:
     if args.g6 is not None:
         return [parse_graph6(args.g6)]
     if args.g6_file is not None:
-        return parse_graph6_lines(Path(args.g6_file).read_text())
-    return [parse_edge_list(Path(args.edges).read_text())]
+        return parse_graph6_lines(read_text(args.g6_file))
+    return [parse_edge_list(read_text(args.edges))]
 
 
 def _caps(args: argparse.Namespace) -> Caps:

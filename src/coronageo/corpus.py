@@ -12,8 +12,6 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
-from importlib import resources
-from pathlib import Path
 
 from .errors import DomainError, FormatError
 from .formats import graph6_records, parse_graph6
@@ -38,6 +36,13 @@ FAMILIES = {
 }
 
 
+def read_text(path: str) -> str:
+    """The whole text file at ``path``, in the locale's encoding, as
+    ``Path.read_text`` reads it."""
+    with open(path) as f:
+        return f.read()
+
+
 def census_lines(order: int) -> list[str]:
     """graph6 codes of all connected graphs of the given order."""
     if order not in CENSUS_COUNTS:
@@ -45,13 +50,12 @@ def census_lines(order: int) -> list[str]:
     name = f"graph{order}c.g6"
     override = os.environ.get(CENSUS_ENV)
     if override:
-        target = Path(override) / name
-        if not target.exists():
+        target = os.path.join(override, name)
+        if not os.path.exists(target):
             raise DomainError(f"census file not found: {target}")
-        text = target.read_text()
     else:
-        text = resources.files("coronageo").joinpath("data").joinpath(name).read_text()
-    return [ln for ln in text.splitlines() if ln.strip()]
+        target = os.path.join(os.path.dirname(__file__), "data", name)
+    return [ln for ln in read_text(target).splitlines() if ln.strip()]
 
 
 def census_graphs(order: int) -> list[Graph]:
@@ -154,7 +158,7 @@ class CorpusSpec:
             return [
                 CorpusEntry(source=f"{self.path}:{ln}", error=str(parsed))
                 if isinstance(parsed, FormatError) else parsed
-                for ln, parsed in graph6_records(Path(self.path).read_text())
+                for ln, parsed in graph6_records(read_text(self.path))
             ]
         if self.kind == "random":
             if self.seed is None:

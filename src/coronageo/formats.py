@@ -7,7 +7,7 @@ packed big-endian into 6-bit groups, each offset by 63.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from .errors import DomainError, FormatError
 from .graphs import MAX_VERTICES, Graph, from_edge_list

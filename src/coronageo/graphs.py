@@ -7,9 +7,9 @@ the exact searches.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
 
 from .errors import DomainError
 

@@ -22,8 +22,8 @@ import json
 import math
 import os
 import time
+from collections.abc import Callable, Generator, Iterable, Sequence
 from dataclasses import dataclass
-from typing import Callable, Generator, Iterable, Sequence
 
 from .corpus import CorpusEntry, CorpusSpec
 from .errors import CapExceeded, DomainError

@@ -17,14 +17,12 @@ C without v.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce
-from operator import or_
+from functools import cache
 
 from .errors import CapExceeded, DomainError
 from .graphs import (
     Graph,
     Mask,
-    bits,
     is_connected,
     mask_of,
     vertex_tuple,
@@ -68,19 +66,24 @@ def _steiner_distance_table(G: Graph) -> int:
     of each lane keeps the subtraction that compares lanes from borrowing.
     """
     ones, P, pc = _lane_patterns(G.n)
-    low = [ones ^ p for p in P]  # the lanes without v
-    # the lanes that hold v and a neighbour of v
-    touch = [p & reduce(or_, (P[u] for u in bits(row)), 0) for p, row in zip(P, G.adj)]
+    touch = []  # the lanes that hold v and a neighbour of v
+    for p, row in zip(P, G.adj):
+        near = 0
+        while row:
+            low = row & -row
+            near |= P[low.bit_length() - 1]
+            row ^= low
+        touch.append(p & near)
     conn = sum(1 << (8 << v) for v in range(G.n))  # the singletons
     last = 0
     while conn != last:
         last = conn
-        for v, (lo, t) in enumerate(zip(low, touch)):
-            conn |= ((conn & lo) << (8 << v)) & t
+        for v, (p, t) in enumerate(zip(P, touch)):
+            conn |= ((conn & (ones ^ p)) << (8 << v)) & t
     x = (pc - conn) | (ones ^ conn) * _FAR  # |C| - 1 in the connected lanes
     guard = ones << 7
-    for v, lo in enumerate(low):  # lane C without v takes min(C, C + v)
-        m = lo * 0xFF
+    for v, p in enumerate(P):  # lane C without v takes min(C, C + v)
+        m = (ones ^ p) * 0xFF
         a, b = x & m, (x >> (8 << v)) & m
         ge = ((a | guard) - b) & guard  # 0x80 in the lanes where a >= b
         x ^= (a ^ b) & (ge - (ge >> 7))  # there, a ^ (a ^ b) = b

@@ -8,10 +8,10 @@ relative order as the unrestricted enumeration.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from itertools import accumulate, combinations
 from math import comb
 from operator import or_
-from typing import Iterator, Sequence
 
 from .graphs import Mask, mask_of, vertex_tuple
 
@@ -36,7 +36,8 @@ def candidate_rank(members: Mask, universe: Mask, forced: Mask = 0) -> int:
     free vertices (for j = 0, ``forced`` itself, which is no candidate when
     empty), and the t-sets lexicographically before its sorted free
     positions (p_0 < ... < p_{t-1}), which number the sum over j of
-    C(m - 1 - x, t - 1 - j) for p_{j-1} < x < p_j.
+    C(m - 1 - x, t - 1 - j) for p_{j-1} < x < p_j.  By the hockey-stick
+    identity each inner sum is C(m - p_{j-1} - 1, t - j) - C(m - p_j, t - j).
     """
     free = vertex_tuple(universe & ~forced)
     m = len(free)
@@ -45,7 +46,7 @@ def candidate_rank(members: Mask, universe: Mask, forced: Mask = 0) -> int:
     rank = sum(comb(m, j) for j in range(t)) + 1 - (forced == 0)
     start = 0
     for j, p in enumerate(picks):
-        rank += sum(comb(m - 1 - x, t - 1 - j) for x in range(start, p))
+        rank += comb(m - start, t - j) - comb(m - p, t - j)
         start = p + 1
     return rank
 

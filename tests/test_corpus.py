@@ -1,7 +1,9 @@
+import os
 import random
 
 import pytest
 
+from coronageo import corpus
 from coronageo.corpus import (
     CENSUS_COUNTS,
     CorpusEntry,
@@ -45,6 +47,24 @@ def test_census_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("CORONA_CENSUS_DIR", str(tmp_path / "missing"))
     with pytest.raises(DomainError):
         census_lines(2)
+
+
+@pytest.mark.parametrize("order", range(1, 8))
+def test_census_dir_set_to_the_bundled_data_reads_the_same_lines(order, monkeypatch):
+    monkeypatch.delenv("CORONA_CENSUS_DIR", raising=False)
+    bundled = census_lines(order)
+    data = os.path.join(os.path.dirname(corpus.__file__), "data")
+    for override in (data, data + os.sep):
+        monkeypatch.setenv("CORONA_CENSUS_DIR", override)
+        assert census_lines(order) == bundled
+
+
+def test_census_missing_file_names_the_joined_path(tmp_path, monkeypatch):
+    for override in (str(tmp_path), str(tmp_path) + os.sep):
+        monkeypatch.setenv("CORONA_CENSUS_DIR", override)
+        with pytest.raises(DomainError) as err:
+            census_lines(3)
+        assert str(err.value) == f"census file not found: {tmp_path / 'graph3c.g6'}"
 
 
 def test_parse_range():

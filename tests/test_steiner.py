@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -20,9 +21,11 @@ from coronageo.graphs import (
     path,
     star,
     vertex_tuple,
+    wheel,
 )
 from coronageo.steiner import (
     _first_steiner_set,
+    _lane_patterns,
     _steiner_distance_table,
     is_steiner_set,
     steiner_distance,
@@ -294,6 +297,21 @@ def test_lane_table_matches_byte_table_order_16():
     prod, _ = corona(path(2), cycle(7))
     assert prod.n == 16
     _assert_lanes_match_byte_table(prod)
+
+
+def test_lane_table_memory_at_order_20():
+    # the cached lane patterns hold n ints of 2^n bytes (20 MiB here); the
+    # table build on top of them keeps one more list of n lane ints, the
+    # neighbour lanes, and a few whole-table temporaries
+    g = wheel(19)
+    _lane_patterns(g.n)
+    tracemalloc.start()
+    try:
+        _steiner_distance_table(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 << 20, f"{peak / (1 << 20):.1f} MiB"
 
 
 @pytest.mark.parametrize("n", range(1, 7))
