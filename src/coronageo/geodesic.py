@@ -99,9 +99,9 @@ def _set_patterns(n: int) -> tuple[int, ...]:
     return tuple(Q)
 
 
-def geodetic_sets(G: Graph, *, cap: int = DEFAULT_GEODETIC_CAP) -> int:
+def geodetic_sets(G: Graph, k: int | None = None, *, cap: int = DEFAULT_GEODETIC_CAP) -> int:
     """An int of 2^n bits whose bit W is set exactly when the vertex set W
-    is geodetic.
+    is geodetic, or k-geodetic when ``k`` is given.
 
     w is in the closure of W when w is in W, or when some pair u < v of W
     has w in I[u, v].  So with ``Q[u]`` the sets that hold u, the sets whose
@@ -109,19 +109,47 @@ def geodetic_sets(G: Graph, *, cap: int = DEFAULT_GEODETIC_CAP) -> int:
     with w in I[u, v], and the geodetic sets are the AND of every
     ``cover[w]``: about n^3 / 2 operations on 2^n-bit ints, one bit per set
     (the word-parallel idea of Knuth, TAOCP 4A, §7.1.3).  No Q[u] holds bit
-    0, so the empty set is never geodetic.
+    0, so the empty set is never geodetic.  With ``k``, only the pairs with
+    d(u, v) = k count, as in ``k_geodetic_number``, and the result is 0 when
+    no pair is at distance k (that search's ``value is None``).
     """
     _require_connected(G)
+    if k is not None and k < 2:
+        raise DomainError(f"k-geodetic sets need k >= 2, got {k}")
     if G.n > cap:
         raise CapExceeded(f"geodetic search capped at n <= {cap}, got {G.n}")
     Q = _set_patterns(G.n)
     cover = list(Q)
-    for u, row in enumerate(G.intervals):
+    paired = k is None
+    for u, (row, du) in enumerate(zip(G.intervals, G.distances)):
         for v in range(u + 1, G.n):
+            if k is not None and du[v] != k:
+                continue
+            paired = True
             both = Q[u] & Q[v]
             for w in bits(row[v] & ~(1 << u | 1 << v)):
                 cover[w] |= both
-    return reduce(and_, cover)
+    return reduce(and_, cover) if paired else 0
+
+
+@cache
+def _size_layers(n: int) -> tuple[int, ...]:
+    """``L[j]`` for order n: bit W set exactly when |W| = j.  Adding vertex
+    u doubles the sets, and W + u has bit W + 2^u and one more member, so
+    each step is L[j] | L[j - 1] << 2^u, with no pass over the 2^n sets."""
+    L = [1]
+    for u in range(n):
+        L = [a | b << (1 << u) for a, b in zip(L + [0], [0] + L)]
+    return tuple(L)
+
+
+def least_size(sets: int, n: int) -> int | None:
+    """The least |W| over the bits W of ``sets``, a set of vertex sets of
+    an order-n graph such as ``geodetic_sets`` returns; None when it is 0."""
+    for j, layer in enumerate(_size_layers(n)):
+        if sets & layer:
+            return j
+    return None
 
 
 @lru_cache(maxsize=_BLOCK_PICK_CACHE_SIZE)

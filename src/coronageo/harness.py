@@ -34,6 +34,7 @@ from .geodesic import (
     geodetic_sets,
     is_geodetic,
     k_geodetic_number,
+    least_size,
 )
 from .graphs import (
     MAX_VERTICES,
@@ -660,23 +661,23 @@ def check_diam2_steiner_geodetic(G: Graph, caps: Caps = Caps()) -> Outcome:
     ``geodetic_sets``.  The offender is the lowest of them, the first in
     increasing mask order, and ``steiner_sets_checked`` counts the Steiner
     sets up to and including it (all of them when there is none).  s and
-    its witness come from the same flags, and g from ``geodetic_number``.
+    its witness come from the same flags, and g is the least size in
+    ``geodetic_sets``.
     ``tier_a`` is always 1.  The claim is false: in ``Gvxi]?`` (order 8) the
     set {2, 6, 7} is a Steiner set but not a geodetic set, and so are
     {1, 3, 6, 8} in ``Ithp^a?Zw`` (order 10) and {2, 3, 6, 7, 8} in
     ``K~Pc[LGeEZsh`` (order 12).
     """
     _need(diameter(G) == 2, R_DIAM_NE_2)
-    rg = geodetic_number(G, cap=caps.geodetic)
+    geo = geodetic_sets(G, cap=caps.geodetic)
     flags = steiner_sets(G, cap=caps.steiner)
     rs = _first_steiner_set(flags)
-    geo = geodetic_sets(G, cap=caps.geodetic)
     steiner = int(flags.translate(_FLAG_DIGITS)[::-1], 2)
     bad = steiner & ~geo
     first = bad & -bad  # 0 when every Steiner set is geodetic
     min_witness_geodetic = geo >> mask_of(rs.witness) & 1
     computed = {
-        "g": rg.value,
+        "g": least_size(geo, G.n),
         "s": rs.value,
         "tier_a": 1,
         "steiner_sets_checked": (steiner & ((first << 1) - 1)).bit_count(),

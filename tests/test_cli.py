@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from coronageo import cli, graphs
 from coronageo.formats import encode_graph6, parse_edge_list, parse_graph6
+from coronageo.geodesic import geodetic_number, k_geodetic_number
 from coronageo.graphs import complete, corona, cycle, mask_of, path, vertex_tuple
 
 from oracles import steiner_hull_by_dp
@@ -320,6 +322,46 @@ def test_census_cap_error_prints_no_rows(run_cli, fmt):
     assert res.returncode == 3, res.stderr
     assert res.stdout == ""
     assert res.stderr.strip() == "error: geodetic search capped at n <= 5, got 7"
+
+
+def _census_rows(capsys, order):
+    assert cli.main(["census", "--order", str(order), "--json"]) == 0
+    return [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
+
+
+def test_census_values_match_the_searches(capsys):
+    """census reads g and g2 off ``geodetic_sets``; each row still holds the
+    values of the two minimum-set searches."""
+    checked = 0
+    for order in range(1, 8):
+        for row in _census_rows(capsys, order):
+            g = parse_graph6(row["g6"])
+            assert row["g"] == geodetic_number(g).value, row
+            assert row["g2"] == k_geodetic_number(g, 2).value, row
+            checked += 1
+    assert checked == 996
+
+
+def test_census_runs_one_bfs_and_no_search_per_graph(capsys, monkeypatch):
+    """Work guard: a census row builds the graph's distance table once and
+    runs neither minimum-set search."""
+    calls = {"bfs": 0, "search": 0}
+    bfs = graphs.bfs_distances
+
+    def counted_bfs(G):
+        calls["bfs"] += 1
+        return bfs(G)
+
+    def search(*args, **kwargs):
+        calls["search"] += 1
+        raise AssertionError("census ran a minimum-set search")
+
+    monkeypatch.setattr(graphs, "bfs_distances", counted_bfs)
+    monkeypatch.setattr(cli, "geodetic_number", search)
+    monkeypatch.setattr(cli, "k_geodetic_number", search)
+    rows = _census_rows(capsys, 6)
+    assert len(rows) == 112
+    assert calls == {"bfs": 112, "search": 0}
 
 
 def test_census_missing_order_exits_2(run_cli):

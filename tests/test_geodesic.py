@@ -17,6 +17,7 @@ from coronageo.geodesic import (
     interval,
     is_geodetic,
     k_geodetic_number,
+    least_size,
 )
 from coronageo.graphs import (
     bfs_distances,
@@ -322,6 +323,7 @@ def test_cover_search_matches_references_hypothesis(data):
     assert _unforced(g) == geodetic_search_by_closure(g, 0)
     for k in (2, 3):
         assert k_geodetic_number(g, k) == k_geodetic_search_by_closure(g, k)
+        _assert_first_k_set_is_k_geodetic_number(g, k)
 
 
 # GEO_CORONA_EQ products G ⊙ H of order 15-20 whose witnesses lie thousands of
@@ -484,15 +486,35 @@ def test_geodetic_sets_match_is_geodetic_hypothesis(data):
 _DIGIT_FLAGS = bytes(49) + b"\1" + bytes(206)  # translate table: ASCII '0'/'1' to 0/1
 
 
+def _first_set(geo, n):
+    """The first set of a ``geodetic_sets`` bitset, by cardinality then
+    lexicographic order, as ``_first_steiner_set`` reads it."""
+    return _first_steiner_set(format(geo, f"0{1 << n}b")[::-1].encode().translate(_DIGIT_FLAGS))
+
+
 def _assert_first_set_is_geodetic_number(g):
     """The first set of ``geodetic_sets``, by cardinality then lexicographic
     order, is ``geodetic_number``'s value and witness, and its rank with the
-    extreme vertices forced is ``explored``."""
+    extreme vertices forced is ``explored``; ``least_size`` reads the value."""
     geo = geodetic_sets(g)
-    first = _first_steiner_set(format(geo, f"0{1 << g.n}b")[::-1].encode().translate(_DIGIT_FLAGS))
+    first = _first_set(geo, g.n)
     r = geodetic_number(g)
     assert (first.value, first.witness) == (r.value, r.witness), encode_graph6(g)
     assert candidate_rank(mask_of(first.witness), g.full_mask, extreme_vertices(g)) == r.explored
+    assert least_size(geo, g.n) == r.value
+
+
+def _assert_first_k_set_is_k_geodetic_number(g, k):
+    """The same for ``geodetic_sets(g, k)`` and ``k_geodetic_number``: the
+    first set is its value and witness, and 0 is its ``value is None``."""
+    geo = geodetic_sets(g, k)
+    r = k_geodetic_number(g, k)
+    assert least_size(geo, g.n) == r.value, (encode_graph6(g), k)
+    if geo:
+        first = _first_set(geo, g.n)
+        assert (first.value, first.witness) == (r.value, r.witness), (encode_graph6(g), k)
+    else:
+        assert r.unsatisfiable, (encode_graph6(g), k)
 
 
 def test_first_geodetic_set_is_geodetic_number_on_census(census):
@@ -500,6 +522,8 @@ def test_first_geodetic_set_is_geodetic_number_on_census(census):
     for order in range(1, 8):
         for g in census(order):
             _assert_first_set_is_geodetic_number(g)
+            for k in (2, 3):
+                _assert_first_k_set_is_k_geodetic_number(g, k)
             checked += 1
     assert checked == 996
 
@@ -524,6 +548,41 @@ def test_geodetic_sets_errors():
         geodetic_sets(path(21))
     assert geodetic_sets(complete(1)) == 1 << 0b1
     assert geodetic_sets(path(3)) == 1 << 0b101 | 1 << 0b111  # {0, 2} and {0, 1, 2}
+
+
+def test_k_geodetic_sets_errors_and_empty_results():
+    with pytest.raises(DomainError, match="k-geodetic sets need k >= 2, got 1"):
+        geodetic_sets(path(3), 1)
+    with pytest.raises(DomainError):
+        geodetic_sets(empty(3), 2)
+    with pytest.raises(CapExceeded, match="geodetic search capped at n <= 6, got 7"):
+        geodetic_sets(wheel(6), 2, cap=6)
+    assert geodetic_sets(complete(5), 2) == 0  # no pair at distance 2
+    assert geodetic_sets(path(4), 4) == 0  # the diameter is 3
+    assert least_size(geodetic_sets(complete(5), 2), 5) is None
+    # in P4 the pairs at distance 2 are (0, 2) and (1, 3), so the sets
+    # holding both ends, 0 and 3, with 1 or 2 beside them are 2-geodetic
+    assert geodetic_sets(path(4), 2) == 1 << 0b1011 | 1 << 0b1101 | 1 << 0b1111
+
+
+# --- least size of a set of vertex sets -------------------------------------------
+
+
+def test_size_layers_hold_each_set_at_its_popcount():
+    for n in range(11):
+        layers = geodesic._size_layers(n)
+        assert len(layers) == n + 1
+        assert sum(layers) == (1 << (1 << n)) - 1  # disjoint, and every set is in one
+        for j, layer in enumerate(layers):
+            assert [w for w in range(1 << n) if layer >> w & 1] == \
+                [w for w in range(1 << n) if w.bit_count() == j], (n, j)
+
+
+def test_least_size_reads_the_smallest_set():
+    assert least_size(0, 4) is None
+    assert least_size(1 << 0b1110 | 1 << 0b1000, 4) == 1
+    assert least_size(1 << 0b1111, 4) == 4
+    assert least_size(1 << 0b0101 | 1 << 0b0111, 4) == 2
 
 
 def test_searches_leave_no_reference_cycles(census):
