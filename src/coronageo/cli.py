@@ -14,11 +14,12 @@ from collections.abc import Iterator
 from .corpus import CENSUS_MAX_ORDER, CorpusSpec, census_lines, parse_range, read_text
 from .errors import CapExceeded, DomainError, FormatError
 from .formats import encode_graph6, format_edge_list, parse_edge_list, parse_graph6, parse_graph6_lines
-from .geodesic import geodetic_number, geodetic_sets, interval, k_geodetic_number, least_size
+from .geodesic import geodetic_number, geodetic_sets, interval, k_geodetic_number
 from .graphs import Graph, corona, diameter, extreme_vertices, mask_of, vertex_tuple
 from .harness import (Caps, THEOREM_IDS, THEOREMS, VerificationReport, jsonline, run_corpus,
                       summarize, summary_json)
 from .steiner import steiner_distance, steiner_hull, steiner_number
+from .subsets import least_size
 
 EXIT_OK = 0
 EXIT_FAIL = 1

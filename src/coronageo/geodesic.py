@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache, reduce
+from functools import lru_cache, reduce
 from operator import and_
 
 from .errors import CapExceeded, DomainError
@@ -17,7 +17,7 @@ from .graphs import (
     is_connected,
     vertex_tuple,
 )
-from .subsets import candidate_rank, first_cover
+from .subsets import candidate_rank, first_cover, set_patterns
 
 DEFAULT_GEODETIC_CAP = 20
 _BLOCK_PICK_CACHE_SIZE = 1024  # block searches that ``_block_pick`` keeps, across calls
@@ -85,20 +85,6 @@ def _require_connected(G: Graph) -> None:
         raise DomainError("search requires a connected graph")
 
 
-@cache
-def _set_patterns(n: int) -> tuple[int, ...]:
-    """``Q[u]`` for order n: bit W set exactly when u is in the vertex set W,
-    that is runs of 2^u zero bits and 2^u one bits, repeated to 2^n bits."""
-    Q = []
-    for u in range(n):
-        q, width = ((1 << (1 << u)) - 1) << (1 << u), 2 << u
-        while width < 1 << n:
-            q |= q << width
-            width <<= 1
-        Q.append(q)
-    return tuple(Q)
-
-
 def geodetic_sets(G: Graph, k: int | None = None, *, cap: int = DEFAULT_GEODETIC_CAP) -> int:
     """An int of 2^n bits whose bit W is set exactly when the vertex set W
     is geodetic, or k-geodetic when ``k`` is given.
@@ -118,7 +104,7 @@ def geodetic_sets(G: Graph, k: int | None = None, *, cap: int = DEFAULT_GEODETIC
         raise DomainError(f"k-geodetic sets need k >= 2, got {k}")
     if G.n > cap:
         raise CapExceeded(f"geodetic search capped at n <= {cap}, got {G.n}")
-    Q = _set_patterns(G.n)
+    Q = set_patterns(G.n)
     cover = list(Q)
     paired = k is None
     for u, (row, du) in enumerate(zip(G.intervals, G.distances)):
@@ -130,26 +116,6 @@ def geodetic_sets(G: Graph, k: int | None = None, *, cap: int = DEFAULT_GEODETIC
             for w in bits(row[v] & ~(1 << u | 1 << v)):
                 cover[w] |= both
     return reduce(and_, cover) if paired else 0
-
-
-@cache
-def _size_layers(n: int) -> tuple[int, ...]:
-    """``L[j]`` for order n: bit W set exactly when |W| = j.  Adding vertex
-    u doubles the sets, and W + u has bit W + 2^u and one more member, so
-    each step is L[j] | L[j - 1] << 2^u, with no pass over the 2^n sets."""
-    L = [1]
-    for u in range(n):
-        L = [a | b << (1 << u) for a, b in zip(L + [0], [0] + L)]
-    return tuple(L)
-
-
-def least_size(sets: int, n: int) -> int | None:
-    """The least |W| over the bits W of ``sets``, a set of vertex sets of
-    an order-n graph such as ``geodetic_sets`` returns; None when it is 0."""
-    for j, layer in enumerate(_size_layers(n)):
-        if sets & layer:
-            return j
-    return None
 
 
 @lru_cache(maxsize=_BLOCK_PICK_CACHE_SIZE)

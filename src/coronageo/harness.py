@@ -34,7 +34,6 @@ from .geodesic import (
     geodetic_sets,
     is_geodetic,
     k_geodetic_number,
-    least_size,
 )
 from .graphs import (
     MAX_VERTICES,
@@ -60,10 +59,10 @@ from .graphs import (
 )
 from .steiner import (
     DEFAULT_STEINER_CAP,
-    _first_steiner_set,
     steiner_number,
     steiner_sets,
 )
+from .subsets import first_set, least_size
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -648,20 +647,17 @@ def check_steiner_k1_iff_diam2(H: Graph, caps: Caps = Caps()) -> Outcome:
 # Geodetic-vs-Steiner checkers.
 
 
-_FLAG_DIGITS = b"01" + bytes(254)  # translate table: 0/1 flags to ASCII digits
-
-
 @claim("DIAM2_STEINER_GEODETIC", "single", "every Steiner set of a diameter-2 graph is geodetic")
 def check_diam2_steiner_geodetic(G: Graph, caps: Caps = Caps()) -> Outcome:
     """Checks that on diameter-2 graphs every Steiner set is geodetic, at
     every order within the caps.
 
-    The flags of ``steiner_sets`` are packed to one bit per vertex set, and
-    the Steiner sets that are not geodetic are those bits AND NOT
-    ``geodetic_sets``.  The offender is the lowest of them, the first in
-    increasing mask order, and ``steiner_sets_checked`` counts the Steiner
-    sets up to and including it (all of them when there is none).  s and
-    its witness come from the same flags, and g is the least size in
+    ``steiner_sets`` and ``geodetic_sets`` hold one bit per vertex set, so
+    the Steiner sets that are not geodetic are the bits of one AND NOT.  The
+    offender is the lowest of them, the first in increasing mask order, and
+    ``steiner_sets_checked`` counts the Steiner sets up to and including it
+    (all of them when there is none).  s and its witness are
+    ``subsets.first_set`` of the Steiner sets, and g is the least size in
     ``geodetic_sets``.
     ``tier_a`` is always 1.  The claim is false: in ``Gvxi]?`` (order 8) the
     set {2, 6, 7} is a Steiner set but not a geodetic set, and so are
@@ -670,21 +666,19 @@ def check_diam2_steiner_geodetic(G: Graph, caps: Caps = Caps()) -> Outcome:
     """
     _need(diameter(G) == 2, R_DIAM_NE_2)
     geo = geodetic_sets(G, cap=caps.geodetic)
-    flags = steiner_sets(G, cap=caps.steiner)
-    rs = _first_steiner_set(flags)
-    steiner = int(flags.translate(_FLAG_DIGITS)[::-1], 2)
+    steiner = steiner_sets(G, cap=caps.steiner)
+    least = first_set(steiner, G.n)
     bad = steiner & ~geo
     first = bad & -bad  # 0 when every Steiner set is geodetic
-    min_witness_geodetic = geo >> mask_of(rs.witness) & 1
     computed = {
         "g": least_size(geo, G.n),
-        "s": rs.value,
+        "s": least.bit_count(),
         "tier_a": 1,
         "steiner_sets_checked": (steiner & ((first << 1) - 1)).bit_count(),
-        "min_steiner_witness_geodetic": min_witness_geodetic,
+        "min_steiner_witness_geodetic": geo >> least & 1,
     }
-    ok = not bad  # rs.witness is a Steiner set, so g <= s and its bit follow
-    witness = [vertex_tuple(first.bit_length() - 1)] if bad else [rs.witness]
+    ok = not bad  # the least Steiner set is then geodetic, so g <= s and its bit follow
+    witness = [vertex_tuple(first.bit_length() - 1 if bad else least)]
     return ok, computed, witness, None
 
 

@@ -11,7 +11,8 @@ subset: lane C is byte C, little-endian.  Every pass over the table is then
 a few whole-int operations ("SIMD within a register": Lamport, CACM 18(8),
 1975; Knuth, TAOCP 4A, §7.1.3).  ``P[v]`` holds 1 in every lane that
 contains v, and a shift by ``8 << v`` moves lane C to lane C + v for every
-C without v.
+C without v.  ``steiner_sets`` turns lanes into bits, the family form of
+``subsets``, and ``steiner_number`` picks from it with ``first_set``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .graphs import (
     mask_of,
     vertex_tuple,
 )
-from .subsets import candidate_rank
+from .subsets import candidate_rank, first_set
 
 DEFAULT_STEINER_CAP = 16
 
@@ -124,61 +125,41 @@ def is_steiner_set(G: Graph, members: Mask, *, cap: int = DEFAULT_STEINER_CAP) -
     return steiner_hull(G, members, cap=cap) == G.full_mask
 
 
-_ZERO_TO_ONE = bytes([1]) + bytes(255)  # translate table: flag the lanes that are 0
+_ZERO_TO_DIGIT = b"1" + b"0" * 255  # translate table: "1" for a lane that is 0, else "0"
 
 
-def _flags(G: Graph, cap: int, what: str) -> bytearray:
+def _sets(G: Graph, cap: int, what: str) -> int:
     x = _checked_table(G, cap, what)
     ones, P, _ = _lane_patterns(G.n)
     grow = 0  # OR over v of d(W + v) - d(W); 0 in the lanes that hold v
     for v, p in enumerate(P):
         m = (ones ^ p) * 0xFF
         grow |= ((x >> (8 << v)) & m) - (x & m)
-    flags = bytearray(grow.to_bytes(1 << G.n, "little")).translate(_ZERO_TO_ONE)
-    flags[0] = 0
-    return flags
+    return int(grow.to_bytes(1 << G.n, "big").translate(_ZERO_TO_DIGIT), 2) & ~1
 
 
-def steiner_sets(G: Graph, *, cap: int = DEFAULT_STEINER_CAP) -> bytearray:
-    """``flags[W]`` = 1 when the vertex set W is a Steiner set, else 0.
+def steiner_sets(G: Graph, *, cap: int = DEFAULT_STEINER_CAP) -> int:
+    """An int of 2^n bits whose bit W is set exactly when the vertex set W
+    is a Steiner set, the form of ``geodetic_sets``.
 
     W is a Steiner set exactly when d(W + v) = d(W) for every v.  A Steiner
     distance never drops from a set to a superset, so the lane differences
-    d(W + v) - d(W) never borrow, and W qualifies when their OR is 0.  The
-    empty set is not a Steiner set.
+    d(W + v) - d(W) never borrow, and W qualifies when their OR is 0.  Those
+    lanes become bits in one translate of the bytes, read big-endian so that
+    lane W becomes bit W.  The empty set is not a Steiner set.
     """
-    return _flags(G, cap, "Steiner sets are")
-
-
-def _first_steiner_set(flags: bytes) -> SteinerResult:
-    """The canonical minimum Steiner set of ``flags`` (as ``steiner_sets``
-    returns them): the least cardinality s, then the set A for which the
-    lowest bit of A ^ B is in A for every other flagged B of size s.  Its
-    ``explored`` is its ``subsets.candidate_rank`` among all vertex sets.
-    """
-    n = len(flags).bit_length() - 1
-    ones, _, pc = _lane_patterns(n)
-    # popcount in the flagged lanes, 255 elsewhere (lane 0 is never flagged)
-    key = (pc | (ones ^ int.from_bytes(flags, "little")) * 0xFF).to_bytes(len(flags), "little")
-    s = min(key)
-    best = i = key.find(s)
-    while (i := key.find(s, i + 1)) >= 0:
-        if (best ^ i) & -(best ^ i) & i:
-            best = i
-    return SteinerResult(s, vertex_tuple(best), candidate_rank(best, (1 << n) - 1))
+    return _sets(G, cap, "Steiner sets are")
 
 
 def steiner_number(G: Graph, *, cap: int = DEFAULT_STEINER_CAP) -> SteinerResult:
     """Minimum Steiner set by exact search, cardinality then lexicographic order.
 
-    The flags of ``steiner_sets`` mark every Steiner set at once, so the
-    search is one pass over them: s is the least popcount of a flagged lane,
-    the witness is the lexicographically first flagged set of that size, and
-    ``explored`` is the witness's rank in the order of
-    ``subsets.ascending_subsets``, computed rather than counted.  The table
-    is a 2^n-byte int and the flags a 2^n-byte array (64 KiB each at the
-    default cap of 16).  Each pass over the table is n whole-int steps; the
-    mark repeats its pass until no lane changes, which took at most four
-    passes on every census graph.
+    The search is ``subsets.first_set`` on ``steiner_sets``, and
+    ``explored`` is the witness's ``candidate_rank``, computed rather than
+    counted.  The table is a 2^n-byte int and the family a 2^n-bit int
+    (64 KiB and 8 KiB at the default cap of 16).  Each pass over the table
+    is n whole-int steps; the mark repeats its pass until no lane changes,
+    which took at most four passes on every census graph.
     """
-    return _first_steiner_set(_flags(G, cap, "Steiner number is"))
+    first = first_set(_sets(G, cap, "Steiner number is"), G.n)
+    return SteinerResult(first.bit_count(), vertex_tuple(first), candidate_rank(first, G.full_mask))

@@ -4,11 +4,15 @@ Order contract: cardinality ascending, lexicographic by sorted vertex tuple
 within a cardinality.  Searches that force a fixed subset into every
 candidate enumerate exactly the supersets of that subset, in the same
 relative order as the unrestricted enumeration.
+
+A family of vertex sets of an order-n graph is one int of 2^n bits, bit W
+set exactly when W is in it, as ``geodetic_sets`` and ``steiner_sets`` return.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from functools import cache
 from itertools import accumulate, combinations
 from math import comb
 from operator import or_
@@ -49,6 +53,56 @@ def candidate_rank(members: Mask, universe: Mask, forced: Mask = 0) -> int:
         rank += comb(m - start, t - j) - comb(m - p, t - j)
         start = p + 1
     return rank
+
+
+@cache
+def set_patterns(n: int) -> tuple[int, ...]:
+    """``Q[u]`` for order n: bit W set exactly when u is in the vertex set W,
+    that is runs of 2^u zero bits and 2^u one bits, repeated to 2^n bits."""
+    Q = []
+    for u in range(n):
+        q, width = ((1 << (1 << u)) - 1) << (1 << u), 2 << u
+        while width < 1 << n:
+            q |= q << width
+            width <<= 1
+        Q.append(q)
+    return tuple(Q)
+
+
+@cache
+def _size_layers(n: int) -> tuple[int, ...]:
+    """``L[j]`` for order n: bit W set exactly when |W| = j.  Adding vertex
+    u doubles the sets, and W + u has bit W + 2^u and one more member, so
+    each step is L[j] | L[j - 1] << 2^u, with no pass over the 2^n sets."""
+    L = [1]
+    for u in range(n):
+        L = [a | b << (1 << u) for a, b in zip(L + [0], [0] + L)]
+    return tuple(L)
+
+
+def least_size(sets: int, n: int) -> int | None:
+    """The least |W| over the bits W of the family ``sets``; None when it is 0."""
+    for j, layer in enumerate(_size_layers(n)):
+        if sets & layer:
+            return j
+    return None
+
+
+def first_set(sets: int, n: int) -> Mask | None:
+    """The first set of the family ``sets`` (order n) in the order of
+    ``ascending_subsets``, or None when it is 0: in the least size layer it
+    meets, keep for u = 0..n-1 only the sets that hold u whenever one does.
+    Of two sets of one size, the first holds the lowest vertex where they
+    differ.  That is at most 2n + 1 ANDs on 2^n-bit ints."""
+    for layer in _size_layers(n):
+        if left := sets & layer:
+            break
+    else:
+        return None
+    for q in set_patterns(n):
+        if left & q:
+            left &= q
+    return left.bit_length() - 1
 
 
 def first_cover(table: Sequence[Sequence[Mask]], n: int, forced: Mask) -> tuple[Mask | None, int]:

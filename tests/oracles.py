@@ -15,7 +15,7 @@ witness and ``explored`` count:
 * ``steiner_distance_table_by_marking`` and ``steiner_sets_by_table`` are the
   byte-per-subset table (a mark loop over the subsets, then superset minima
   over strided slices) and the per-set test that the lane-parallel table and
-  flags of ``coronageo.steiner`` replaced;
+  Steiner-set family of ``coronageo.steiner`` replaced;
 * ``geodetic_search_by_closure`` and ``k_geodetic_search_by_closure`` pin the
   prefix-incremental cover search (``subsets.first_cover``) behind
   ``geodetic_number`` and ``k_geodetic_number``: they walk
@@ -317,16 +317,17 @@ def steiner_distance_table_by_marking(g: Graph) -> bytearray:
     return sd
 
 
-def steiner_sets_by_table(g: Graph) -> bytearray:
-    """``flags[W]`` = 1 when d(W + v) = d(W) for every v, tested set by set
-    on ``steiner_distance_table_by_marking``; the empty set is not flagged."""
+def steiner_sets_by_table(g: Graph) -> int:
+    """Bit W set when d(W + v) = d(W) for every v, tested set by set on
+    ``steiner_distance_table_by_marking``; the empty set is not among them."""
     sd = steiner_distance_table_by_marking(g)
     singles = [1 << v for v in range(g.n)]
-    flags = bytearray(1 << g.n)
+    sets = 0
     for members in range(1, 1 << g.n):
         d = sd[members]
-        flags[members] = all(sd[members | b] == d for b in singles)
-    return flags
+        if all(sd[members | b] == d for b in singles):
+            sets |= 1 << members
+    return sets
 
 
 def geodetic_search_by_closure(g: Graph, forced: Mask) -> GeodeticResult:

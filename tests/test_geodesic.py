@@ -1,5 +1,6 @@
 import gc
 import itertools
+import random
 from math import comb
 
 import pytest
@@ -17,7 +18,6 @@ from coronageo.geodesic import (
     interval,
     is_geodetic,
     k_geodetic_number,
-    least_size,
 )
 from coronageo.graphs import (
     bfs_distances,
@@ -36,8 +36,8 @@ from coronageo.graphs import (
     wheel,
 )
 from coronageo.harness import check_diam2_steiner_geodetic
-from coronageo.steiner import _first_steiner_set, steiner_number
-from coronageo.subsets import ascending_subsets, candidate_rank, first_cover
+from coronageo.steiner import steiner_number
+from coronageo.subsets import ascending_subsets, candidate_rank, first_cover, first_set, least_size
 
 from oracles import (
     closure_vertices,
@@ -483,24 +483,15 @@ def test_geodetic_sets_match_is_geodetic_hypothesis(data):
     _assert_sets_match_is_geodetic(from_edge_list(n, sorted(set(tree) | set(extra))))
 
 
-_DIGIT_FLAGS = bytes(49) + b"\1" + bytes(206)  # translate table: ASCII '0'/'1' to 0/1
-
-
-def _first_set(geo, n):
-    """The first set of a ``geodetic_sets`` bitset, by cardinality then
-    lexicographic order, as ``_first_steiner_set`` reads it."""
-    return _first_steiner_set(format(geo, f"0{1 << n}b")[::-1].encode().translate(_DIGIT_FLAGS))
-
-
 def _assert_first_set_is_geodetic_number(g):
     """The first set of ``geodetic_sets``, by cardinality then lexicographic
     order, is ``geodetic_number``'s value and witness, and its rank with the
     extreme vertices forced is ``explored``; ``least_size`` reads the value."""
     geo = geodetic_sets(g)
-    first = _first_set(geo, g.n)
+    first = first_set(geo, g.n)
     r = geodetic_number(g)
-    assert (first.value, first.witness) == (r.value, r.witness), encode_graph6(g)
-    assert candidate_rank(mask_of(first.witness), g.full_mask, extreme_vertices(g)) == r.explored
+    assert (first.bit_count(), vertex_tuple(first)) == (r.value, r.witness), encode_graph6(g)
+    assert candidate_rank(first, g.full_mask, extreme_vertices(g)) == r.explored
     assert least_size(geo, g.n) == r.value
 
 
@@ -511,8 +502,8 @@ def _assert_first_k_set_is_k_geodetic_number(g, k):
     r = k_geodetic_number(g, k)
     assert least_size(geo, g.n) == r.value, (encode_graph6(g), k)
     if geo:
-        first = _first_set(geo, g.n)
-        assert (first.value, first.witness) == (r.value, r.witness), (encode_graph6(g), k)
+        first = first_set(geo, g.n)
+        assert (first.bit_count(), vertex_tuple(first)) == (r.value, r.witness), (encode_graph6(g), k)
     else:
         assert r.unsatisfiable, (encode_graph6(g), k)
 
@@ -565,12 +556,12 @@ def test_k_geodetic_sets_errors_and_empty_results():
     assert geodetic_sets(path(4), 2) == 1 << 0b1011 | 1 << 0b1101 | 1 << 0b1111
 
 
-# --- least size of a set of vertex sets -------------------------------------------
+# --- families of vertex sets as 2^n-bit ints --------------------------------------
 
 
 def test_size_layers_hold_each_set_at_its_popcount():
     for n in range(11):
-        layers = geodesic._size_layers(n)
+        layers = subsets._size_layers(n)
         assert len(layers) == n + 1
         assert sum(layers) == (1 << (1 << n)) - 1  # disjoint, and every set is in one
         for j, layer in enumerate(layers):
@@ -583,6 +574,25 @@ def test_least_size_reads_the_smallest_set():
     assert least_size(1 << 0b1110 | 1 << 0b1000, 4) == 1
     assert least_size(1 << 0b1111, 4) == 4
     assert least_size(1 << 0b0101 | 1 << 0b0111, 4) == 2
+
+
+def _first_set_brute(sets, n):
+    members = [w for w in range(1 << n) if sets >> w & 1]
+    return min(members, key=lambda w: (w.bit_count(), vertex_tuple(w)), default=None)
+
+
+def test_first_set_matches_brute_minimum():
+    rng = random.Random(20)
+    for n in range(1, 9):
+        everything = (1 << (1 << n)) - 1
+        families = [0, everything, everything & ~1]
+        families += [1 << w for w in range(1 << n)]  # every single set, the empty one too
+        for density in (0.02, 0.2, 0.6):
+            families += [sum(1 << w for w in range(1 << n) if rng.random() < density) for _ in range(20)]
+        for sets in families:
+            assert first_set(sets, n) == _first_set_brute(sets, n), (n, sets)
+    assert first_set(0, 4) is None
+    assert first_set(1 << 0b1010 | 1 << 0b0110 | 1 << 0b0011, 4) == 0b0011
 
 
 def test_searches_leave_no_reference_cycles(census):

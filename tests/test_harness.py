@@ -462,8 +462,7 @@ def test_diam2_steiner_geodetic_counterexample_gvxi():
 
 def test_diam2_steiner_geodetic_bitset_holds_only_the_counterexample():
     g = parse_graph6("Gvxi]?")
-    steiner = sum(1 << members for members, flag in enumerate(steiner_sets(g)) if flag)
-    assert steiner & ~geodetic_sets(g) == 1 << mask_of([2, 6, 7])
+    assert steiner_sets(g) & ~geodetic_sets(g) == 1 << mask_of([2, 6, 7])
 
 
 def test_diam2_steiner_geodetic_petersen_full_check():

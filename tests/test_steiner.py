@@ -24,7 +24,6 @@ from coronageo.graphs import (
     wheel,
 )
 from coronageo.steiner import (
-    _first_steiner_set,
     _lane_patterns,
     _steiner_distance_table,
     is_steiner_set,
@@ -33,7 +32,7 @@ from coronageo.steiner import (
     steiner_number,
     steiner_sets,
 )
-from coronageo.subsets import ascending_subsets
+from coronageo.subsets import ascending_subsets, candidate_rank, first_set
 
 from oracles import (
     is_steiner_set_by_dp,
@@ -314,24 +313,38 @@ def test_lane_table_memory_at_order_20():
     assert peak < 40 << 20, f"{peak / (1 << 20):.1f} MiB"
 
 
+def test_steiner_number_memory_at_order_20():
+    # on top of the cached lane patterns, the search holds the table build,
+    # a few whole-table temporaries, the 2^n-bit family of Steiner sets and
+    # the pick's per-order masks: n + 1 size layers and n set patterns
+    g = wheel(19)
+    _lane_patterns(g.n)
+    tracemalloc.start()
+    try:
+        steiner_number(g, cap=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 << 20, f"{peak / (1 << 20):.1f} MiB"
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_pick_ranks_every_set_as_ascending_subsets_does(n):
-    """With every set from the k-th of the canonical order on flagged, the
-    pick is the k-th set and its computed ``explored`` is k."""
-    order = [m for m in ascending_subsets((1 << n) - 1) if m]
+    """With every set from the k-th of the canonical order on in the family,
+    the pick is the k-th set and its ``candidate_rank`` is k."""
+    full = (1 << n) - 1
+    order = [m for m in ascending_subsets(full) if m]
     for k, members in enumerate(order, 1):
-        flags = bytearray(1 << n)
-        for later in order[k - 1:]:
-            flags[later] = 1
-        r = _first_steiner_set(flags)
-        assert (r.value, r.witness, r.explored) == (members.bit_count(), vertex_tuple(members), k)
+        sets = sum(1 << later for later in order[k - 1:])
+        first = first_set(sets, n)
+        assert (first, candidate_rank(first, full)) == (members, k)
 
 
 def _assert_steiner_sets_match_dp(g):
-    flags = steiner_sets(g)
-    assert len(flags) == 1 << g.n and flags[0] == 0
+    sets = steiner_sets(g)
+    assert sets >> (1 << g.n) == 0 and sets & 1 == 0  # 2^n bits, the empty set not among them
     for members in range(1, 1 << g.n):
-        assert flags[members] == is_steiner_set_by_dp(g, members), (encode_graph6(g), vertex_tuple(members))
+        assert sets >> members & 1 == is_steiner_set_by_dp(g, members), (encode_graph6(g), vertex_tuple(members))
 
 
 def test_steiner_sets_match_single_set_dp(census):
