@@ -30,8 +30,8 @@ class GeodeticResult:
     ``value is None`` means no set exists (k-geodetic search with no vertex
     pair at distance exactly k); this is an answer, not an error.
     ``explored`` is the witness's 1-based rank among the nonempty candidates
-    in canonical order, counted alike whether a candidate was tested on its
-    own or skipped with its subtree by the search's bound.
+    in canonical order, computed from the witness by
+    ``subsets.candidate_rank``, not counted by the search.
     """
 
     value: int | None
@@ -124,10 +124,11 @@ def _block_pick(rows: tuple[Mask, ...], forced: Mask) -> Mask:
     adds in the graph with adjacency ``rows``, as a mask of its labels.
 
     The pick depends on nothing else, so blocks alike up to ``induced_rows``
-    share one search, within a graph and across graphs.
+    share one search, within a graph and across graphs; a graph that is one
+    block is such a block too, with its extreme vertices forced.
     """
     g = Graph(len(rows), rows)
-    return first_cover(g.intervals, g.n, forced)[0] & ~forced
+    return first_cover(g.intervals, g.n, forced) & ~forced
 
 
 def geodetic_number(G: Graph, *, cap: int = DEFAULT_GEODETIC_CAP) -> GeodeticResult:
@@ -143,12 +144,10 @@ def geodetic_number(G: Graph, *, cap: int = DEFAULT_GEODETIC_CAP) -> GeodeticRes
     and picks the first subset of F_B that passes.  ``_block_pick`` keeps
     each pick by the block's rows and forced mask, so alike blocks, such as
     the n1 copies of K1 ⊙ H in G ⊙ H, are searched once, and the graph's own
-    tables are not built.  A graph that is one block has C empty and runs
-    one search over its own interval table, with X forced.  The witness is
-    X with every pick, and ``explored`` is its ``subsets.candidate_rank``
-    with X forced: [X nonempty], plus C(m, j) for 1 <= j < t, plus the
-    lexicographic rank of the t picked vertices among the m vertices
-    outside X, plus 1 (just 1 when t = 0).
+    tables are not built.  A graph that is one block, K1 ⊙ H among them, has
+    C empty and is its own block, with X forced.  The witness is X with
+    every pick, and ``explored`` is its ``subsets.candidate_rank`` with X
+    forced.
 
     Lemma: that witness is the flat search's.
     (1) Gates.  Fix a block B.  A vertex u outside B reaches B through one
@@ -196,9 +195,6 @@ def geodetic_number(G: Graph, *, cap: int = DEFAULT_GEODETIC_CAP) -> GeodeticRes
         free = b & ~(cut | ext)
         if not free:
             continue
-        if b == G.full_mask:
-            witness |= first_cover(G.intervals, G.n, ext)[0] & free
-            continue
         vs = vertex_tuple(b)
         forced = sum(1 << i for i, v in enumerate(vs) if not free >> v & 1)
         for i in bits(_block_pick(induced_rows(G, b), forced)):
@@ -233,6 +229,6 @@ def k_geodetic_number(G: Graph, k: int, *, cap: int = DEFAULT_GEODETIC_CAP) -> G
         return GeodeticResult(None, None, 0)
     # I[u, v] is the k-interval when d(u, v) = k; the shared table stays as it is
     table = [[m if d == k else 0 for m, d in zip(row, du)] for row, du in zip(G.intervals, D)]
-    witness = first_cover(table, G.n, extreme_vertices(G))[0]
+    witness = first_cover(table, G.n, extreme_vertices(G))
     return GeodeticResult(witness.bit_count(), vertex_tuple(witness),
                           candidate_rank(witness, G.full_mask))

@@ -105,20 +105,18 @@ def first_set(sets: int, n: int) -> Mask | None:
     return left.bit_length() - 1
 
 
-def first_cover(table: Sequence[Sequence[Mask]], n: int, forced: Mask) -> tuple[Mask | None, int]:
+def first_cover(table: Sequence[Sequence[Mask]], n: int, forced: Mask) -> Mask | None:
     """First nonempty S ⊇ ``forced``, in the order of ``ascending_subsets``,
     whose closure S ∪ ⋃_{u<v in S} table[u][v] (``table`` symmetric, n × n)
-    covers all n vertices, and its 1-based rank among the nonempty candidates
-    (None only when n = 0).
+    covers all n vertices (None only when n = 0).
 
     A depth-first search per cardinality carries the closure of the current
     prefix P and, for each free vertex w still to come, the row
     bit(w) | ⋃_{u in P} table[u][w]; extending P costs O(n) and each leaf
     test is one OR.  The closure is monotone, so when a sibling's bound
     (closure | rows from it on | pairs among the free vertices from it on)
-    misses a vertex, no candidate under it or a later sibling covers: they
-    are counted with ``comb``, not tested, and the rank is the same as a
-    one-by-one scan's.
+    misses a vertex, no candidate under it or a later sibling covers, and
+    none of them is tested.
     """
     full = (1 << n) - 1
     free = [v for v in range(n) if not forced >> v & 1]
@@ -134,19 +132,15 @@ def first_cover(table: Sequence[Sequence[Mask]], n: int, forced: Mask) -> tuple[
         pair[i] = pair[i + 1]
         for w in free[i + 1:]:
             pair[i] |= tu[w]
-    explored = 0
 
     def search(closure: Mask, rows: list[Mask], start: int, need: int) -> Mask | None:
         # rows[p] belongs to free[start + p]; returns the chosen free vertices
-        nonlocal explored
         reach = list(accumulate(reversed(rows), or_))[::-1]
         for p in range(len(rows) - need + 1):
             i = start + p
             if closure | pair[i] | reach[p] != full:
-                explored += comb(m - i, need)
                 return None
             if need == 1:
-                explored += 1
                 if closure | rows[p] == full:
                     return 1 << free[i]
                 continue
@@ -158,14 +152,12 @@ def first_cover(table: Sequence[Sequence[Mask]], n: int, forced: Mask) -> tuple[
         return None
 
     try:
-        if forced:
-            explored = 1
-            if closure == full:
-                return forced, explored
+        if forced and closure == full:
+            return forced
         for need in range(1, m + 1):
             found = search(closure, rows, 0, need)
             if found is not None:
-                return forced | found, explored
-        return None, explored
+                return forced | found
+        return None
     finally:
         del search  # it refers to itself; without this the tables wait for the cyclic GC

@@ -22,7 +22,8 @@ def _census(order: int):
 @pytest.fixture(autouse=True)
 def cold_block_picks():
     """Each test starts with an empty block-pick cache, which otherwise lives
-    as long as the process, so no test depends on the ones run before it."""
+    as long as the process and holds the pick of every graph searched, so no
+    test depends on the ones run before it."""
     _block_pick.cache_clear()
 
 

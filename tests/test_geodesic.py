@@ -1,7 +1,6 @@
 import gc
 import itertools
 import random
-from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +34,7 @@ from coronageo.graphs import (
     vertex_tuple,
     wheel,
 )
-from coronageo.harness import check_diam2_steiner_geodetic
+from coronageo.harness import check_diam2_steiner_geodetic, check_geo_corona_eq
 from coronageo.steiner import steiner_number
 from coronageo.subsets import ascending_subsets, candidate_rank, first_cover, first_set, least_size
 
@@ -282,14 +281,15 @@ def test_g2_p5_differs_from_g():
 
 
 def _unforced(g):
-    members, explored = first_cover(interval_table(bfs_distances(g)), g.n, 0)
-    return GeodeticResult(members.bit_count(), vertex_tuple(members), explored)
+    members = first_cover(interval_table(bfs_distances(g)), g.n, 0)
+    return GeodeticResult(members.bit_count(), vertex_tuple(members), candidate_rank(members, g.full_mask))
 
 
 def _flat(g):
     """The search over the whole graph that the block search replaces."""
-    members, explored = first_cover(g.intervals, g.n, extreme_vertices(g))
-    return GeodeticResult(members.bit_count(), vertex_tuple(members), explored)
+    ext = extreme_vertices(g)
+    members = first_cover(g.intervals, g.n, ext)
+    return GeodeticResult(members.bit_count(), vertex_tuple(members), candidate_rank(members, g.full_mask, ext))
 
 
 def test_cover_search_matches_closure_search_on_census(census):
@@ -329,21 +329,19 @@ def test_cover_search_matches_references_hypothesis(data):
 # GEO_CORONA_EQ products G ⊙ H of order 15-20 whose witnesses lie thousands of
 # candidates deep, so whole subtrees are skipped by the bound.  geodetic_number
 # searches these products block by block, so the test runs the whole-graph
-# search itself.
+# search itself.  Each frame of the depth-first search calls
+# ``subsets.accumulate`` once.  Without the bound it opens 0.34-0.67 frames per
+# candidate up to the witness on these four; with it, 0.02-0.13.
 @pytest.mark.parametrize("g6_g,g6_h", [("Bo", "Cl"), ("Bo", "D]o"), ("Bo", "Dhc"), ("CF", "Ck")])
 def test_cover_search_skips_subtrees_on_corona_products(g6_g, g6_h, monkeypatch):
     product, _ = corona(parse_graph6(g6_g), parse_graph6(g6_h))
     assert 15 <= product.n <= 20
-    skipped = []
-
-    def counting_comb(a, b):
-        skipped.append(comb(a, b))
-        return skipped[-1]
-
-    monkeypatch.setattr(subsets, "comb", counting_comb)
+    frames = []
+    accumulate = subsets.accumulate
+    monkeypatch.setattr(subsets, "accumulate", lambda *a: frames.append(a) or accumulate(*a))
     ref = geodetic_search_by_closure(product, extreme_vertices(product))
     assert _flat(product) == ref
-    assert max(skipped) > 1
+    assert 5 * len(frames) < ref.explored
     assert geodetic_number(product) == ref
 
 
@@ -359,14 +357,21 @@ def test_block_search_matches_flat_search_on_census(census):
     assert split == 456
 
 
-def test_block_search_matches_flat_search_on_corona_products(census):
-    checked = 0
+def _corona_pairs(census):
+    """The pairs (G, H) of census graphs, G of order <= 4 and H of order <= 5,
+    whose product G ⊙ H has order <= 20."""
     for g in (g for order in range(1, 5) for g in census(order)):
         for h in (h for order in range(1, 6) for h in census(order)):
             if g.n * (h.n + 1) <= 20:
-                product, _ = corona(g, h)
-                assert geodetic_number(product) == _flat(product), (encode_graph6(g), encode_graph6(h))
-                checked += 1
+                yield g, h
+
+
+def test_block_search_matches_flat_search_on_corona_products(census):
+    checked = 0
+    for g, h in _corona_pairs(census):
+        product, _ = corona(g, h)
+        assert geodetic_number(product) == _flat(product), (encode_graph6(g), encode_graph6(h))
+        checked += 1
     assert checked == 184
 
 
@@ -430,19 +435,41 @@ def test_corona_copies_are_searched_once_without_the_products_tables(monkeypatch
     assert is_geodetic(prod, mask_of(r.witness))
 
 
+def test_single_block_picks_are_cached_across_calls(monkeypatch):
+    calls = []
+    monkeypatch.setattr(geodesic, "first_cover", lambda *a: calls.append(a) or first_cover(*a))
+    w = wheel(5)  # one block of order 6, with no extreme vertex
+    assert geodetic_number(w) == geodetic_number(w) == _flat(w)
+    assert [(n, forced) for _, n, forced in calls] == [(6, 0)]
+    calls.clear()
+    h = path(4)  # K1 ⊙ P4 is one block, with extreme vertices 1 and 4
+    reports = [check_geo_corona_eq(g, h) for g in (complete(1), path(2), path(3), cycle(3), cycle(4))]
+    assert [r.verdict for r in reports] == ["PASS"] * 5
+    # once whole, and once as a block of the products with its hub forced
+    assert sorted((n, forced) for _, n, forced in calls) == [(5, 0b10010), (5, 0b10011)]
+
+
 def test_block_picks_are_keyed_by_the_forced_vertices_too(census):
-    # Both graphs hold a C4 block with rows (12, 12, 3, 3): DbW forces its
-    # local vertex 0 and picks 1, EBy? forces 3 and picks 2.
-    cases = [parse_graph6(code) for code in ("DbW", "EBy?", "DbW")]
+    # Three graphs hold a C4 block with rows (12, 12, 3, 3): DbW forces its
+    # local vertex 0 and picks 1, EBy? forces 3 and picks 2, and C], that C4
+    # alone, forces nothing and picks 0 and 1.
+    cases = [parse_graph6(code) for code in ("DbW", "EBy?", "C]", "DbW")]
     for g in cases:
         assert geodetic_number(g) == _flat(g), encode_graph6(g)
     assert _block_pick((12, 12, 3, 3), 1) == 2 and _block_pick((12, 12, 3, 3), 8) == 4
-    graphs_7 = [g for order in range(1, 8) for g in census(order)]
+    assert _block_pick((12, 12, 3, 3), 0) == 3
+    # K1 ⊙ H has the same rows searched whole, its extreme vertices forced, and
+    # as a block of G ⊙ H, its hub forced too.  Those two picks agree (a set
+    # that covers a non-complete H holds a pair at distance 2, whose interval
+    # holds the hub), so it is the C4 above that needs the forced mask in the key.
+    sequence = [g for order in range(1, 8) for g in census(order)]
+    for g, h in _corona_pairs(census):
+        sequence += [corona(g, h)[0], corona(complete(1), h)[0]]
     cold = []
-    for g in graphs_7:
+    for g in sequence:
         _block_pick.cache_clear()
         cold.append(geodetic_number(g))
-    assert [geodetic_number(g) for g in graphs_7] == cold  # each reads the picks of those before it
+    assert [geodetic_number(g) for g in sequence] == cold  # each reads the picks of those before it
 
 
 def test_k_geodetic_search_leaves_the_shared_table_as_it_is(census):

@@ -67,8 +67,10 @@ from coronageo.steiner import steiner_sets
 from oracles import (
     closure_vertices,
     diam2_tier_a_by_dp,
+    geodetic_number_brute,
     in_every_steiner_tree_by_dp,
     steiner_hull_brute,
+    steiner_number_brute,
     to_nx,
 )
 
@@ -510,6 +512,16 @@ def test_diam2_golden_fail_lines_are_confirmed_by_networkx():
 def test_diam2_g_le_s():
     assert check_diam2_g_le_s(cycle(5)).verdict == "PASS"
     assert check_diam2_g_le_s(path(5)).verdict == "SKIPPED"
+
+
+def test_diam2_g_le_s_fails_on_13_census_graphs_of_order_7():
+    reports = list(run_corpus("DIAM2_G_LE_S", corpus=CorpusSpec.parse("all-connected:7..7")))
+    fails = [r.instance["g6"][0] for r in reports if r.verdict == "FAIL"]
+    assert fails == ["FhayG", "FhcYG", "Fhctg", "FhdYG", "Fhf_g", "FhtOw", "FjsYG",
+                     "Flu]?", "Fl}SO", "FnwpO", "Fn}SO", "FxeKo", "FxecW"]
+    g = parse_graph6("FhayG")  # the counterexample the checker's docstring names
+    assert geodetic_number_brute(g) == (4, (1, 3, 4, 5))
+    assert steiner_number_brute(g) == (3, (1, 3, 4))
 
 
 def test_corona_g_le_s_examples():
