@@ -11,14 +11,13 @@ import argparse
 import sys
 from collections.abc import Iterator
 
-from .corpus import CENSUS_MAX_ORDER, CorpusSpec, census_lines, parse_range, read_text
+from .corpus import CENSUS_MAX_ORDER, Caps, CorpusSpec, census_lines, parse_range, read_text
 from .errors import CapExceeded, DomainError, FormatError
-from .formats import encode_graph6, format_edge_list, parse_edge_list, parse_graph6, parse_graph6_lines
+from .formats import (encode_graph6, format_edge_list, jsonline, parse_edge_list, parse_graph6,
+                      parse_graph6_lines)
 from .geodesic import geodetic_number, geodetic_sets, interval, k_geodetic_number
 from .graphs import Graph, corona, diameter, extreme_vertices, mask_of, vertex_tuple
-from .harness import (Caps, THEOREM_IDS, THEOREMS, VerificationReport, jsonline, run_corpus,
-                      summarize, summary_json)
-from .steiner import steiner_distance, steiner_hull, steiner_number
+from .steiner import steiner_distance, steiner_hull, steiner_number, steiner_sets
 from .subsets import least_size
 
 EXIT_OK = 0
@@ -203,6 +202,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     is still missing, both before any output.  Each report is written as it
     arrives and tallied for the summary line and the exit code.  An error
     mid-run leaves the reports before it, with no summary line."""
+    from .harness import THEOREMS, run_corpus, summarize, summary_json
+
     caps = _caps(args)
     kind = THEOREMS[args.theorem].kind
     for flag in ("family_g", "family_h", "random", "range", "k"):
@@ -245,8 +246,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_FAIL if counts["fail"] else EXIT_OK
 
 
-def _written(reports: Iterator[VerificationReport], timing: bool) -> Iterator[VerificationReport]:
-    """Writes each report's line as it is drawn, then passes the report on."""
+def _written(reports: Iterator, timing: bool) -> Iterator:
+    """Writes each ``harness.VerificationReport``'s line as it is drawn,
+    then passes the report on."""
     for report in reports:
         _write_line(report.to_json(timing=timing))
         yield report
@@ -260,22 +262,23 @@ def _write_line(line: str) -> None:
 def cmd_census(args: argparse.Namespace) -> int:
     """Prints each row as soon as it is computed.  Every graph of an order
     has the same n, so a cap error fires on the first one, before any output.
-    g and g2 are the least sizes in ``geodetic_sets``, which are the values
-    of ``geodetic_number`` and ``k_geodetic_number(·, 2)``; no witness is
-    printed, so neither search runs."""
+    g and g2 are the least sizes in ``geodetic_sets``, the values of
+    ``geodetic_number`` and ``k_geodetic_number(·, 2)``, and s is the least
+    size in ``steiner_sets``, the value of ``steiner_number``.  No witness is
+    printed, so no minimum-set search runs."""
     caps = _caps(args)
     for i, code in enumerate(census_lines(args.order)):
         g = parse_graph6(code)
         geo = least_size(geodetic_sets(g, cap=caps.geodetic), g.n)
         geo2 = least_size(geodetic_sets(g, 2, cap=caps.geodetic), g.n)
-        rs = steiner_number(g, cap=caps.steiner)
+        s = least_size(steiner_sets(g, cap=caps.steiner), g.n)
         row = {
             "g6": code,
             "g": geo,
             "g2": geo2,
-            "s": rs.value,
+            "s": s,
             "diameter": diameter(g),
-            "g_le_s": geo <= rs.value,
+            "g_le_s": geo <= s,
         }
         if args.json:
             _write_line(jsonline(row))
@@ -286,6 +289,16 @@ def cmd_census(args: argparse.Namespace) -> int:
         _write_line(f"{row['g6']:<12} {row['g']:>3} {g2:>3} {row['s']:>3} "
                     f"{row['diameter']:>4}  {'yes' if row['g_le_s'] else 'NO'}")
     return EXIT_OK
+
+
+class _TheoremIDs:
+    """``harness.THEOREM_IDS``, read when ``--theorem`` is checked or its
+    help is printed, so that only ``verify`` loads the harness."""
+
+    def __iter__(self):
+        from .harness import THEOREM_IDS
+
+        return iter(THEOREM_IDS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_corona.set_defaults(func=cmd_corona)
 
     p_verify = sub.add_parser("verify", help="run one claim over a corpus, emitting JSON Lines")
-    p_verify.add_argument("--theorem", required=True, choices=THEOREM_IDS, metavar="ID",
-                          help=f"one of: {', '.join(THEOREM_IDS)}")
+    p_verify.add_argument("--theorem", required=True, choices=_TheoremIDs(), metavar="ID",
+                          help="one of: %(choices)s")
     p_verify.add_argument("--family-g",
                           help="corpus for G: 'all-connected:A..B', '<family>:A..B', 'file:PATH'")
     p_verify.add_argument("--family-h", help="corpus for H (same syntax)")

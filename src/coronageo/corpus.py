@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 from .errors import DomainError, FormatError
 from .formats import graph6_records, parse_graph6
+from .geodesic import DEFAULT_GEODETIC_CAP
 from .graphs import Graph, complete, cycle, empty, fan, from_edge_list, is_connected, path, star, wheel
+from .steiner import DEFAULT_STEINER_CAP
 
 CENSUS_ENV = "CORONA_CENSUS_DIR"
 CENSUS_MAX_ORDER = 7
@@ -34,6 +36,14 @@ FAMILIES = {
     "wheel": wheel,
     "fan": fan,
 }
+
+
+@dataclass(frozen=True)
+class Caps:
+    """Search caps that a run threads through every search it makes."""
+
+    geodetic: int = DEFAULT_GEODETIC_CAP
+    steiner: int = DEFAULT_STEINER_CAP
 
 
 def read_text(path: str) -> str:

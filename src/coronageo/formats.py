@@ -1,4 +1,4 @@
-"""graph6 and edge-list text encodings.
+"""graph6 and edge-list text encodings, and JSON Lines records.
 
 graph6 here is the short form only (order 1..62): one order byte ``n + 63``
 followed by the upper-triangle bit vector x(0,1), x(0,2), x(1,2), x(0,3), ...
@@ -7,6 +7,7 @@ packed big-endian into 6-bit groups, each offset by 63.
 
 from __future__ import annotations
 
+import json
 from collections.abc import Iterator
 
 from .errors import DomainError, FormatError
@@ -147,3 +148,8 @@ def format_edge_list(G: Graph) -> str:
     lines = [f"{G.n} {G.edge_count()}"]
     lines.extend(f"{u} {v}" for u, v in G.edges())
     return "\n".join(lines) + "\n"
+
+
+def jsonline(payload: dict) -> str:
+    """One JSON Lines record: sorted keys, no spaces."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -10,7 +10,6 @@ from .errors import CapExceeded, DomainError
 from .graphs import (
     Graph,
     Mask,
-    bits,
     blocks,
     extreme_vertices,
     induced_rows,
@@ -80,8 +79,8 @@ def is_geodetic(G: Graph, members: Mask) -> bool:
     return acc == G.full_mask
 
 
-def _require_connected(G: Graph) -> None:
-    if not is_connected(G):
+def _require_connected(connected: bool) -> None:
+    if not connected:
         raise DomainError("search requires a connected graph")
 
 
@@ -99,7 +98,9 @@ def geodetic_sets(G: Graph, k: int | None = None, *, cap: int = DEFAULT_GEODETIC
     d(u, v) = k count, as in ``k_geodetic_number``, and the result is 0 when
     no pair is at distance k (that search's ``value is None``).
     """
-    _require_connected(G)
+    # row 0 of the distance table, which the search reads anyway, holds n
+    # at every vertex outside the component of 0
+    _require_connected(G.n not in G.distances[0])
     if k is not None and k < 2:
         raise DomainError(f"k-geodetic sets need k >= 2, got {k}")
     if G.n > cap:
@@ -113,8 +114,11 @@ def geodetic_sets(G: Graph, k: int | None = None, *, cap: int = DEFAULT_GEODETIC
                 continue
             paired = True
             both = Q[u] & Q[v]
-            for w in bits(row[v] & ~(1 << u | 1 << v)):
-                cover[w] |= both
+            inner = row[v] & ~(1 << u | 1 << v)
+            while inner:
+                low = inner & -inner
+                cover[low.bit_length() - 1] |= both
+                inner ^= low
     return reduce(and_, cover) if paired else 0
 
 
@@ -181,7 +185,7 @@ def geodetic_number(G: Graph, *, cap: int = DEFAULT_GEODETIC_CAP) -> GeodeticRes
     S ∩ F_B.  The relabeling keeps the order of F_B, so it picks the first
     least subset of F_B that passes, as (5) needs.
     """
-    _require_connected(G)
+    _require_connected(is_connected(G))
     if G.n > cap:
         raise CapExceeded(f"geodetic search capped at n <= {cap}, got {G.n}")
     ext = extreme_vertices(G)
@@ -197,8 +201,11 @@ def geodetic_number(G: Graph, *, cap: int = DEFAULT_GEODETIC_CAP) -> GeodeticRes
             continue
         vs = vertex_tuple(b)
         forced = sum(1 << i for i, v in enumerate(vs) if not free >> v & 1)
-        for i in bits(_block_pick(induced_rows(G, b), forced)):
-            witness |= 1 << vs[i]
+        pick = _block_pick(induced_rows(G, b), forced)
+        while pick:
+            low = pick & -pick
+            witness |= 1 << vs[low.bit_length() - 1]
+            pick ^= low
     return GeodeticResult(witness.bit_count(), vertex_tuple(witness),
                           candidate_rank(witness, G.full_mask, ext))
 
@@ -219,7 +226,7 @@ def k_geodetic_number(G: Graph, k: int, *, cap: int = DEFAULT_GEODETIC_CAP) -> G
     in the full order is therefore the first among the supersets of X, and
     ``explored`` is its ``candidate_rank`` with nothing forced.
     """
-    _require_connected(G)
+    _require_connected(G.n not in G.distances[0])  # as in ``geodetic_sets``
     if k < 2:
         raise DomainError(f"k-geodetic sets need k >= 2, got {k}")
     if G.n > cap:

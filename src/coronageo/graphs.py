@@ -36,7 +36,12 @@ def bits(mask: Mask) -> Iterator[int]:
 
 def vertex_tuple(mask: Mask) -> tuple[int, ...]:
     """Sorted tuple of the vertices in a bitmask."""
-    return tuple(bits(mask))
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -59,14 +64,18 @@ class Graph:
         if len(self.adj) != self.n:
             raise DomainError("adjacency rows do not match the vertex count")
         full = (1 << self.n) - 1
-        for v, row in enumerate(self.adj):
+        adj = self.adj
+        for v, row in enumerate(adj):
             if row & ~full:
                 raise DomainError(f"vertex {v} has a neighbor out of range")
             if row >> v & 1:
                 raise DomainError(f"self-loop at vertex {v}")
-            for u in bits(row):
-                if not self.adj[u] >> v & 1:
+            bit = 1 << v
+            while row:
+                low = row & -row
+                if not adj[u := low.bit_length() - 1] & bit:
                     raise DomainError(f"asymmetric adjacency between {u} and {v}")
+                row ^= low
 
     @property
     def full_mask(self) -> Mask:
@@ -102,7 +111,13 @@ class Graph:
         adj = self.adj
         out = 0
         for v, nb in enumerate(adj):
-            if all(nb & ~adj[u] == 1 << u for u in bits(nb)):
+            rest = nb
+            while rest:  # every neighbour u is adjacent to the others: nb minus N(u) is u
+                low = rest & -rest
+                if nb & ~adj[low.bit_length() - 1] != low:
+                    break
+                rest ^= low
+            else:
                 out |= 1 << v
         return out
 
@@ -148,12 +163,15 @@ def induced_rows(G: Graph, members: Mask) -> tuple[Mask, ...]:
     """Adjacency rows of the subgraph induced by ``members``, relabeled as
     ``induced_subgraph`` does, without building or checking a ``Graph``."""
     vs = vertex_tuple(members)
-    index = {v: 1 << i for i, v in enumerate(vs)}
+    index = {1 << v: 1 << i for i, v in enumerate(vs)}  # old bit -> new bit
     rows = []
     for v in vs:
         row = 0
-        for u in bits(G.adj[v] & members):
-            row |= index[u]
+        rest = G.adj[v] & members
+        while rest:
+            low = rest & -rest
+            row |= index[low]
+            rest ^= low
         rows.append(row)
     return tuple(rows)
 
@@ -167,8 +185,10 @@ def reachable_set(G: Graph, start: int, within: Mask | None = None) -> Mask:
     adj = G.adj
     while frontier:
         nxt = 0
-        for v in bits(frontier):
-            nxt |= adj[v]
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
         nxt &= scope & ~seen
         seen |= nxt
         frontier = nxt

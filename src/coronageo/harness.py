@@ -18,16 +18,15 @@ from __future__ import annotations
 import functools
 import inspect
 import itertools
-import json
 import math
 import os
 import time
 from collections.abc import Callable, Generator, Iterable, Sequence
 from dataclasses import dataclass
 
-from .corpus import CorpusEntry, CorpusSpec
+from .corpus import Caps, CorpusEntry, CorpusSpec
 from .errors import CapExceeded, DomainError
-from .formats import encode_graph6
+from .formats import encode_graph6, jsonline
 from .geodesic import (
     DEFAULT_GEODETIC_CAP,
     geodetic_number,
@@ -57,11 +56,7 @@ from .graphs import (
     vertex_tuple,
     wheel,
 )
-from .steiner import (
-    DEFAULT_STEINER_CAP,
-    steiner_number,
-    steiner_sets,
-)
+from .steiner import steiner_number, steiner_sets
 from .subsets import first_set, least_size
 
 PASS = "PASS"
@@ -79,19 +74,6 @@ R_N_BELOW_MIN = "n-below-min"
 R_K_LT_2 = "k-lt-2"
 R_CAP = "cap-exceeded"
 R_PARSE = "parse-error"
-
-
-@dataclass(frozen=True)
-class Caps:
-    """Search caps threaded through every checker."""
-
-    geodetic: int = DEFAULT_GEODETIC_CAP
-    steiner: int = DEFAULT_STEINER_CAP
-
-
-def jsonline(payload: dict) -> str:
-    """One JSON Lines record: sorted keys, no spaces."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -6,6 +9,8 @@ from coronageo import cli, graphs
 from coronageo.formats import encode_graph6, parse_edge_list, parse_graph6
 from coronageo.geodesic import geodetic_number, k_geodetic_number
 from coronageo.graphs import complete, corona, cycle, mask_of, path, vertex_tuple
+from coronageo.harness import THEOREM_IDS
+from coronageo.steiner import steiner_number
 
 from oracles import steiner_hull_by_dp
 
@@ -220,7 +225,20 @@ def test_verify_wheel_geo_range(run_cli):
 
 
 def test_verify_unknown_theorem_exits_2(run_cli):
-    assert run_cli("verify", "--theorem", "BOGUS").returncode == 2
+    res = run_cli("verify", "--theorem", "NOPE")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    message = " ".join(res.stderr.split())
+    assert "argument --theorem: invalid choice: 'NOPE' (choose from " in message, res.stderr
+    named = message.split("(choose from ", 1)[1].rstrip(")")
+    assert [ident.strip("'") for ident in named.split(", ")] == list(THEOREM_IDS)
+
+
+def test_verify_help_lists_every_theorem(run_cli):
+    res = run_cli("verify", "--help")
+    assert res.returncode == 0, res.stderr
+    assert "one of: " + ", ".join(THEOREM_IDS) in " ".join(res.stdout.split())
+    assert len(THEOREM_IDS) == 24
 
 
 _RANDOM_H = ("--random", "n=4,p=0.5,count=1", "--seed", "1")
@@ -330,38 +348,62 @@ def _census_rows(capsys, order):
 
 
 def test_census_values_match_the_searches(capsys):
-    """census reads g and g2 off ``geodetic_sets``; each row still holds the
-    values of the two minimum-set searches."""
+    """census reads g and g2 off ``geodetic_sets`` and s off ``steiner_sets``;
+    each row still holds the values of the three minimum-set searches."""
     checked = 0
     for order in range(1, 8):
         for row in _census_rows(capsys, order):
             g = parse_graph6(row["g6"])
             assert row["g"] == geodetic_number(g).value, row
             assert row["g2"] == k_geodetic_number(g, 2).value, row
+            assert row["s"] == steiner_number(g).value, row
             checked += 1
     assert checked == 996
 
 
 def test_census_runs_one_bfs_and_no_search_per_graph(capsys, monkeypatch):
-    """Work guard: a census row builds the graph's distance table once and
-    runs neither minimum-set search."""
-    calls = {"bfs": 0, "search": 0}
-    bfs = graphs.bfs_distances
+    """Work guard: a census row builds the graph's distance table once, runs
+    one reachability pass (the Steiner table's connectivity test) and runs
+    no minimum-set search."""
+    calls = {"bfs": 0, "reach": 0, "search": 0}
+    bfs, reach = graphs.bfs_distances, graphs.reachable_set
 
     def counted_bfs(G):
         calls["bfs"] += 1
         return bfs(G)
+
+    def counted_reach(*args, **kwargs):
+        calls["reach"] += 1
+        return reach(*args, **kwargs)
 
     def search(*args, **kwargs):
         calls["search"] += 1
         raise AssertionError("census ran a minimum-set search")
 
     monkeypatch.setattr(graphs, "bfs_distances", counted_bfs)
-    monkeypatch.setattr(cli, "geodetic_number", search)
-    monkeypatch.setattr(cli, "k_geodetic_number", search)
+    monkeypatch.setattr(graphs, "reachable_set", counted_reach)
+    for name in ("geodetic_number", "k_geodetic_number", "steiner_number"):
+        monkeypatch.setattr(cli, name, search)
     rows = _census_rows(capsys, 6)
     assert len(rows) == 112
-    assert calls == {"bfs": 112, "search": 0}
+    assert calls == {"bfs": 112, "reach": 112, "search": 0}
+
+
+def test_census_and_compute_do_not_load_the_harness():
+    """Only ``verify`` needs the claim registry, so the other commands never
+    import ``coronageo.harness``."""
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "from coronageo import cli\n"
+        "assert cli.main(['census', '--order', '1', '--json']) == 0\n"
+        "assert cli.main(['compute', '--g6', 'A_', '--measure', 'g']) == 0\n"
+        "print('coronageo.harness' in sys.modules)\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    res = subprocess.run([sys.executable, "-S", "-c", code, root],
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "False", res.stdout
 
 
 def test_census_missing_order_exits_2(run_cli):

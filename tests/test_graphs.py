@@ -72,6 +72,9 @@ def test_from_edge_list_rejects_self_loop():
 def test_graph_validation():
     with pytest.raises(DomainError):
         Graph(2, (0b10, 0b00))  # asymmetric
+    # two asymmetric pairs: rows are scanned in order, each from its lowest neighbour
+    with pytest.raises(DomainError, match=r"^asymmetric adjacency between 1 and 0$"):
+        Graph(3, (0b110, 0, 0))
     with pytest.raises(DomainError):
         Graph(0, ())
     with pytest.raises(DomainError):

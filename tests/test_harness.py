@@ -842,7 +842,7 @@ def test_verify_closes_the_report_generator_when_a_write_fails(monkeypatch, caps
                 raise BrokenPipeError(32, "Broken pipe")
             return super().write(text)
 
-    monkeypatch.setattr(cli, "run_corpus", keep)
+    monkeypatch.setattr(harness, "run_corpus", keep)  # cmd_verify imports it when it runs
     out = OneLineStdout()
     with contextlib.redirect_stdout(out):
         rc = cli.main(["verify", "--theorem", "WHEEL_GEO", "--range", "4..7", "--parallel", "2"])
