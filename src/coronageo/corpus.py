@@ -10,8 +10,7 @@ directory instead.
 from __future__ import annotations
 
 import os
-import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError, FormatError
 from .formats import graph6_records, parse_graph6
@@ -38,12 +37,10 @@ FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class Caps:
+class Caps(namedtuple("Caps", "geodetic steiner", defaults=(DEFAULT_GEODETIC_CAP, DEFAULT_STEINER_CAP))):
     """Search caps that a run threads through every search it makes."""
 
-    geodetic: int = DEFAULT_GEODETIC_CAP
-    steiner: int = DEFAULT_STEINER_CAP
+    __slots__ = ()
 
 
 def read_text(path: str) -> str:
@@ -99,28 +96,19 @@ def random_connected_graph(n: int, p: float, rng: random.Random, *, attempts: in
     raise DomainError(f"no connected G({n}, {p}) sample in {attempts} attempts")
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(namedtuple("CorpusEntry", "source error")):
     """Placeholder for a corpus element that failed to parse; verification
     runs report these per-instance instead of aborting."""
 
-    source: str
-    error: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CorpusSpec:
-    """Deterministic source of graphs for a verification run."""
+class CorpusSpec(namedtuple("CorpusSpec", "kind family lo hi path order p count seed",
+                            defaults=(None, 0, 0, None, 0, 0.0, 0, None))):
+    """Deterministic source of graphs for a verification run, of ``kind``
+    "exhaustive", "family", "file" or "random"; ``count`` hides ``tuple.count``."""
 
-    kind: str  # "exhaustive" | "family" | "file" | "random"
-    family: str | None = None
-    lo: int = 0
-    hi: int = 0
-    path: str | None = None
-    order: int = 0
-    p: float = 0.0
-    count: int = 0
-    seed: int | None = None
+    __slots__ = ()
 
     @classmethod
     def exhaustive(cls, lo: int, hi: int) -> "CorpusSpec":
@@ -173,6 +161,7 @@ class CorpusSpec:
         if self.kind == "random":
             if self.seed is None:
                 raise DomainError("random corpora need a seed")
+            import random  # only random corpora pay for it
             rng = random.Random(self.seed)
             return [random_connected_graph(self.order, self.p, rng) for _ in range(self.count)]
         raise DomainError(f"unknown corpus kind {self.kind!r}")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache, reduce
 from operator import and_
 
@@ -22,8 +22,7 @@ DEFAULT_GEODETIC_CAP = 20
 _BLOCK_PICK_CACHE_SIZE = 1024  # block searches that ``_block_pick`` keeps, across calls
 
 
-@dataclass(frozen=True)
-class GeodeticResult:
+class GeodeticResult(namedtuple("GeodeticResult", "value witness explored")):
     """Outcome of a minimum-set search.
 
     ``value is None`` means no set exists (k-geodetic search with no vertex
@@ -33,9 +32,7 @@ class GeodeticResult:
     ``subsets.candidate_rank``, not counted by the search.
     """
 
-    value: int | None
-    witness: tuple[int, ...] | None
-    explored: int
+    __slots__ = ()
 
     @property
     def unsatisfiable(self) -> bool:
@@ -131,7 +128,7 @@ def _block_pick(rows: tuple[Mask, ...], forced: Mask) -> Mask:
     share one search, within a graph and across graphs; a graph that is one
     block is such a block too, with its extreme vertices forced.
     """
-    g = Graph(len(rows), rows)
+    g = Graph._trusted(rows)
     return first_cover(g.intervals, g.n, forced) & ~forced
 
 

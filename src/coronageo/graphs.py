@@ -7,8 +7,8 @@ the exact searches.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DomainError
@@ -44,9 +44,13 @@ def vertex_tuple(mask: Mask) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class Graph:
     """Immutable simple graph; ``adj[v]`` is the neighbor bitmask of ``v``.
+
+    ``Graph(n, adj)`` checks that the rows are in range, loop-free and
+    symmetric.  ``corona`` and the block search of ``geodetic_number``
+    build theirs from checked graphs, valid by construction, through
+    ``Graph._trusted``, which skips that O(m) scan.
 
     ``distances``, ``intervals`` and ``extreme_vertices`` are computed on
     first use and kept on the instance, so every search and invariant of one
@@ -58,13 +62,12 @@ class Graph:
     n: int
     adj: tuple[Mask, ...]
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_VERTICES:
-            raise DomainError(f"graph order must be in 1..{MAX_VERTICES}, got {self.n}")
-        if len(self.adj) != self.n:
+    def __init__(self, n: int, adj: tuple[Mask, ...]) -> None:
+        if not 1 <= n <= MAX_VERTICES:
+            raise DomainError(f"graph order must be in 1..{MAX_VERTICES}, got {n}")
+        if len(adj) != n:
             raise DomainError("adjacency rows do not match the vertex count")
-        full = (1 << self.n) - 1
-        adj = self.adj
+        full = (1 << n) - 1
         for v, row in enumerate(adj):
             if row & ~full:
                 raise DomainError(f"vertex {v} has a neighbor out of range")
@@ -76,6 +79,27 @@ class Graph:
                 if not adj[u := low.bit_length() - 1] & bit:
                     raise DomainError(f"asymmetric adjacency between {u} and {v}")
                 row ^= low
+        self.__dict__.update(n=n, adj=adj)
+
+    @classmethod
+    def _trusted(cls, adj: tuple[Mask, ...]) -> Graph:
+        """The graph on rows known to be valid, without the check."""
+        g = object.__new__(cls)
+        g.__dict__.update(n=len(adj), adj=adj)
+        return g
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"graphs are immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.adj == other.adj
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.adj))
 
     @property
     def full_mask(self) -> Mask:
@@ -416,8 +440,7 @@ def fan(n: int) -> Graph:
 # Corona product.
 
 
-@dataclass(frozen=True)
-class CoronaLayout:
+class CoronaLayout(namedtuple("CoronaLayout", "n1 n2")):
     """Index bookkeeping for G ⊙ H.
 
     Base vertex i keeps index i (0..n1-1); copy i of the second factor
@@ -425,8 +448,7 @@ class CoronaLayout:
     the second factor's internal labels.
     """
 
-    n1: int
-    n2: int
+    __slots__ = ()
 
     @property
     def order(self) -> int:
@@ -475,4 +497,4 @@ def corona(G: Graph, H: Graph) -> tuple[Graph, CoronaLayout]:
         rows[i] |= block
         for v in range(base, base + n2):
             rows[v] |= 1 << i
-    return Graph(order, tuple(rows)), layout
+    return Graph._trusted(tuple(rows)), layout

@@ -17,7 +17,7 @@ C without v.  ``steiner_sets`` turns lanes into bits, the family form of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 
 from .errors import CapExceeded, DomainError
@@ -35,14 +35,11 @@ DEFAULT_STEINER_CAP = 16
 _FAR = 127  # lane of a set that is not connected, before the superset minima; below 0x80
 
 
-@dataclass(frozen=True)
-class SteinerResult:
+class SteinerResult(namedtuple("SteinerResult", "value witness explored")):
     """Minimum Steiner set: its size, the canonical witness, and the number
     of candidate sets examined."""
 
-    value: int
-    witness: tuple[int, ...]
-    explored: int
+    __slots__ = ()
 
 
 @cache

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import networkx as nx
@@ -6,9 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coronageo import geodesic
+from coronageo.corpus import Caps, CorpusEntry, CorpusSpec
 from coronageo.errors import DomainError
 from coronageo.formats import encode_graph6
+from coronageo.geodesic import GeodeticResult
 from coronageo.graphs import (
+    CoronaLayout,
     Graph,
     bfs_distances,
     bits,
@@ -33,6 +38,7 @@ from coronageo.graphs import (
     vertex_tuple,
     wheel,
 )
+from coronageo.steiner import SteinerResult
 
 from oracles import extreme_by_double_loop, to_nx
 
@@ -70,17 +76,75 @@ def test_from_edge_list_rejects_self_loop():
 
 
 def test_graph_validation():
-    with pytest.raises(DomainError):
-        Graph(2, (0b10, 0b00))  # asymmetric
-    # two asymmetric pairs: rows are scanned in order, each from its lowest neighbour
-    with pytest.raises(DomainError, match=r"^asymmetric adjacency between 1 and 0$"):
-        Graph(3, (0b110, 0, 0))
-    with pytest.raises(DomainError):
-        Graph(0, ())
-    with pytest.raises(DomainError):
-        Graph(63, (0,) * 63)
-    with pytest.raises(DomainError):
-        Graph(1, (0b1,))  # self-loop
+    # each message in full, in the scan order: the order, the row count, then
+    # the rows in turn, each from its lowest neighbour
+    cases = [
+        (0, (), "graph order must be in 1..62, got 0"),
+        (63, (0,) * 63, "graph order must be in 1..62, got 63"),
+        (2, (0b10,), "adjacency rows do not match the vertex count"),
+        (2, (0b110, 0b001), "vertex 0 has a neighbor out of range"),
+        (1, (0b1,), "self-loop at vertex 0"),
+        (2, (0b10, 0b00), "asymmetric adjacency between 1 and 0"),
+        (3, (0b110, 0, 0), "asymmetric adjacency between 1 and 0"),  # two asymmetric pairs
+        (3, (0b010, 0b010, 0), "asymmetric adjacency between 1 and 0"),  # before vertex 1's loop
+    ]
+    for n, adj, message in cases:
+        with pytest.raises(DomainError) as err:
+            Graph(n, adj)
+        assert str(err.value) == message
+
+
+# --- graphs and records as values ---------------------------------------------
+
+
+def test_equal_graphs_are_equal_and_hash_equal():
+    g = Graph(3, (0b110, 0b001, 0b001))
+    h = from_edge_list(3, [(0, 2), (1, 0)])
+    assert g == h and hash(g) == hash(h)
+    assert g != path(3) and g != (3, (0b110, 0b001, 0b001))
+    assert len({g, h, star(2), path(3)}) == 2
+
+
+def test_graphs_refuse_attribute_assignment():
+    g = path(3)
+    with pytest.raises(AttributeError):
+        g.n = 4
+    with pytest.raises(AttributeError):
+        g.adj = (0, 0, 0)
+    with pytest.raises(AttributeError):
+        del g.n
+    assert g.n == 3 and g == path(3)
+
+
+@pytest.mark.parametrize("built", [False, True], ids=["bare", "tables-built"])
+def test_graph_survives_a_pickle_round_trip(built):
+    g = corona(path(2), cycle(3))[0]
+    if built:
+        g.intervals, g.extreme_vertices  # distances come with the intervals
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == g and hash(copy) == hash(g)
+    assert ("distances" in vars(copy)) == built
+    assert copy.distances == bfs_distances(g) and copy.extreme_vertices == extreme_vertices(g)
+    with pytest.raises(AttributeError):
+        copy.n = 1
+
+
+@pytest.mark.parametrize("record,text", [
+    (Caps(), "Caps(geodetic=20, steiner=16)"),
+    (Caps(steiner=5), "Caps(geodetic=20, steiner=5)"),
+    (GeodeticResult(2, (0, 3), 4), "GeodeticResult(value=2, witness=(0, 3), explored=4)"),
+    (GeodeticResult(None, None, 0), "GeodeticResult(value=None, witness=None, explored=0)"),
+    (SteinerResult(3, (0, 1, 4), 9), "SteinerResult(value=3, witness=(0, 1, 4), explored=9)"),
+    (CoronaLayout(2, 3), "CoronaLayout(n1=2, n2=3)"),
+    (CorpusEntry("f.g6:2", "bad"), "CorpusEntry(source='f.g6:2', error='bad')"),
+    (CorpusSpec.exhaustive(1, 4), "CorpusSpec(kind='exhaustive', family=None, lo=1, hi=4, "
+                                  "path=None, order=0, p=0.0, count=0, seed=None)"),
+])
+def test_records_print_their_fields_and_refuse_assignment(record, text):
+    assert repr(record) == text
+    assert pickle.loads(pickle.dumps(record)) == record
+    with pytest.raises(AttributeError):
+        record.value = 0
 
 
 def test_mask_helpers_roundtrip():
@@ -194,6 +258,27 @@ def test_corona_layout_index_bookkeeping():
     assert list(layout.copy_indices(2)) == [7, 8]
     with pytest.raises(DomainError):
         layout.copy_indices(3)
+
+
+def test_graphs_built_without_the_check_pass_it(census, monkeypatch):
+    """``corona`` and the block search build their graphs by
+    ``Graph._trusted``; each would pass ``Graph``'s own check unchanged."""
+    received = []
+    pick = geodesic._block_pick
+
+    def spy(rows, forced):
+        received.append(rows)
+        return pick(rows, forced)
+
+    monkeypatch.setattr(geodesic, "_block_pick", spy)
+    for g in [g for order in range(1, 4) for g in census(order)]:
+        for h in [h for order in range(1, 5) for h in census(order)]:
+            prod = corona(g, h)[0]
+            assert Graph(prod.n, prod.adj) == prod
+            geodesic.geodetic_number(prod)
+    assert received
+    for rows in received:
+        assert Graph(len(rows), rows) == Graph._trusted(rows)
 
 
 # --- metric primitives ------------------------------------------------------

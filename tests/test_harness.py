@@ -183,7 +183,7 @@ def test_corona_structure_geo_reports_a_witness_missing_a_copy(monkeypatch):
 
     def skewed(G, *, cap):
         r = search(G, cap=cap)
-        return r if G.n != 8 else dataclasses.replace(r, witness=(2, 4), value=2)
+        return r if G.n != 8 else r._replace(witness=(2, 4), value=2)
 
     monkeypatch.setattr(harness, "geodetic_number", skewed)
     r = check_corona_structure_geo(path(2), path(3))

@@ -2,6 +2,7 @@
 keeps its import path short."""
 
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -39,15 +40,45 @@ def test_module_imports_only_the_standard_library(module):
 SLOW_IMPORTS = ("typing", "pathlib", "importlib.resources")
 
 
-def test_import_path_leaves_out_slow_stdlib_packages():
-    # -S keeps site and its .pth files, which may import these, out of the check
+def _loaded_after(imports: str, names: tuple[str, ...]) -> list[str]:
+    """The ``names`` in ``sys.modules`` of a fresh interpreter after
+    ``import <imports>``; -S keeps site and its .pth files, which may
+    import them, out of the check."""
     code = (
         "import sys\n"
-        "import coronageo, coronageo.harness, coronageo.cli\n"
-        f"print(*[m for m in {SLOW_IMPORTS!r} if m in sys.modules])\n"
+        f"import {imports}\n"
+        f"print(*[m for m in {names!r} if m in sys.modules])\n"
     )
     root = os.path.dirname(os.path.dirname(os.path.abspath(coronageo.__file__)))
     res = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": root}, timeout=60)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == []
+    return res.stdout.split()
+
+
+def test_import_path_leaves_out_slow_stdlib_packages():
+    assert _loaded_after("coronageo, coronageo.harness, coronageo.cli", SLOW_IMPORTS) == []
+
+
+# what ``census``, ``compute`` and ``corona`` start without: ``dataclasses``
+# brings in ``inspect``, ``ast``, ``dis`` and ``tokenize``, and ``random``
+# serves random corpora only
+CENSUS_PATH_SKIPS = ("dataclasses", "inspect", "random")
+
+
+def test_census_path_leaves_out_dataclasses_inspect_and_random():
+    assert _loaded_after("coronageo, coronageo.cli, coronageo.corpus", CENSUS_PATH_SKIPS) == []
+
+
+def test_every_theorem_entry_takes_dataclasses_replace():
+    """The benchmark tracer swaps each claim's checker by
+    ``dataclasses.replace``, so ``TheoremInfo`` stays a dataclass."""
+    from coronageo.harness import THEOREMS
+
+    def checker(*args):
+        return None
+
+    for tid, info in THEOREMS.items():
+        swapped = dataclasses.replace(info, checker=checker)
+        assert swapped.checker is checker
+        assert (swapped.id, swapped.kind, swapped.claim) == (tid, info.kind, info.claim)
