@@ -180,12 +180,13 @@ def _random_corpus(args: argparse.Namespace) -> CorpusSpec | None:
         return None
     fields = {}
     for part in args.random.split(","):
-        key, sep, value = part.partition("=")
+        key, sep, value = (s.strip() for s in part.partition("="))
         if not sep:
             raise DomainError(f"bad --random entry {part!r}; expected key=value")
-        fields[key.strip()] = value.strip()
-    missing = {"n", "p", "count"} - set(fields)
-    if missing:
+        if key not in ("n", "p", "count") or key in fields:
+            raise DomainError(f"bad --random entry {part!r}; expected each of n=, p=, count= once")
+        fields[key] = value
+    if missing := {"n", "p", "count"} - set(fields):
         raise DomainError(f"--random needs n=, p=, count= (missing {sorted(missing)})")
     if args.seed is None:
         raise DomainError("--random corpora need --seed")

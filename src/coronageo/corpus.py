@@ -15,13 +15,14 @@ from collections import namedtuple
 from .errors import DomainError, FormatError
 from .formats import graph6_records, parse_graph6
 from .geodesic import DEFAULT_GEODETIC_CAP
-from .graphs import Graph, complete, cycle, empty, fan, from_edge_list, is_connected, path, star, wheel
+from .graphs import (MAX_VERTICES, Graph, check_order, complete, cycle, empty, fan, from_edge_list,
+                     is_connected, path, star, wheel)
 from .steiner import DEFAULT_STEINER_CAP
 
 CENSUS_ENV = "CORONA_CENSUS_DIR"
-CENSUS_MAX_ORDER = 7
 # connected graphs per order, used to sanity-check the data files
 CENSUS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+CENSUS_MAX_ORDER = max(CENSUS_COUNTS)
 # a random corpus is built whole before the first report; a graph takes
 # about 200 B at order 8 and 2.9 KB at order 62, so this keeps it under 300 MB
 RANDOM_MAX_COUNT = 100_000
@@ -88,9 +89,8 @@ def random_connected_graph(n: int, p: float, rng: random.Random, *, attempts: in
         raise DomainError(f"random graphs need n >= 1, got {n}")
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"edge probability must be in [0, 1], got {p}")
-    for _ in range(attempts):
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-        g = from_edge_list(n, edges)
+    for _ in range(attempts):  # ``from_edge_list`` checks n before it draws a pair
+        g = from_edge_list(n, ((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p))
         if is_connected(g):
             return g
     raise DomainError(f"no connected G({n}, {p}) sample in {attempts} attempts")
@@ -128,6 +128,8 @@ class CorpusSpec(namedtuple("CorpusSpec", "kind family lo hi path order p count 
     def random(cls, order: int, p: float, count: int, seed: int) -> "CorpusSpec":
         if not 1 <= count <= RANDOM_MAX_COUNT:
             raise DomainError(f"random corpora need 1 <= count <= {RANDOM_MAX_COUNT}, got {count}")
+        if order > MAX_VERTICES:  # rejected before any pair is sampled
+            check_order(order)
         return cls(kind="random", order=order, p=p, count=count, seed=seed)
 
     @classmethod

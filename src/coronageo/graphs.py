@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from functools import cached_property
+from itertools import chain
 
 from .errors import DomainError
 
@@ -34,6 +35,12 @@ def bits(mask: Mask) -> Iterator[int]:
         mask ^= low
 
 
+def check_order(n: int) -> None:
+    """Raise ``DomainError`` unless 1 <= n <= ``MAX_VERTICES``."""
+    if not 1 <= n <= MAX_VERTICES:
+        raise DomainError(f"graph order must be in 1..{MAX_VERTICES}, got {n}")
+
+
 def vertex_tuple(mask: Mask) -> tuple[int, ...]:
     """Sorted tuple of the vertices in a bitmask."""
     out = []
@@ -52,19 +59,18 @@ class Graph:
     build theirs from checked graphs, valid by construction, through
     ``Graph._trusted``, which skips that O(m) scan.
 
-    ``distances``, ``intervals`` and ``extreme_vertices`` are computed on
-    first use and kept on the instance, so every search and invariant of one
-    graph shares one BFS, one interval table and one extreme-vertex pass.
-    They are freed with the graph, or earlier by ``drop_tables``, which a
-    caller holding many graphs runs once it is done with one.
+    The two tables ``distances`` and ``intervals`` are computed on first
+    use and kept on the instance, so every search and invariant of one graph
+    shares one BFS and one interval table.  They are freed with the graph,
+    or earlier by ``drop_tables``, which a caller holding many graphs runs
+    once it is done with one.
     """
 
     n: int
     adj: tuple[Mask, ...]
 
     def __init__(self, n: int, adj: tuple[Mask, ...]) -> None:
-        if not 1 <= n <= MAX_VERTICES:
-            raise DomainError(f"graph order must be in 1..{MAX_VERTICES}, got {n}")
+        check_order(n)
         if len(adj) != n:
             raise DomainError("adjacency rows do not match the vertex count")
         full = (1 << n) - 1
@@ -128,27 +134,9 @@ class Graph:
         """``interval_table(self.distances)``, computed once."""
         return interval_table(self.distances)
 
-    @cached_property
-    def extreme_vertices(self) -> Mask:
-        """The vertices whose neighborhood induces a complete subgraph, as
-        a mask, computed once; ``extreme_vertices(G)`` reads it."""
-        adj = self.adj
-        out = 0
-        for v, nb in enumerate(adj):
-            rest = nb
-            while rest:  # every neighbour u is adjacent to the others: nb minus N(u) is u
-                low = rest & -rest
-                if nb & ~adj[low.bit_length() - 1] != low:
-                    break
-                rest ^= low
-            else:
-                out |= 1 << v
-        return out
-
     def drop_tables(self) -> None:
-        """Free ``distances``, ``intervals`` and ``extreme_vertices``; the
-        next use recomputes them."""
-        for name in ("distances", "intervals", "extreme_vertices"):
+        """Free ``distances`` and ``intervals``; the next use recomputes them."""
+        for name in ("distances", "intervals"):
             vars(self).pop(name, None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -159,6 +147,7 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Simple graph on vertices 0..n-1; duplicate edges collapse silently."""
     if n < 1:
         raise DomainError(f"graph order must be at least 1, got {n}")
+    check_order(n)  # before any row is allocated or edge drawn
     rows = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -371,45 +360,57 @@ def extreme_vertices(G: Graph) -> Mask:
     """Vertices whose neighborhood induces a complete subgraph.
 
     Includes isolated and pendant vertices; every geodetic set must contain
-    all of these.  Read from the graph's ``extreme_vertices`` memo.
+    all of these.
     """
-    return G.extreme_vertices
+    adj = G.adj
+    out = 0
+    for v, nb in enumerate(adj):
+        rest = nb
+        while rest:  # every neighbour u is adjacent to the others: nb minus N(u) is u
+            low = rest & -rest
+            if nb & ~adj[low.bit_length() - 1] != low:
+                break
+            rest ^= low
+        else:
+            out |= 1 << v
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Generators.  Canonical labelings: the hub of star/wheel/fan is index 0.
+# Each passes lazy edges to ``from_edge_list``, which checks the order first.
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise DomainError(f"path needs n >= 1, got {n}")
-    return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
+    return from_edge_list(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise DomainError(f"cycle needs n >= 3, got {n}")
-    return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
+    return from_edge_list(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def complete(n: int) -> Graph:
     if n < 1:
         raise DomainError(f"complete graph needs n >= 1, got {n}")
-    return from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    return from_edge_list(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
 def empty(n: int) -> Graph:
     """Edgeless graph on n vertices."""
     if n < 1:
         raise DomainError(f"empty graph needs n >= 1, got {n}")
-    return Graph(n, (0,) * n)
+    return from_edge_list(n, ())
 
 
 def star(n: int) -> Graph:
     """Star with hub 0 and n leaves (order n + 1)."""
     if n < 1:
         raise DomainError(f"star needs n >= 1 leaves, got {n}")
-    return from_edge_list(n + 1, [(0, i) for i in range(1, n + 1)])
+    return from_edge_list(n + 1, ((0, i) for i in range(1, n + 1)))
 
 
 def wheel(n: int) -> Graph:
@@ -419,9 +420,9 @@ def wheel(n: int) -> Graph:
     """
     if n < 3:
         raise DomainError(f"wheel needs a rim of size >= 3, got {n}")
-    rim = [(i, i + 1) for i in range(1, n)] + [(n, 1)]
-    spokes = [(0, i) for i in range(1, n + 1)]
-    return from_edge_list(n + 1, rim + spokes)
+    rim = ((i, i % n + 1) for i in range(1, n + 1))
+    spokes = ((0, i) for i in range(1, n + 1))
+    return from_edge_list(n + 1, chain(rim, spokes))
 
 
 def fan(n: int) -> Graph:
@@ -431,9 +432,9 @@ def fan(n: int) -> Graph:
     """
     if n < 2:
         raise DomainError(f"fan needs a path of size >= 2, got {n}")
-    spine = [(i, i + 1) for i in range(1, n)]
-    spokes = [(0, i) for i in range(1, n + 1)]
-    return from_edge_list(n + 1, spine + spokes)
+    spine = ((i, i + 1) for i in range(1, n))
+    spokes = ((0, i) for i in range(1, n + 1))
+    return from_edge_list(n + 1, chain(spine, spokes))
 
 
 # ---------------------------------------------------------------------------
@@ -486,15 +487,10 @@ def corona(G: Graph, H: Graph) -> tuple[Graph, CoronaLayout]:
     if order > MAX_VERTICES:
         raise DomainError(f"corona order {order} exceeds the {MAX_VERTICES}-vertex limit")
     layout = CoronaLayout(n1, n2)
-    rows = [0] * order
-    for v in range(n1):
-        rows[v] = G.adj[v]
+    rows = list(G.adj) + [0] * (order - n1)
     for i in range(n1):
         base = n1 + i * n2
+        rows[i] |= layout.copy_mask(i)
         for v in range(n2):
-            rows[base + v] |= H.adj[v] << base
-        block = layout.copy_mask(i)
-        rows[i] |= block
-        for v in range(base, base + n2):
-            rows[v] |= 1 << i
+            rows[base + v] = H.adj[v] << base | 1 << i
     return Graph._trusted(tuple(rows)), layout

@@ -756,9 +756,11 @@ def build_items(
     missing = [name for name in names if given[name] is None]
     if missing:
         raise DomainError(f"{theorem} needs {', '.join(missing)}")
-    if "n_range" in names and n_range[1] > MAX_VERTICES:
-        raise DomainError(f"{theorem} range ends at {n_range[1]}, above the "
-                          f"{MAX_VERTICES}-vertex limit")
+    # each bound counts the largest graph built: K1 ⊙ rim(n) has n + 1 vertices
+    if "n_range" in names and n_range[1] + (THEOREMS[theorem].kind == "range") > MAX_VERTICES:
+        raise DomainError(f"{theorem} range ends at {n_range[1]}; its graphs exceed {MAX_VERTICES} vertices")
+    if "k" in names and k > MAX_VERTICES:
+        raise DomainError(f"{theorem} k = {k} is above the {MAX_VERTICES}-vertex limit")
     axes = {
         "corpus": lambda: corpus.load(),
         "corpus_h": lambda: corpus_h.load(),

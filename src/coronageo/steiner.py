@@ -18,7 +18,7 @@ C without v.  ``steiner_sets`` turns lanes into bits, the family form of
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cache
+from functools import lru_cache
 
 from .errors import CapExceeded, DomainError
 from .graphs import (
@@ -42,7 +42,7 @@ class SteinerResult(namedtuple("SteinerResult", "value witness explored")):
     __slots__ = ()
 
 
-@cache
+@lru_cache(maxsize=2)  # the two most recent orders, as ``subsets.set_patterns``
 def _lane_patterns(n: int) -> tuple[int, tuple[int, ...], int]:
     """(ones, P, pc) for order n: ``ones`` holds 1 in every lane, ``P[v]``
     holds 1 in every lane that contains v, and ``pc`` holds each lane's

@@ -12,7 +12,7 @@ set exactly when W is in it, as ``geodetic_sets`` and ``steiner_sets`` return.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from functools import cache
+from functools import lru_cache
 from itertools import accumulate, combinations
 from math import comb
 from operator import or_
@@ -55,7 +55,7 @@ def candidate_rank(members: Mask, universe: Mask, forced: Mask = 0) -> int:
     return rank
 
 
-@cache
+@lru_cache(maxsize=2)  # the two most recent orders, so a run over many keeps two
 def set_patterns(n: int) -> tuple[int, ...]:
     """``Q[u]`` for order n: bit W set exactly when u is in the vertex set W,
     that is runs of 2^u zero bits and 2^u one bits, repeated to 2^n bits."""
@@ -69,7 +69,7 @@ def set_patterns(n: int) -> tuple[int, ...]:
     return tuple(Q)
 
 
-@cache
+@lru_cache(maxsize=2)
 def _size_layers(n: int) -> tuple[int, ...]:
     """``L[j]`` for order n: bit W set exactly when |W| = j.  Adding vertex
     u doubles the sets, and W + u has bit W + 2^u and one more member, so
@@ -132,32 +132,30 @@ def first_cover(table: Sequence[Sequence[Mask]], n: int, forced: Mask) -> Mask |
         pair[i] = pair[i + 1]
         for w in free[i + 1:]:
             pair[i] |= tu[w]
+    if forced and closure == full:
+        return forced
+    for need in range(1, m + 1):
+        found = _cover_search(table, free, pair, full, closure, rows, 0, need)
+        if found is not None:
+            return forced | found
+    return None
 
-    def search(closure: Mask, rows: list[Mask], start: int, need: int) -> Mask | None:
-        # rows[p] belongs to free[start + p]; returns the chosen free vertices
-        reach = list(accumulate(reversed(rows), or_))[::-1]
-        for p in range(len(rows) - need + 1):
-            i = start + p
-            if closure | pair[i] | reach[p] != full:
-                return None
-            if need == 1:
-                if closure | rows[p] == full:
-                    return 1 << free[i]
-                continue
-            tv = table[free[i]]
-            below = [r | tv[w] for r, w in zip(rows[p + 1:], free[i + 1:])]
-            found = search(closure | rows[p], below, i + 1, need - 1)
-            if found is not None:
-                return found | 1 << free[i]
-        return None
 
-    try:
-        if forced and closure == full:
-            return forced
-        for need in range(1, m + 1):
-            found = search(closure, rows, 0, need)
-            if found is not None:
-                return forced | found
-        return None
-    finally:
-        del search  # it refers to itself; without this the tables wait for the cyclic GC
+def _cover_search(table: Sequence[Sequence[Mask]], free: list[int], pair: list[Mask], full: Mask,
+                  closure: Mask, rows: list[Mask], start: int, need: int) -> Mask | None:
+    # rows[p] belongs to free[start + p]; returns the chosen free vertices
+    reach = list(accumulate(reversed(rows), or_))[::-1]
+    for p in range(len(rows) - need + 1):
+        i = start + p
+        if closure | pair[i] | reach[p] != full:
+            return None
+        if need == 1:
+            if closure | rows[p] == full:
+                return 1 << free[i]
+            continue
+        tv = table[free[i]]
+        below = [r | tv[w] for r, w in zip(rows[p + 1:], free[i + 1:])]
+        found = _cover_search(table, free, pair, full, closure | rows[p], below, i + 1, need - 1)
+        if found is not None:
+            return found | 1 << free[i]
+    return None

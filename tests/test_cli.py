@@ -110,6 +110,11 @@ _C6 = encode_graph6(cycle(6))
                  id="range-above-vertex-limit"),
     pytest.param(("verify", "--theorem", "CORONA_CYCLE_PATH", "--family-g", "path:2..3",
                   "--range", "1..63"), id="g_range-above-vertex-limit"),
+    # K1 ⊙ rim(n) has n + 1 vertices, so the range ends at 61 at most
+    pytest.param(("verify", "--theorem", "WHEEL_GEO", "--range", "60..62"),
+                 id="range-instance-above-vertex-limit"),
+    pytest.param(("verify", "--theorem", "PENDANT_COROLLARY", "--family-g", "path:1..1",
+                  "--family-h", "path:1..1", "--k", "63"), id="k-above-vertex-limit"),
     pytest.param(("verify", "--theorem", "GEO_KN", "--random", "n=5,p=0.5,count=-1",
                   "--seed", "1"), id="random-count-negative"),
     pytest.param(("verify", "--theorem", "GEO_KN", "--random", "n=5,p=0.5,count=0",
@@ -283,6 +288,19 @@ def test_verify_argument_errors_name_the_theorem(run_cli, theorem, flags, missin
 def test_verify_random_requires_seed(run_cli):
     res = run_cli("verify", "--theorem", "DIAM2_G_LE_S", "--random", "n=6,p=0.5,count=2")
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize("spec, entry", [
+    pytest.param("n=6,p=0.5,count=2,seed=9", "'seed=9'", id="unknown-key"),
+    pytest.param("n=6,n=7,p=0.5,count=2", "'n=7'", id="repeated-key"),
+])
+def test_verify_random_refuses_unknown_and_repeated_keys(run_cli, spec, entry):
+    """A --random entry that is not n=, p= or count=, or repeats one, is
+    named in the error, not dropped or overwritten."""
+    res = run_cli("verify", "--theorem", "DIAM2_G_LE_S", "--random", spec, "--seed", "1")
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith("error: bad --random entry " + entry), res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_verify_seed_requires_random(run_cli):

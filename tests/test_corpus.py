@@ -121,6 +121,13 @@ def test_random_corpus_needs_seed():
         CorpusSpec(kind="random", order=5, p=0.5, count=1, seed=None).load()
 
 
+def test_random_corpus_rejects_an_order_above_the_limit():
+    """The order is refused when the spec is made, before any pair is sampled."""
+    with pytest.raises(DomainError, match="^graph order must be in 1..62, got 1000000000$"):
+        CorpusSpec.random(10**9, 0.5, 1, 1)
+    assert CorpusSpec.random(62, 0.5, 1, 1).order == 62
+
+
 def test_random_connected_graph_rejects_bad_parameters():
     rng = random.Random(1)
     with pytest.raises(DomainError):

@@ -1,6 +1,7 @@
 import itertools
 import pickle
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -94,6 +95,26 @@ def test_graph_validation():
         assert str(err.value) == message
 
 
+def test_orders_above_the_limit_are_refused_before_any_allocation():
+    """``from_edge_list`` and the generators check the order before they
+    build a row or an edge, so a huge order costs nothing.  (The sizes keep
+    code that builds first under about 100 MB.)"""
+    builds = [lambda: from_edge_list(10_000_000, []), lambda: empty(10_000_000),
+              lambda: complete(700)]
+    builds += [lambda gen=gen: gen(200_000) for gen in (path, cycle, star, wheel, fan)]
+    for build in builds:
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=r"^graph order must be in 1\.\.62, got "):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"{peak / (1 << 20):.1f} MiB"
+    with pytest.raises(DomainError, match="^graph order must be at least 1, got 0$"):
+        from_edge_list(0, [])
+
+
 # --- graphs and records as values ---------------------------------------------
 
 
@@ -120,11 +141,11 @@ def test_graphs_refuse_attribute_assignment():
 def test_graph_survives_a_pickle_round_trip(built):
     g = corona(path(2), cycle(3))[0]
     if built:
-        g.intervals, g.extreme_vertices  # distances come with the intervals
+        g.intervals  # distances come with the intervals
     copy = pickle.loads(pickle.dumps(g))
     assert copy == g and hash(copy) == hash(g)
     assert ("distances" in vars(copy)) == built
-    assert copy.distances == bfs_distances(g) and copy.extreme_vertices == extreme_vertices(g)
+    assert copy.distances == bfs_distances(g)
     with pytest.raises(AttributeError):
         copy.n = 1
 
@@ -381,12 +402,16 @@ def test_extreme_double_loop_on_disconnected_graphs():
         assert vertex_tuple(extreme_vertices(g)) == tuple(sorted(extreme_by_double_loop(g)))
 
 
-def test_extreme_vertices_are_computed_once_per_graph():
+def test_extreme_vertices_are_not_kept_on_the_graph():
+    """The graph memoizes its two tables only; the extreme vertices are one
+    O(m) scan per call."""
     g = fan(4)
-    ext = extreme_vertices(g)
-    assert vars(g)["extreme_vertices"] == ext == mask_of([1, 4])
+    assert extreme_vertices(g) == mask_of([1, 4])
+    assert not hasattr(g, "extreme_vertices") and sorted(vars(g)) == ["adj", "n"]
+    g.intervals
+    assert sorted(vars(g)) == ["adj", "distances", "intervals", "n"]
     g.drop_tables()
-    assert "extreme_vertices" not in vars(g) and extreme_vertices(g) == ext
+    assert sorted(vars(g)) == ["adj", "n"]
 
 
 # --- induced subgraphs and neighborhoods ------------------------------------

@@ -571,6 +571,21 @@ def test_build_items_argument_validation():
         build_items("NO_SUCH_CLAIM", corpus=CorpusSpec.exhaustive(1, 1))
 
 
+def test_build_items_bounds_count_the_graphs_each_kind_builds():
+    """A "range" instance K1 ⊙ rim(n) has n + 1 vertices and N_k has k, so a
+    range ending above 61 or a k above 62 is refused before any report; at
+    the limit the instance is built, and its search is capped."""
+    one = CorpusSpec.exhaustive(1, 1)
+    with pytest.raises(DomainError, match="^WHEEL_GEO range ends at 62; its graphs exceed 62 vertices$"):
+        build_items("WHEEL_GEO", n_range=(60, 62))
+    with pytest.raises(DomainError, match="^PENDANT_COROLLARY k = 63 is above the 62-vertex limit$"):
+        build_items("PENDANT_COROLLARY", corpus=one, corpus_h=one, k=63)
+    assert len(build_items("CORONA_CYCLE_PATH", corpus=one, n_range=(62, 62))) == 1  # path(62)
+    reports = [*run_corpus("WHEEL_GEO", n_range=(61, 61)),
+               *run_corpus("PENDANT_COROLLARY", corpus=one, corpus_h=one, k=62)]
+    assert [(r.verdict, r.reason.split(":")[0]) for r in reports] == [("SKIPPED", "cap-exceeded")] * 2
+
+
 def test_run_corpus_geo_corona_eq_small_grid():
     reports = list(run_corpus(
         "GEO_CORONA_EQ",

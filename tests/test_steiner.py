@@ -32,6 +32,7 @@ from coronageo.steiner import (
     steiner_number,
     steiner_sets,
 )
+from coronageo import subsets
 from coronageo.subsets import ascending_subsets, candidate_rank, first_set
 
 from oracles import (
@@ -311,6 +312,20 @@ def test_lane_table_memory_at_order_20():
     finally:
         tracemalloc.stop()
     assert peak < 40 << 20, f"{peak / (1 << 20):.1f} MiB"
+
+
+def test_pattern_caches_keep_the_two_latest_orders():
+    """A run over many orders holds the per-order masks of two of them,
+    not of every order it has seen."""
+    caches = (_lane_patterns, subsets.set_patterns, subsets._size_layers)
+    for n in range(14, 21):
+        assert steiner_number(wheel(n - 1), cap=20).value == n - 3
+        for cache in caches:
+            assert cache.cache_info().currsize <= 2, cache
+    for cache in caches:  # the latest order is still kept
+        hits = cache.cache_info().hits
+        cache(20)
+        assert cache.cache_info().hits == hits + 1, cache
 
 
 def test_steiner_number_memory_at_order_20():
