@@ -56,7 +56,8 @@ def parse_graph6(text: str) -> Graph:
     for pad in range(nbits, nbytes * 6):
         if groups[pad // 6] >> (5 - pad % 6) & 1:
             raise FormatError("nonzero padding bits", offset=1 + pad // 6)
-    return Graph(n, tuple(rows))
+    # both directions of each pair i < j < n are set, so the rows pass the check
+    return Graph._trusted(tuple(rows))
 
 
 def encode_graph6(G: Graph) -> str:
@@ -150,6 +151,6 @@ def format_edge_list(G: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def jsonline(payload: dict) -> str:
-    """One JSON Lines record: sorted keys, no spaces."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+# One JSON Lines record: sorted keys, no spaces.  One encoder serves every
+# line; ``json.dumps`` with these options would build one per call.
+jsonline = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode

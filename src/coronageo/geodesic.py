@@ -19,7 +19,7 @@ from .graphs import (
 from .subsets import candidate_rank, first_cover, set_patterns
 
 DEFAULT_GEODETIC_CAP = 20
-_BLOCK_PICK_CACHE_SIZE = 1024  # block searches that ``_block_pick`` keeps, across calls
+_BLOCK_PICK_CACHE_SIZE = 4096  # block searches that ``_block_pick`` keeps, across calls
 
 
 class GeodeticResult(namedtuple("GeodeticResult", "value witness explored")):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from functools import cached_property
 from itertools import chain
 
 from .errors import DomainError
@@ -55,19 +54,21 @@ class Graph:
     """Immutable simple graph; ``adj[v]`` is the neighbor bitmask of ``v``.
 
     ``Graph(n, adj)`` checks that the rows are in range, loop-free and
-    symmetric.  ``corona`` and the block search of ``geodetic_number``
-    build theirs from checked graphs, valid by construction, through
-    ``Graph._trusted``, which skips that O(m) scan.
+    symmetric.  ``corona``, the block search of ``geodetic_number`` and
+    ``parse_graph6`` build rows valid by construction, and skip that O(m)
+    scan through ``Graph._trusted``.
 
-    The two tables ``distances`` and ``intervals`` are computed on first
-    use and kept on the instance, so every search and invariant of one graph
-    shares one BFS and one interval table.  They are freed with the graph,
-    or earlier by ``drop_tables``, which a caller holding many graphs runs
-    once it is done with one.
+    The two tables ``distances`` and ``intervals`` are built together, by
+    one ``bfs_distances`` pass, on first use of either (``diameter`` builds
+    the rows alone on a graph with neither), and kept on the instance.  They
+    are freed with the graph, or earlier by ``drop_tables``, which a caller
+    holding many graphs runs once it is done with one.
     """
 
     n: int
     adj: tuple[Mask, ...]
+    distances: tuple[tuple[int, ...], ...]  # bfs_distances(self)
+    intervals: tuple[tuple[Mask, ...], ...]  # I[u, v] for every pair
 
     def __init__(self, n: int, adj: tuple[Mask, ...]) -> None:
         check_order(n)
@@ -124,15 +125,13 @@ class Graph:
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 
-    @cached_property
-    def distances(self) -> tuple[tuple[int, ...], ...]:
-        """``bfs_distances(self)``, computed once."""
-        return bfs_distances(self)
-
-    @cached_property
-    def intervals(self) -> tuple[tuple[Mask, ...], ...]:
-        """``interval_table(self.distances)``, computed once."""
-        return interval_table(self.distances)
+    def __getattr__(self, name: str) -> object:
+        """Build both tables on first use of either, by one ``bfs_distances`` pass."""
+        if name not in ("distances", "intervals"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        D, I = bfs_distances(self, intervals=True)
+        self.__dict__.update(distances=D, intervals=I)
+        return self.__dict__[name]
 
     def drop_tables(self) -> None:
         """Free ``distances`` and ``intervals``; the next use recomputes them."""
@@ -282,71 +281,64 @@ def blocks(G: Graph) -> list[Mask]:
     return out
 
 
-def bfs_distances(G: Graph) -> tuple[tuple[int, ...], ...]:
+def bfs_distances(G: Graph, *, intervals: bool = False) -> tuple:
     """Exact hop distances by breadth-first search from every vertex.
 
     Row u holds d(u, w) for every w, and holds n where w is in another
-    component.
+    component.  With ``intervals``, returns ``(D, I)``, where ``I[u][v]`` is
+    the interval I[u, v], every w with d(u, w) + d(w, v) = d(u, v) (0
+    across components), built in the same pass: when the search from s
+    reaches v at layer d, I[s][v] is {v} with the union of I[s][w] over the
+    neighbours w of v in layer d - 1, since every s-v geodesic enters v from
+    such a w.  For v < s, I[s][v] is I[v][s], already built.  Each vertex is
+    visited once per source: labelling a layer also gathers the
+    neighbourhood that the next layer is cut from.
     """
     n = G.n
     adj = G.adj
-    out = []
+    D, table = [], []
     for s in range(n):
         row = [n] * n
         row[s] = 0
-        seen = frontier = 1 << s
+        I = [0] * n
+        I[s] = frontier = seen = 1 << s
+        reach = adj[s]  # the neighbours of the last layer, gathered as it is labelled
         d = 0
-        while frontier:
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                nxt |= adj[low.bit_length() - 1]
-                frontier ^= low
-            frontier = nxt = nxt & ~seen
-            seen |= nxt
+        while rest := reach & ~seen:
+            seen |= rest
             d += 1
-            while nxt:
-                low = nxt & -nxt
-                row[low.bit_length() - 1] = d
-                nxt ^= low
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def interval_table(D: tuple[tuple[int, ...], ...]) -> tuple[tuple[Mask, ...], ...]:
-    """``table[u][v]`` = I[u, v], every w with d(u, w) + d(w, v) = d(u, v),
-    for every vertex pair of the ``bfs_distances`` rows ``D`` (0 across
-    components).
-
-    Each row is first split into distance layers, so I[u, v] is the union
-    over i of layer i of u and layer d(u, v) - i of v.
-    """
-    n = len(D)
-    layers = []
-    for row in D:
-        by_d = [0] * (n + 1)
-        bit = 1
-        for d in row:
-            by_d[d] |= bit
-            bit <<= 1
-        layers.append(by_d)
-    table = [[0] * n for _ in range(n)]
-    for u in range(n):
-        du, lu, tu = D[u], layers[u], table[u]
-        tu[u] = 1 << u
-        for v in range(u + 1, n):
-            target = du[v]
-            if target < n:
-                lv = layers[v]
-                m = 0
-                for i in range(target + 1):
-                    m |= lu[i] & lv[target - i]
-                tu[v] = table[v][u] = m
-    return tuple(map(tuple, table))
+            layer, reach = rest, 0
+            while rest:
+                low = rest & -rest
+                row[v := low.bit_length() - 1] = d
+                reach |= adj[v]
+                rest ^= low
+                if not intervals:
+                    continue
+                if v < s:
+                    I[v] = table[v][s]
+                    continue
+                pred = adj[v] & frontier
+                while pred:
+                    bit = pred & -pred
+                    low |= I[bit.bit_length() - 1]
+                    pred ^= bit
+                I[v] = low
+            frontier = layer
+        D.append(tuple(row))
+        if intervals:
+            table.append(tuple(I))
+    D = tuple(D)
+    return (D, tuple(table)) if intervals else D
 
 
 def diameter(G: Graph) -> int | None:
-    """Largest pairwise distance, or None when the graph is disconnected."""
+    """Largest pairwise distance, or None when the graph is disconnected.
+
+    A graph with no tables yet gets its distance rows alone: a diameter
+    test, such as a DIAM2 claim's hypothesis, needs no interval table."""
+    if "distances" not in vars(G):
+        G.__dict__["distances"] = bfs_distances(G)
     d = max(max(row) for row in G.distances)
     return None if d == G.n else d
 

@@ -20,6 +20,8 @@ witness and ``explored`` count:
   prefix-incremental cover search (``subsets.first_cover``) behind
   ``geodetic_number`` and ``k_geodetic_number``: they walk
   ``ascending_subsets`` and rebuild each candidate's closure pair by pair;
+* ``interval_table`` is the layer formula for I[u, v] that the one-pass
+  interval rows of ``bfs_distances(g, intervals=True)`` replaced;
 * ``diam2_tier_a_by_dp`` pins the ``DIAM2_STEINER_GEODETIC`` check, which
   reads its Steiner sets from ``steiner_sets`` and its geodetic sets from
   ``geodetic_sets`` at every order, to the single-set Steiner DP and
@@ -45,7 +47,6 @@ from coronageo.graphs import (
     bfs_distances,
     bits,
     induced_subgraph,
-    interval_table,
     is_connected,
     mask_of,
     reachable_set,
@@ -328,6 +329,38 @@ def steiner_sets_by_table(g: Graph) -> int:
         if all(sd[members | b] == d for b in singles):
             sets |= 1 << members
     return sets
+
+
+def interval_table(D: Sequence[Sequence[int]]) -> tuple[tuple[Mask, ...], ...]:
+    """``table[u][v]`` = I[u, v], every w with d(u, w) + d(w, v) = d(u, v),
+    for every vertex pair of the ``bfs_distances`` rows ``D`` (0 across
+    components).
+
+    Each row is first split into distance layers, so I[u, v] is the union
+    over i of layer i of u and layer d(u, v) - i of v.
+    """
+    n = len(D)
+    layers = []
+    for row in D:
+        by_d = [0] * (n + 1)
+        bit = 1
+        for d in row:
+            by_d[d] |= bit
+            bit <<= 1
+        layers.append(by_d)
+    table = [[0] * n for _ in range(n)]
+    for u in range(n):
+        du, lu, tu = D[u], layers[u], table[u]
+        tu[u] = 1 << u
+        for v in range(u + 1, n):
+            target = du[v]
+            if target < n:
+                lv = layers[v]
+                m = 0
+                for i in range(target + 1):
+                    m |= lu[i] & lv[target - i]
+                tu[v] = table[v][u] = m
+    return tuple(map(tuple, table))
 
 
 def geodetic_search_by_closure(g: Graph, forced: Mask) -> GeodeticResult:

@@ -386,9 +386,9 @@ def test_census_runs_one_bfs_and_no_search_per_graph(capsys, monkeypatch):
     calls = {"bfs": 0, "reach": 0, "search": 0}
     bfs, reach = graphs.bfs_distances, graphs.reachable_set
 
-    def counted_bfs(G):
+    def counted_bfs(G, **kwargs):
         calls["bfs"] += 1
-        return bfs(G)
+        return bfs(G, **kwargs)
 
     def counted_reach(*args, **kwargs):
         calls["reach"] += 1

@@ -1,18 +1,22 @@
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coronageo.corpus import census_lines
 from coronageo.errors import FormatError
 from coronageo.formats import (
     encode_graph6,
     format_edge_list,
+    jsonline,
     parse_edge_list,
     parse_graph6,
     parse_graph6_lines,
 )
 from coronageo.graphs import (
+    Graph,
     complete,
     cycle,
     empty,
@@ -105,6 +109,18 @@ def test_roundtrip_census_orders_1_to_7(census):
             assert parse_graph6(encode_graph6(g)) == g
 
 
+def test_parsed_graphs_pass_the_public_check():
+    """``parse_graph6`` builds its graph through ``Graph._trusted``; every
+    census graph it parses would pass ``Graph``'s own check unchanged."""
+    parsed = 0
+    for order in range(1, 8):
+        for code in census_lines(order):
+            g = parse_graph6(code)
+            assert Graph(g.n, g.adj) == g and encode_graph6(g) == code
+            parsed += 1
+    assert parsed == 996
+
+
 def test_roundtrip_random_order_8_graphs():
     rng = random.Random(88)
     for _ in range(60):
@@ -185,3 +201,15 @@ def test_edge_list_bad_edges():
 def test_edge_list_format_is_sorted_and_lf_terminated():
     text = format_edge_list(cycle(3))
     assert text == "3 3\n0 1\n0 2\n1 2\n"
+
+
+@pytest.mark.parametrize("payload", [
+    {},
+    {"b": 1, "a": [True, False, None], "c": {"z": 0.5, "y": -3}},
+    {"g6": ["@", "A_"], "computed": {"g": 2, "s": None}, "witness": [[0, 3], [1]]},
+    {"text": "G ⊙ H, K₁ \u2014 \"quoted\"\n", "big": 2 ** 70, "neg": -0.0, "inf": float("inf")},
+])
+def test_jsonline_equals_json_dumps(payload):
+    """``jsonline`` reuses one encoder; its lines are byte-identical to a
+    fresh ``json.dumps`` with sorted keys and no spaces."""
+    assert jsonline(payload) == json.dumps(payload, sort_keys=True, separators=(",", ":"))

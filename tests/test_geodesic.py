@@ -28,7 +28,6 @@ from coronageo.graphs import (
     empty,
     extreme_vertices,
     from_edge_list,
-    interval_table,
     mask_of,
     path,
     vertex_tuple,
@@ -42,6 +41,7 @@ from oracles import (
     closure_vertices,
     geodetic_number_brute,
     geodetic_search_by_closure,
+    interval_table,
     interval_vertices,
     k_geodetic_number_brute,
     k_geodetic_search_by_closure,
@@ -408,7 +408,7 @@ def test_block_search_matches_flat_search_hypothesis(case):
 def test_tables_are_computed_once_per_graph(monkeypatch):
     calls = []
     bfs = graphs.bfs_distances
-    monkeypatch.setattr(graphs, "bfs_distances", lambda g: calls.append(g) or bfs(g))
+    monkeypatch.setattr(graphs, "bfs_distances", lambda g, **kw: calls.append(g) or bfs(g, **kw))
     g = corona(path(2), cycle(4))[0]
     geodetic_number(g)  # searches its two K1 ⊙ C4 blocks on one block graph
     k_geodetic_number(g, 2)

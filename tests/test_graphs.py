@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coronageo import geodesic
+from coronageo import geodesic, graphs
 from coronageo.corpus import Caps, CorpusEntry, CorpusSpec
 from coronageo.errors import DomainError
 from coronageo.formats import encode_graph6
@@ -41,7 +41,7 @@ from coronageo.graphs import (
 )
 from coronageo.steiner import SteinerResult
 
-from oracles import extreme_by_double_loop, to_nx
+from oracles import extreme_by_double_loop, interval_table, to_nx
 
 
 def test_from_edge_list_path():
@@ -331,6 +331,89 @@ def test_distance_matrix_matches_adjacency(census):
             for v in range(g.n):
                 assert (D[u][v] == 1) == g.has_edge(u, v)
         assert all(D[u][u] == 0 for u in range(g.n))
+
+
+def _one_pass_tables(g):
+    """D and I from one ``bfs_distances`` call, checked against the
+    one-argument call and the layer formula of ``oracles.interval_table``."""
+    D, I = bfs_distances(g, intervals=True)
+    assert D == bfs_distances(g)
+    assert I == interval_table(D)
+    assert all(type(row) is tuple for row in I)
+    return D, I
+
+
+def test_one_pass_tables_match_the_layer_formula_on_the_census(census):
+    checked = 0
+    for order in range(1, 8):
+        for g in census(order):
+            _one_pass_tables(g)
+            checked += 1
+    assert checked == 996
+
+
+def test_one_pass_tables_across_components():
+    rng = random.Random(7)
+    cases = [empty(1), empty(5), from_edge_list(6, [(0, 1), (1, 2), (3, 4)]),
+             from_edge_list(8, list(path(3).edges()) + [(u + 3, v + 3) for u, v in cycle(5).edges()])]
+    for _ in range(40):
+        n = rng.randint(2, 30)
+        cases.append(from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                        if rng.random() < 1.5 / n]))
+    assert sum(not is_connected(g) for g in cases) > 30
+    for g in cases:
+        D, I = _one_pass_tables(g)
+        comp = {v: c for c in components(g) for v in bits(c)}
+        for u in range(g.n):
+            assert I[u][u] == 1 << u and D[u][u] == 0
+            for v in range(g.n):
+                if comp[u] != comp[v]:
+                    assert D[u][v] == g.n and I[u][v] == 0
+                else:
+                    assert D[u][v] < g.n and I[u][v] >> u & 1 and I[u][v] >> v & 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_one_pass_tables_hypothesis(data):
+    n = data.draw(st.integers(min_value=1, max_value=14))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    _one_pass_tables(from_edge_list(n, chosen))
+
+
+@pytest.mark.parametrize("g,h", [
+    (path(2), cycle(30)), (cycle(5), path(11)), (path(31), complete(1)), (cycle(4), complete(14)),
+    (star(2), wheel(18)), (complete(2), empty(30)), (path(6), fan(8)),
+])
+def test_one_pass_tables_on_corona_products(g, h):
+    """Products of order 60 and 62, the largest the package builds."""
+    prod = corona(g, h)[0]
+    assert prod.n >= 60
+    _one_pass_tables(prod)
+
+
+def test_an_interval_read_builds_both_tables_in_one_pass(monkeypatch):
+    """The memo reaches ``bfs_distances`` through its module-level name,
+    which the benchmark tracer wraps; ``diameter`` on a graph with no tables
+    yet keeps the distance rows alone."""
+    calls = []
+    bfs = graphs.bfs_distances
+    monkeypatch.setattr(graphs, "bfs_distances", lambda g, **kw: calls.append(kw) or bfs(g, **kw))
+    for first in ("distances", "intervals"):
+        g = cycle(7)
+        getattr(g, first)
+        assert calls == [{"intervals": True}]
+        assert sorted(vars(g)) == ["adj", "distances", "intervals", "n"]
+        assert g.intervals == interval_table(g.distances)
+        calls.clear()
+    g = cycle(7)
+    assert diameter(g) == 3 and calls == [{}]
+    assert sorted(vars(g)) == ["adj", "distances", "n"]
+    assert g.intervals == interval_table(g.distances)
+    assert calls == [{}, {"intervals": True}]
+    with pytest.raises(AttributeError, match="'Graph' object has no attribute 'interval'"):
+        g.interval
 
 
 def test_diameter_examples():
