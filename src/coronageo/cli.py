@@ -15,7 +15,7 @@ from .corpus import CENSUS_MAX_ORDER, Caps, CorpusSpec, census_lines, parse_rang
 from .errors import CapExceeded, DomainError, FormatError
 from .formats import (encode_graph6, format_edge_list, jsonline, parse_edge_list, parse_graph6,
                       parse_graph6_lines)
-from .geodesic import geodetic_number, geodetic_sets, interval, k_geodetic_number
+from .geodesic import geodetic_families, geodetic_number, interval, k_geodetic_number
 from .graphs import Graph, corona, diameter, extreme_vertices, mask_of, vertex_tuple
 from .steiner import steiner_distance, steiner_hull, steiner_number, steiner_sets
 from .subsets import least_size
@@ -24,6 +24,10 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+
+# graphs per census chunk, each phase of ``cmd_census`` run over a whole chunk;
+# larger chunks gained little more and wrote the first row later (+8% at 64)
+_CENSUS_CHUNK = 16
 
 MEASURES = ("g", "g2", "gk", "s", "diameter", "extreme", "interval",
             "steiner-distance", "steiner-hull")
@@ -256,39 +260,40 @@ def _written(reports: Iterator, timing: bool) -> Iterator:
 
 
 def _write_line(line: str) -> None:
-    """One ``write`` per line; ``print`` makes two when stdout is unbuffered."""
+    """One ``write`` for ``line`` and its newline (``print`` makes two when
+    stdout is unbuffered); a census chunk's rows go out as one such line."""
     sys.stdout.write(line + "\n")
 
 
 def cmd_census(args: argparse.Namespace) -> int:
-    """Prints each row as soon as it is computed.  Every graph of an order
-    has the same n, so a cap error fires on the first one, before any output.
-    g and g2 are the least sizes in ``geodetic_sets``, the values of
-    ``geodetic_number`` and ``k_geodetic_number(·, 2)``, and s is the least
-    size in ``steiner_sets``, the value of ``steiner_number``.  No witness is
+    """Writes the rows a chunk of ``_CENSUS_CHUNK`` graphs at a time, each
+    phase (parse, geodetic families, Steiner sets, rows) run over the whole
+    chunk.  Every graph of an order has the same n, so a cap error fires in
+    the first chunk, before any output.  g and g2 are the least sizes in
+    ``geodetic_families(·, 2)``, the values of ``geodetic_number`` and
+    ``k_geodetic_number(·, 2)``, and s is the least size in
+    ``steiner_sets``, the value of ``steiner_number``.  No witness is
     printed, so no minimum-set search runs."""
     caps = _caps(args)
-    for i, code in enumerate(census_lines(args.order)):
-        g = parse_graph6(code)
-        geo = least_size(geodetic_sets(g, cap=caps.geodetic), g.n)
-        geo2 = least_size(geodetic_sets(g, 2, cap=caps.geodetic), g.n)
-        s = least_size(steiner_sets(g, cap=caps.steiner), g.n)
-        row = {
-            "g6": code,
-            "g": geo,
-            "g2": geo2,
-            "s": s,
-            "diameter": diameter(g),
-            "g_le_s": geo <= s,
-        }
-        if args.json:
-            _write_line(jsonline(row))
-            continue
-        if i == 0:
-            _write_line(f"{'g6':<12} {'g':>3} {'g2':>3} {'s':>3} {'diam':>4}  g<=s")
-        g2 = "-" if row["g2"] is None else row["g2"]
-        _write_line(f"{row['g6']:<12} {row['g']:>3} {g2:>3} {row['s']:>3} "
-                    f"{row['diameter']:>4}  {'yes' if row['g_le_s'] else 'NO'}")
+    codes = census_lines(args.order)
+    for start in range(0, len(codes), _CENSUS_CHUNK):
+        graphs = [parse_graph6(code) for code in codes[start:start + _CENSUS_CHUNK]]
+        families = [geodetic_families(g, 2, cap=caps.geodetic) for g in graphs]
+        steiner = [steiner_sets(g, cap=caps.steiner) for g in graphs]
+        lines = []
+        for i, (g, (fam, fam2), st) in enumerate(zip(graphs, families, steiner), start):
+            geo, geo2, s = (least_size(f, g.n) for f in (fam, fam2, st))
+            row = {"g6": codes[i], "g": geo, "g2": geo2, "s": s, "diameter": diameter(g),
+                   "g_le_s": geo <= s}
+            if args.json:
+                lines.append(jsonline(row))
+                continue
+            if i == 0:
+                lines.append(f"{'g6':<12} {'g':>3} {'g2':>3} {'s':>3} {'diam':>4}  g<=s")
+            g2 = "-" if row["g2"] is None else row["g2"]
+            lines.append(f"{row['g6']:<12} {row['g']:>3} {g2:>3} {row['s']:>3} "
+                         f"{row['diameter']:>4}  {'yes' if row['g_le_s'] else 'NO'}")
+        _write_line("\n".join(lines))
     return EXIT_OK
 
 

@@ -39,23 +39,26 @@ def parse_graph6(text: str) -> Graph:
             f"graph6 body for order {n} needs {nbytes} bytes, got {len(body)}",
             offset=1 + min(len(body), nbytes),
         )
-    groups = []
+    packed = 0  # the body's bits, the first one highest
     for i, ch in enumerate(body):
         x = ord(ch) - 63
         if not 0 <= x <= 63:
             raise FormatError(f"invalid data byte {ch!r}", offset=1 + i)
-        groups.append(x)
+        packed = packed << 6 | x
+    pad = nbytes * 6 - nbits  # fewer than 6 bits, all in the last byte
+    if packed & ((1 << pad) - 1):
+        raise FormatError("nonzero padding bits", offset=nbytes)
+    packed >>= pad
     rows = [0] * n
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if groups[idx // 6] >> (5 - idx % 6) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            idx += 1
-    for pad in range(nbits, nbytes * 6):
-        if groups[pad // 6] >> (5 - pad % 6) & 1:
-            raise FormatError("nonzero padding bits", offset=1 + pad // 6)
+    for j in range(n - 1, 0, -1):  # column j is x(0, j) .. x(j - 1, j), the last one lowest
+        col = packed & ((1 << j) - 1)
+        packed >>= j
+        while col:
+            low = col & -col
+            i = j - low.bit_length()
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+            col ^= low
     # both directions of each pair i < j < n are set, so the rows pass the check
     return Graph._trusted(tuple(rows))
 

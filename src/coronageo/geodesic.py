@@ -93,9 +93,19 @@ def geodetic_sets(G: Graph, k: int | None = None, *, cap: int = DEFAULT_GEODETIC
     (the word-parallel idea of Knuth, TAOCP 4A, §7.1.3).  No Q[u] holds bit
     0, so the empty set is never geodetic.  With ``k``, only the pairs with
     d(u, v) = k count, as in ``k_geodetic_number``, and the result is 0 when
-    no pair is at distance k (that search's ``value is None``).
+    no pair is at distance k (that search's ``value is None``).  Both come
+    from the one pair pass of ``geodetic_families``.
     """
-    # row 0 of the distance table, which the search reads anyway, holds n
+    return geodetic_families(G, k, cap=cap)[k is not None]
+
+
+def geodetic_families(G: Graph, k: int | None, *, cap: int = DEFAULT_GEODETIC_CAP) -> tuple[int, int]:
+    """``(geodetic_sets(G), geodetic_sets(G, k))`` from one pass over the
+    vertex pairs: the pairs at distance k go into ``cover`` first, and its
+    AND is the k-family; the other pairs at distance 2 or more, set aside,
+    follow, and the AND again is the geodetic family.  With ``k`` None the
+    k-family is 0."""
+    # row 0 of the distance table, which the pass reads anyway, holds n
     # at every vertex outside the component of 0
     _require_connected(G.n not in G.distances[0])
     if k is not None and k < 2:
@@ -103,20 +113,21 @@ def geodetic_sets(G: Graph, k: int | None = None, *, cap: int = DEFAULT_GEODETIC
     if G.n > cap:
         raise CapExceeded(f"geodetic search capped at n <= {cap}, got {G.n}")
     Q = set_patterns(G.n)
-    cover = list(Q)
-    paired = k is None
+    at_k, others = [], []
     for u, (row, du) in enumerate(zip(G.intervals, G.distances)):
         for v in range(u + 1, G.n):
-            if k is not None and du[v] != k:
-                continue
-            paired = True
-            both = Q[u] & Q[v]
-            inner = row[v] & ~(1 << u | 1 << v)
+            if (d := du[v]) > 1:  # a pair at distance 1 covers only itself
+                (at_k if d == k else others).append((Q[u] & Q[v], row[v] & ~(1 << u | 1 << v)))
+    cover = list(Q)
+    families = []
+    for pairs in (at_k, others):
+        for both, inner in pairs:
             while inner:
                 low = inner & -inner
                 cover[low.bit_length() - 1] |= both
                 inner ^= low
-    return reduce(and_, cover) if paired else 0
+        families.append(reduce(and_, cover))
+    return families[1], families[0] if at_k else 0
 
 
 @lru_cache(maxsize=_BLOCK_PICK_CACHE_SIZE)
@@ -223,7 +234,7 @@ def k_geodetic_number(G: Graph, k: int, *, cap: int = DEFAULT_GEODETIC_CAP) -> G
     in the full order is therefore the first among the supersets of X, and
     ``explored`` is its ``candidate_rank`` with nothing forced.
     """
-    _require_connected(G.n not in G.distances[0])  # as in ``geodetic_sets``
+    _require_connected(G.n not in G.distances[0])  # as in ``geodetic_families``
     if k < 2:
         raise DomainError(f"k-geodetic sets need k >= 2, got {k}")
     if G.n > cap:

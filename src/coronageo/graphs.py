@@ -208,6 +208,10 @@ def reachable_set(G: Graph, start: int, within: Mask | None = None) -> Mask:
 
 
 def is_connected(G: Graph) -> bool:
+    """Read off row 0 of the distance table when the graph holds it (n marks
+    a vertex in another component), else one reachability pass."""
+    if (D := vars(G).get("distances")) is not None:
+        return G.n not in D[0]
     return reachable_set(G, 0) == G.full_mask
 
 

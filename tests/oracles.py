@@ -22,6 +22,9 @@ witness and ``explored`` count:
   ``ascending_subsets`` and rebuild each candidate's closure pair by pair;
 * ``interval_table`` is the layer formula for I[u, v] that the one-pass
   interval rows of ``bfs_distances(g, intervals=True)`` replaced;
+* ``parse_graph6_by_pairs`` is the graph6 decoder that tests every vertex
+  pair's bit, which the per-column decode of ``formats.parse_graph6``
+  replaced; it raises the same ``FormatError``s;
 * ``diam2_tier_a_by_dp`` pins the ``DIAM2_STEINER_GEODETIC`` check, which
   reads its Steiner sets from ``steiner_sets`` and its geodetic sets from
   ``geodetic_sets`` at every order, to the single-set Steiner DP and
@@ -39,7 +42,7 @@ from typing import Iterator, Sequence
 
 import networkx as nx
 
-from coronageo.errors import CapExceeded, DomainError
+from coronageo.errors import CapExceeded, DomainError, FormatError
 from coronageo.geodesic import GeodeticResult, is_geodetic
 from coronageo.graphs import (
     Graph,
@@ -361,6 +364,50 @@ def interval_table(D: Sequence[Sequence[int]]) -> tuple[tuple[Mask, ...], ...]:
                     m |= lu[i] & lv[target - i]
                 tu[v] = table[v][u] = m
     return tuple(map(tuple, table))
+
+
+def parse_graph6_by_pairs(text: str) -> Graph:
+    """One short-form graph6 line, decoded by testing the bit of each of the
+    n(n - 1)/2 pairs in turn; errors as ``formats.parse_graph6`` raises them."""
+    line = text.rstrip("\r\n")
+    if line.startswith(">>graph6<<"):
+        line = line[len(">>graph6<<"):]
+    if not line:
+        raise FormatError("empty graph6 input", offset=0)
+    if line[0] == "~":
+        raise FormatError("long-form graph6 (order > 62) is not supported", offset=0)
+    first = ord(line[0])
+    if not 63 <= first <= 63 + 62:
+        raise FormatError(f"invalid order byte {line[0]!r}", offset=0)
+    n = first - 63
+    if n == 0:
+        raise FormatError("graph6 order 0; graphs need at least one vertex", offset=0)
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    body = line[1:]
+    if len(body) != nbytes:
+        raise FormatError(
+            f"graph6 body for order {n} needs {nbytes} bytes, got {len(body)}",
+            offset=1 + min(len(body), nbytes),
+        )
+    groups = []
+    for i, ch in enumerate(body):
+        x = ord(ch) - 63
+        if not 0 <= x <= 63:
+            raise FormatError(f"invalid data byte {ch!r}", offset=1 + i)
+        groups.append(x)
+    rows = [0] * n
+    idx = 0
+    for j in range(1, n):
+        for i in range(j):
+            if groups[idx // 6] >> (5 - idx % 6) & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            idx += 1
+    for pad in range(nbits, nbytes * 6):
+        if groups[pad // 6] >> (5 - pad % 6) & 1:
+            raise FormatError("nonzero padding bits", offset=1 + pad // 6)
+    return Graph(n, tuple(rows))
 
 
 def geodetic_search_by_closure(g: Graph, forced: Mask) -> GeodeticResult:

@@ -381,8 +381,8 @@ def test_census_values_match_the_searches(capsys):
 
 def test_census_runs_one_bfs_and_no_search_per_graph(capsys, monkeypatch):
     """Work guard: a census row builds the graph's distance table once, runs
-    one reachability pass (the Steiner table's connectivity test) and runs
-    no minimum-set search."""
+    no reachability pass (every connectivity test reads the distance rows)
+    and runs no minimum-set search."""
     calls = {"bfs": 0, "reach": 0, "search": 0}
     bfs, reach = graphs.bfs_distances, graphs.reachable_set
 
@@ -404,7 +404,30 @@ def test_census_runs_one_bfs_and_no_search_per_graph(capsys, monkeypatch):
         monkeypatch.setattr(cli, name, search)
     rows = _census_rows(capsys, 6)
     assert len(rows) == 112
-    assert calls == {"bfs": 112, "reach": 112, "search": 0}
+    assert calls == {"bfs": 112, "reach": 0, "search": 0}
+
+
+@pytest.mark.parametrize("fmt", [(), ("--json",)])
+def test_census_writes_rows_before_the_whole_order_is_parsed(capsys, monkeypatch, fmt):
+    """Rows are written a chunk of ``_CENSUS_CHUNK`` graphs at a time: the
+    first chunk's rows (after the table header) are out before the 17th
+    graph is parsed."""
+    assert cli._CENSUS_CHUNK == 16
+    out, lines_at_parse = [], []
+    parse = cli.parse_graph6
+
+    def counted_parse(code):
+        out.append(capsys.readouterr().out)
+        lines_at_parse.append("".join(out).count("\n"))
+        return parse(code)
+
+    monkeypatch.setattr(cli, "parse_graph6", counted_parse)
+    assert cli.main(["census", "--order", "6", *fmt]) == 0
+    out.append(capsys.readouterr().out)
+    header = 0 if fmt else 1
+    assert "".join(out).count("\n") == 112 + header
+    assert lines_at_parse[:17] == [0] * 16 + [16 + header]
+    assert len(lines_at_parse) == 112
 
 
 def test_census_and_compute_do_not_load_the_harness():

@@ -27,6 +27,8 @@ from coronageo.graphs import (
     wheel,
 )
 
+from oracles import parse_graph6_by_pairs
+
 
 def test_parse_d_brace_is_star_on_five():
     # hand-decoded: order byte 'D' = 5; '?{' unpacks to 0000001111, i.e. the
@@ -93,6 +95,42 @@ def test_parse_rejects_nonzero_padding():
     bad = "A" + chr(63 + 0b100001)
     with pytest.raises(FormatError):
         parse_graph6(bad)
+
+
+def _decoded(parse, code):
+    """The rows of one decode, or the type, message, offset and line of its error."""
+    try:
+        return parse(code).adj
+    except FormatError as exc:
+        return type(exc), exc.message, exc.offset, exc.line
+
+
+def test_parse_graph6_matches_the_per_pair_decoder():
+    """The per-column decode gives the rows, and the same errors, as the
+    decoder that tests every pair's bit: on every census code of orders 1-7
+    and on seeded random bodies of orders 1-62, half of them holding a byte
+    outside 63..126 and a quarter with the padding bits cleared."""
+    codes = [code for order in range(1, 8) for code in census_lines(order)]
+    rng = random.Random(2004)
+    for n in range(1, 63):
+        nbits = n * (n - 1) // 2
+        nbytes = (nbits + 5) // 6
+        for t in range(40):
+            body = [rng.randrange(63, 127) for _ in range(nbytes)]
+            if t % 2 and body:
+                body[rng.randrange(nbytes)] = rng.choice((rng.randrange(63), rng.randrange(127, 400)))
+            elif t % 4 == 0 and body:
+                body[-1] = 63 + ((body[-1] - 63) & -(1 << (nbytes * 6 - nbits)))
+            codes.append(chr(63 + n) + "".join(map(chr, body)))
+    outcomes = {}
+    for code in codes:
+        got = _decoded(parse_graph6, code)
+        assert got == _decoded(parse_graph6_by_pairs, code), repr(code)
+        key = got[1] if got[0] is FormatError else "rows"
+        outcomes[key] = outcomes.get(key, 0) + 1
+    assert len(codes) == 996 + 62 * 40
+    assert outcomes["rows"] > 996 + 600 and outcomes["nonzero padding bits"] > 300
+    assert sum(v for k, v in outcomes.items() if k.startswith("invalid data byte")) > 1000
 
 
 @pytest.mark.parametrize("g", [

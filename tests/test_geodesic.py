@@ -12,6 +12,7 @@ from coronageo.formats import encode_graph6, parse_graph6
 from coronageo.geodesic import (
     GeodeticResult,
     _block_pick,
+    geodetic_families,
     geodetic_number,
     geodetic_sets,
     interval,
@@ -489,6 +490,9 @@ def _assert_sets_match_is_geodetic(g):
     assert geo >> (1 << g.n) == 0 and geo & 1 == 0  # 2^n bits, the empty set not among them
     for members in range(1, 1 << g.n):
         assert geo >> members & 1 == is_geodetic(g, members), (encode_graph6(g), members)
+    # the one pair pass gives the same family after the pairs at distance k
+    for k in (2, 3):
+        assert geodetic_families(g, k)[0] == geo, (encode_graph6(g), k)
 
 
 def test_geodetic_sets_match_is_geodetic_on_census(census):
@@ -524,7 +528,8 @@ def _assert_first_set_is_geodetic_number(g):
 
 def _assert_first_k_set_is_k_geodetic_number(g, k):
     """The same for ``geodetic_sets(g, k)`` and ``k_geodetic_number``: the
-    first set is its value and witness, and 0 is its ``value is None``."""
+    first set is its value and witness, and 0 is its ``value is None``; the
+    k-family of ``geodetic_families`` is that family."""
     geo = geodetic_sets(g, k)
     r = k_geodetic_number(g, k)
     assert least_size(geo, g.n) == r.value, (encode_graph6(g), k)
@@ -533,6 +538,7 @@ def _assert_first_k_set_is_k_geodetic_number(g, k):
         assert (first.bit_count(), vertex_tuple(first)) == (r.value, r.witness), (encode_graph6(g), k)
     else:
         assert r.unsatisfiable, (encode_graph6(g), k)
+    assert geodetic_families(g, k)[1] == geo, (encode_graph6(g), k)
 
 
 def test_first_geodetic_set_is_geodetic_number_on_census(census):
@@ -581,6 +587,21 @@ def test_k_geodetic_sets_errors_and_empty_results():
     # in P4 the pairs at distance 2 are (0, 2) and (1, 3), so the sets
     # holding both ends, 0 and 3, with 1 or 2 beside them are 2-geodetic
     assert geodetic_sets(path(4), 2) == 1 << 0b1011 | 1 << 0b1101 | 1 << 0b1111
+
+
+def test_geodetic_families_edge_cases():
+    """No pair at distance k leaves the k-family 0 beside the full family,
+    and the errors are those of ``geodetic_sets(G, k)``."""
+    assert geodetic_families(complete(5), 2) == (geodetic_sets(complete(5)), 0)
+    assert geodetic_families(path(4), 4) == (geodetic_sets(path(4)), 0)
+    assert geodetic_families(path(4), 2) == (1 << 0b1001 | 1 << 0b1011 | 1 << 0b1101 | 1 << 0b1111,
+                                             geodetic_sets(path(4), 2))
+    with pytest.raises(DomainError, match="search requires a connected graph"):
+        geodetic_families(empty(3), 2)
+    with pytest.raises(DomainError, match="k-geodetic sets need k >= 2, got 1"):
+        geodetic_families(path(3), 1)
+    with pytest.raises(CapExceeded, match="geodetic search capped at n <= 6, got 7"):
+        geodetic_families(wheel(6), 2, cap=6)
 
 
 # --- families of vertex sets as 2^n-bit ints --------------------------------------

@@ -77,6 +77,8 @@ MANIFEST: dict[str, list[str]] = {
                                              "--family-g", "all-connected:3..3",
                                              "--family-h", "all-connected:4..4"),
     "census_6": ["census", "--order", "6", "--json"],
+    # the table form: its header and the row layout, which census_6 does not show
+    "census_6_table": ["census", "--order", "6"],
     # single-set measures on the order-6 census, P8 and the order-16 P2 ⊙ C7
     "compute_single_set": ["compute", "--g6-file", "single_set.g6",
                            "--measure", "steiner-distance,steiner-hull",

@@ -441,6 +441,21 @@ def test_is_connected_examples():
     assert is_connected(corona(path(3), empty(2))[0])
 
 
+def test_is_connected_reads_the_distance_rows_once_built(monkeypatch):
+    """A graph that holds its tables answers from row 0 of the distance
+    table, as the reachability pass would."""
+    rng = random.Random(5)
+    gs = [from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                             if rng.random() < 0.3])
+          for n in range(1, 9) for _ in range(12)]
+    want = [is_connected(g) for g in gs]
+    assert 0 < sum(want) < len(gs)
+    for g in gs:
+        assert g.distances  # builds both tables
+    monkeypatch.setattr(graphs, "reachable_set", None)  # any call fails
+    assert [is_connected(g) for g in gs] == want
+
+
 def test_components_and_reachable():
     g = from_edge_list(5, [(0, 1), (2, 3)])
     comps = components(g)

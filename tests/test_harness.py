@@ -497,6 +497,8 @@ def test_diam2_golden_fail_lines_are_confirmed_by_networkx():
     be a Steiner set and not a geodetic set."""
     fails = []
     for path_ in sorted(GOLDEN.glob("*.jsonl")):
+        if path_.stem == "census_6_table":  # a census table, not JSON Lines
+            continue
         for line in path_.read_text().splitlines():
             report = json.loads(line)
             if report.get("theorem") == "DIAM2_STEINER_GEODETIC" and report["verdict"] == "FAIL":

@@ -32,7 +32,7 @@ from coronageo.steiner import (
     steiner_number,
     steiner_sets,
 )
-from coronageo import subsets
+from coronageo import graphs, subsets
 from coronageo.subsets import ascending_subsets, candidate_rank, first_set
 
 from oracles import (
@@ -95,6 +95,20 @@ def test_steiner_distance_errors():
                 query(empty(20), members, cap=4)
     with pytest.raises(CapExceeded, match="Steiner search capped at n <= 16, got 17"):
         steiner_hull(path(17), 0b101)
+
+
+def test_disconnected_graph_with_built_tables_is_refused(monkeypatch):
+    """With the tables built, the connectivity test reads row 0 of the
+    distance table instead of a reachability pass, and still refuses a
+    disconnected graph, whichever component vertex 0 is in."""
+    monkeypatch.setattr(graphs, "reachable_set", None)  # any call fails
+    for g in (empty(3), from_edge_list(4, [(1, 2), (2, 3)]),
+              from_edge_list(5, [(0, 1), (1, 2), (3, 4)])):
+        assert g.distances
+        with pytest.raises(DomainError, match="Steiner sets are defined for connected graphs"):
+            steiner_sets(g)
+        with pytest.raises(DomainError, match="Steiner number is defined for connected graphs"):
+            steiner_number(g)
 
 
 def test_steiner_distance_matches_brute_oracle(census):
