@@ -7,15 +7,7 @@ from functools import lru_cache, reduce
 from operator import and_
 
 from .errors import CapExceeded, DomainError
-from .graphs import (
-    Graph,
-    Mask,
-    blocks,
-    extreme_vertices,
-    induced_rows,
-    is_connected,
-    vertex_tuple,
-)
+from .graphs import Graph, Mask, blocks, extreme_vertices, induced_rows, is_connected, vertex_tuple
 from .subsets import candidate_rank, first_cover, set_patterns
 
 DEFAULT_GEODETIC_CAP = 20
@@ -81,9 +73,9 @@ def _require_connected(connected: bool) -> None:
         raise DomainError("search requires a connected graph")
 
 
-def geodetic_sets(G: Graph, k: int | None = None, *, cap: int = DEFAULT_GEODETIC_CAP) -> int:
+def geodetic_sets(G: Graph, *, cap: int = DEFAULT_GEODETIC_CAP) -> int:
     """An int of 2^n bits whose bit W is set exactly when the vertex set W
-    is geodetic, or k-geodetic when ``k`` is given.
+    is geodetic.
 
     w is in the closure of W when w is in W, or when some pair u < v of W
     has w in I[u, v].  So with ``Q[u]`` the sets that hold u, the sets whose
@@ -91,20 +83,20 @@ def geodetic_sets(G: Graph, k: int | None = None, *, cap: int = DEFAULT_GEODETIC
     with w in I[u, v], and the geodetic sets are the AND of every
     ``cover[w]``: about n^3 / 2 operations on 2^n-bit ints, one bit per set
     (the word-parallel idea of Knuth, TAOCP 4A, §7.1.3).  No Q[u] holds bit
-    0, so the empty set is never geodetic.  With ``k``, only the pairs with
-    d(u, v) = k count, as in ``k_geodetic_number``, and the result is 0 when
-    no pair is at distance k (that search's ``value is None``).  Both come
-    from the one pair pass of ``geodetic_families``.
+    0, so the empty set is never geodetic.  The k-geodetic sets are
+    ``geodetic_families(G, k)[1]``.
     """
-    return geodetic_families(G, k, cap=cap)[k is not None]
+    return geodetic_families(G, None, cap=cap)[0]
 
 
 def geodetic_families(G: Graph, k: int | None, *, cap: int = DEFAULT_GEODETIC_CAP) -> tuple[int, int]:
-    """``(geodetic_sets(G), geodetic_sets(G, k))`` from one pass over the
-    vertex pairs: the pairs at distance k go into ``cover`` first, and its
-    AND is the k-family; the other pairs at distance 2 or more, set aside,
-    follow, and the AND again is the geodetic family.  With ``k`` None the
-    k-family is 0."""
+    """The geodetic and the k-geodetic family, in the form of
+    ``geodetic_sets``, from one pass over the vertex pairs: the pairs at
+    distance k (the only ones a k-geodetic set counts, as in
+    ``k_geodetic_number``) go into ``cover`` first, and its AND is the
+    k-family, 0 when no pair is at distance k or k is None; the other pairs
+    at distance 2 or more, set aside, follow, and the AND again is the
+    geodetic family."""
     # row 0 of the distance table, which the pass reads anyway, holds n
     # at every vertex outside the component of 0
     _require_connected(G.n not in G.distances[0])

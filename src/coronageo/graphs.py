@@ -59,10 +59,10 @@ class Graph:
     scan through ``Graph._trusted``.
 
     The two tables ``distances`` and ``intervals`` are built together, by
-    one ``bfs_distances`` pass, on first use of either (``diameter`` builds
-    the rows alone on a graph with neither), and kept on the instance.  They
-    are freed with the graph, or earlier by ``drop_tables``, which a caller
-    holding many graphs runs once it is done with one.
+    one ``bfs_distances`` pass, on first use of either, and kept on the
+    instance; nothing else stores a table on a graph.  They are freed with
+    the graph, or earlier by ``drop_tables``, which a caller holding many
+    graphs runs once it is done with one.
     """
 
     n: int
@@ -129,7 +129,7 @@ class Graph:
         """Build both tables on first use of either, by one ``bfs_distances`` pass."""
         if name not in ("distances", "intervals"):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        D, I = bfs_distances(self, intervals=True)
+        D, I = bfs_distances(self)
         self.__dict__.update(distances=D, intervals=I)
         return self.__dict__[name]
 
@@ -285,18 +285,17 @@ def blocks(G: Graph) -> list[Mask]:
     return out
 
 
-def bfs_distances(G: Graph, *, intervals: bool = False) -> tuple:
-    """Exact hop distances by breadth-first search from every vertex.
+def bfs_distances(G: Graph) -> tuple:
+    """``(D, I)`` by breadth-first search from every vertex: row u of D holds
+    d(u, w) for every w, and n where w is in another component; ``I[u][v]``
+    is the interval I[u, v], every w with d(u, w) + d(w, v) = d(u, v) (0
+    across components).
 
-    Row u holds d(u, w) for every w, and holds n where w is in another
-    component.  With ``intervals``, returns ``(D, I)``, where ``I[u][v]`` is
-    the interval I[u, v], every w with d(u, w) + d(w, v) = d(u, v) (0
-    across components), built in the same pass: when the search from s
-    reaches v at layer d, I[s][v] is {v} with the union of I[s][w] over the
-    neighbours w of v in layer d - 1, since every s-v geodesic enters v from
-    such a w.  For v < s, I[s][v] is I[v][s], already built.  Each vertex is
-    visited once per source: labelling a layer also gathers the
-    neighbourhood that the next layer is cut from.
+    When the search from s reaches v at layer d, I[s][v] is {v} with the
+    union of I[s][w] over the neighbours w of v in layer d - 1, since every
+    s-v geodesic enters v from such a w.  For v < s, I[s][v] is I[v][s],
+    already built.  Each vertex is visited once per source: labelling a
+    layer also gathers the neighbourhood that the next layer is cut from.
     """
     n = G.n
     adj = G.adj
@@ -317,8 +316,6 @@ def bfs_distances(G: Graph, *, intervals: bool = False) -> tuple:
                 row[v := low.bit_length() - 1] = d
                 reach |= adj[v]
                 rest ^= low
-                if not intervals:
-                    continue
                 if v < s:
                     I[v] = table[v][s]
                     continue
@@ -330,21 +327,31 @@ def bfs_distances(G: Graph, *, intervals: bool = False) -> tuple:
                 I[v] = low
             frontier = layer
         D.append(tuple(row))
-        if intervals:
-            table.append(tuple(I))
-    D = tuple(D)
-    return (D, tuple(table)) if intervals else D
+        table.append(tuple(I))
+    return tuple(D), tuple(table)
 
 
 def diameter(G: Graph) -> int | None:
-    """Largest pairwise distance, or None when the graph is disconnected.
-
-    A graph with no tables yet gets its distance rows alone: a diameter
-    test, such as a DIAM2 claim's hypothesis, needs no interval table."""
-    if "distances" not in vars(G):
-        G.__dict__["distances"] = bfs_distances(G)
+    """Largest pairwise distance, or None when the graph is disconnected,
+    read off ``G.distances``."""
     d = max(max(row) for row in G.distances)
     return None if d == G.n else d
+
+
+def is_diameter_two(G: Graph) -> bool:
+    """``diameter(G) == 2`` without a table: G is not complete, and every
+    vertex's closed neighbourhood, with its neighbours' rows, is V (a
+    disconnected graph fails at any vertex)."""
+    if is_complete(G):
+        return False
+    adj, full = G.adj, G.full_mask
+    for v, nb in enumerate(adj):
+        ball = nb | 1 << v
+        for u in bits(nb):
+            ball |= adj[u]
+        if ball != full:
+            return False
+    return True
 
 
 def is_complete(G: Graph) -> bool:

@@ -50,6 +50,7 @@ from .graphs import (
     induced_subgraph,
     is_complete,
     is_connected,
+    is_diameter_two,
     mask_of,
     path,
     reachable_set,
@@ -437,7 +438,7 @@ def check_g2_corona_equiv(G: Graph, H: Graph, caps: Caps = Caps()) -> Outcome:
 def check_diam2_geo_eq(G: Graph, H: Graph, caps: Caps = Caps()) -> Outcome:
     """If H has diameter 2, then g(G ⊙ H) = n1·g(H)."""
     _need(is_connected(G), R_G_DISCONNECTED)
-    _need(diameter(H) == 2, R_DIAM_NE_2)
+    _need(is_diameter_two(H), R_DIAM_NE_2)
     prod, _ = _build_corona(G, H)
     g_prod = geodetic_number(prod, cap=caps.geodetic)
     g_h = geodetic_number(H, cap=caps.geodetic)
@@ -646,7 +647,7 @@ def check_diam2_steiner_geodetic(G: Graph, caps: Caps = Caps()) -> Outcome:
     {1, 3, 6, 8} in ``Ithp^a?Zw`` (order 10) and {2, 3, 6, 7, 8} in
     ``K~Pc[LGeEZsh`` (order 12).
     """
-    _need(diameter(G) == 2, R_DIAM_NE_2)
+    _need(is_diameter_two(G), R_DIAM_NE_2)
     geo = geodetic_sets(G, cap=caps.geodetic)
     steiner = steiner_sets(G, cap=caps.steiner)
     least = first_set(steiner, G.n)
@@ -668,7 +669,7 @@ def check_diam2_steiner_geodetic(G: Graph, caps: Caps = Caps()) -> Outcome:
 def check_diam2_g_le_s(G: Graph, caps: Caps = Caps()) -> Outcome:
     """Checks g(G) <= s(G) on diameter-2 graphs.  The claim is false:
     ``FhayG`` has g = 4 > s = 3, one of 13 failing census graphs of order 7."""
-    _need(diameter(G) == 2, R_DIAM_NE_2)
+    _need(is_diameter_two(G), R_DIAM_NE_2)
     rg = geodetic_number(G, cap=caps.geodetic)
     rs = steiner_number(G, cap=caps.steiner)
     computed = {"g": rg.value, "s": rs.value}

@@ -20,8 +20,8 @@ witness and ``explored`` count:
   prefix-incremental cover search (``subsets.first_cover``) behind
   ``geodetic_number`` and ``k_geodetic_number``: they walk
   ``ascending_subsets`` and rebuild each candidate's closure pair by pair;
-* ``interval_table`` is the layer formula for I[u, v] that the one-pass
-  interval rows of ``bfs_distances(g, intervals=True)`` replaced;
+* ``interval_table`` is the layer formula for I[u, v] that the interval
+  rows ``bfs_distances`` builds in its one pass replaced;
 * ``parse_graph6_by_pairs`` is the graph6 decoder that tests every vertex
   pair's bit, which the per-column decode of ``formats.parse_graph6``
   replaced; it raises the same ``FormatError``s;
@@ -222,7 +222,7 @@ def _steiner_dp(dist: Sequence[Sequence[int]], terms: Sequence[int]) -> list:
 def _last_dp_row(g: Graph, members: Mask) -> tuple[list[int], int]:
     """(d(W + v) for every v, d(W)) for the nonempty set W of a connected graph."""
     terms = vertex_tuple(members)
-    last = _steiner_dp(bfs_distances(g), terms)[-1]
+    last = _steiner_dp(bfs_distances(g)[0], terms)[-1]
     return last, last[terms[0]]
 
 
@@ -414,7 +414,7 @@ def geodetic_search_by_closure(g: Graph, forced: Mask) -> GeodeticResult:
     """First set containing ``forced``, by cardinality then lexicographic
     order, whose pairwise interval closure is V(G); ``explored`` counts the
     nonempty candidates tested."""
-    table = interval_table(bfs_distances(g))
+    table = interval_table(bfs_distances(g)[0])
     explored = 0
     for members in ascending_subsets(g.full_mask, forced):
         if not members:
@@ -434,7 +434,7 @@ def k_geodetic_search_by_closure(g: Graph, k: int) -> GeodeticResult:
     """First set, by cardinality then lexicographic order, whose pairs at
     distance exactly k cover every vertex outside it; unsatisfiable
     (``explored == 0``) when no pair is at distance k."""
-    rows = bfs_distances(g)
+    rows = bfs_distances(g)[0]
     n = g.n
     kmask = [[0] * n for _ in range(n)]
     for u in range(n):

@@ -219,7 +219,7 @@ def test_criterion_11b_pruned_geodetic_equals_unpruned(census):
 def test_criterion_11c_pair_hulls_are_intervals(census):
     for order in range(1, 8):
         for g in census(order):
-            D = bfs_distances(g)
+            D = bfs_distances(g)[0]
             for u in range(g.n):
                 for v in range(u + 1, g.n):
                     assert steiner_hull(g, mask_of([u, v])) == interval(D, u, v), encode_graph6(g)

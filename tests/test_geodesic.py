@@ -53,24 +53,24 @@ from oracles import (
 
 
 def test_interval_unique_geodesic_path3():
-    D = bfs_distances(path(3))
+    D = bfs_distances(path(3))[0]
     assert interval(D, 0, 2) == 0b111
 
 
 def test_interval_of_vertex_with_itself():
-    D = bfs_distances(cycle(5))
+    D = bfs_distances(cycle(5))[0]
     assert interval(D, 3, 3) == 0b01000
 
 
 def test_interval_c4_both_geodesics():
     # confirmed by brute-force path enumeration
     g = cycle(4)
-    assert interval(bfs_distances(g), 0, 2) == g.full_mask
+    assert interval(bfs_distances(g)[0], 0, 2) == g.full_mask
     assert interval_vertices(g, 0, 2) == {0, 1, 2, 3}
 
 
 def test_interval_cross_component_is_domain_error():
-    D = bfs_distances(empty(2))
+    D = bfs_distances(empty(2))[0]
     with pytest.raises(DomainError):
         interval(D, 0, 1)
     with pytest.raises(DomainError):
@@ -80,7 +80,7 @@ def test_interval_cross_component_is_domain_error():
 def test_interval_matches_path_enumeration(census):
     for order in (2, 3, 4, 5):
         for g in census(order):
-            D = bfs_distances(g)
+            D = bfs_distances(g)[0]
             for u in range(g.n):
                 for v in range(u, g.n):
                     assert vertex_tuple(interval(D, u, v)) == tuple(sorted(interval_vertices(g, u, v)))
@@ -142,10 +142,10 @@ def test_is_geodetic_domain_errors():
 
 
 def test_interval_table_examples():
-    I = interval_table(bfs_distances(path(3)))
+    I = interval_table(bfs_distances(path(3))[0])
     assert I[0][2] >> 0 & 1  # an end vertex lies on its own geodesics
     assert I[0][2] >> 1 & 1
-    I5 = interval_table(bfs_distances(cycle(5)))
+    I5 = interval_table(bfs_distances(cycle(5))[0])
     assert not I5[0][4] >> 2 & 1  # d(0,4) = 1, interval is the edge
 
 
@@ -282,7 +282,7 @@ def test_g2_p5_differs_from_g():
 
 
 def _unforced(g):
-    members = first_cover(interval_table(bfs_distances(g)), g.n, 0)
+    members = first_cover(interval_table(bfs_distances(g)[0]), g.n, 0)
     return GeodeticResult(members.bit_count(), vertex_tuple(members), candidate_rank(members, g.full_mask))
 
 
@@ -475,7 +475,7 @@ def test_block_picks_are_keyed_by_the_forced_vertices_too(census):
 
 def test_k_geodetic_search_leaves_the_shared_table_as_it_is(census):
     for g in census(6):
-        table = interval_table(bfs_distances(g))
+        table = interval_table(bfs_distances(g)[0])
         for k in (2, 3):
             k_geodetic_number(g, k)
         assert g.intervals == table and all(type(row) is tuple for row in g.intervals)
@@ -527,10 +527,10 @@ def _assert_first_set_is_geodetic_number(g):
 
 
 def _assert_first_k_set_is_k_geodetic_number(g, k):
-    """The same for ``geodetic_sets(g, k)`` and ``k_geodetic_number``: the
-    first set is its value and witness, and 0 is its ``value is None``; the
-    k-family of ``geodetic_families`` is that family."""
-    geo = geodetic_sets(g, k)
+    """The same for the k-family of ``geodetic_families`` and
+    ``k_geodetic_number``: the first set is its value and witness, and 0 is
+    its ``value is None``."""
+    geo = geodetic_families(g, k)[1]
     r = k_geodetic_number(g, k)
     assert least_size(geo, g.n) == r.value, (encode_graph6(g), k)
     if geo:
@@ -538,7 +538,6 @@ def _assert_first_k_set_is_k_geodetic_number(g, k):
         assert (first.bit_count(), vertex_tuple(first)) == (r.value, r.witness), (encode_graph6(g), k)
     else:
         assert r.unsatisfiable, (encode_graph6(g), k)
-    assert geodetic_families(g, k)[1] == geo, (encode_graph6(g), k)
 
 
 def test_first_geodetic_set_is_geodetic_number_on_census(census):
@@ -575,27 +574,31 @@ def test_geodetic_sets_errors():
 
 
 def test_k_geodetic_sets_errors_and_empty_results():
+    """The k-geodetic sets are the second family of ``geodetic_families``;
+    ``geodetic_sets`` takes no k."""
     with pytest.raises(DomainError, match="k-geodetic sets need k >= 2, got 1"):
-        geodetic_sets(path(3), 1)
+        geodetic_families(path(3), 1)
     with pytest.raises(DomainError):
-        geodetic_sets(empty(3), 2)
+        geodetic_families(empty(3), 2)
     with pytest.raises(CapExceeded, match="geodetic search capped at n <= 6, got 7"):
-        geodetic_sets(wheel(6), 2, cap=6)
-    assert geodetic_sets(complete(5), 2) == 0  # no pair at distance 2
-    assert geodetic_sets(path(4), 4) == 0  # the diameter is 3
-    assert least_size(geodetic_sets(complete(5), 2), 5) is None
+        geodetic_families(wheel(6), 2, cap=6)
+    assert geodetic_families(complete(5), 2)[1] == 0  # no pair at distance 2
+    assert geodetic_families(path(4), 4)[1] == 0  # the diameter is 3
+    assert least_size(geodetic_families(complete(5), 2)[1], 5) is None
     # in P4 the pairs at distance 2 are (0, 2) and (1, 3), so the sets
     # holding both ends, 0 and 3, with 1 or 2 beside them are 2-geodetic
-    assert geodetic_sets(path(4), 2) == 1 << 0b1011 | 1 << 0b1101 | 1 << 0b1111
+    assert geodetic_families(path(4), 2)[1] == 1 << 0b1011 | 1 << 0b1101 | 1 << 0b1111
+    with pytest.raises(TypeError):
+        geodetic_sets(path(4), 2)
 
 
 def test_geodetic_families_edge_cases():
     """No pair at distance k leaves the k-family 0 beside the full family,
-    and the errors are those of ``geodetic_sets(G, k)``."""
+    and the errors are those of ``geodetic_sets``, with k checked too."""
     assert geodetic_families(complete(5), 2) == (geodetic_sets(complete(5)), 0)
     assert geodetic_families(path(4), 4) == (geodetic_sets(path(4)), 0)
     assert geodetic_families(path(4), 2) == (1 << 0b1001 | 1 << 0b1011 | 1 << 0b1101 | 1 << 0b1111,
-                                             geodetic_sets(path(4), 2))
+                                             1 << 0b1011 | 1 << 0b1101 | 1 << 0b1111)
     with pytest.raises(DomainError, match="search requires a connected graph"):
         geodetic_families(empty(3), 2)
     with pytest.raises(DomainError, match="k-geodetic sets need k >= 2, got 1"):

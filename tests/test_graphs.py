@@ -32,6 +32,7 @@ from coronageo.graphs import (
     induced_subgraph,
     is_complete,
     is_connected,
+    is_diameter_two,
     mask_of,
     path,
     reachable_set,
@@ -145,7 +146,7 @@ def test_graph_survives_a_pickle_round_trip(built):
     copy = pickle.loads(pickle.dumps(g))
     assert copy == g and hash(copy) == hash(g)
     assert ("distances" in vars(copy)) == built
-    assert copy.distances == bfs_distances(g)
+    assert copy.distances == bfs_distances(g)[0]
     with pytest.raises(AttributeError):
         copy.n = 1
 
@@ -306,26 +307,26 @@ def test_graphs_built_without_the_check_pass_it(census, monkeypatch):
 
 
 def test_bfs_distances_path4():
-    D = bfs_distances(path(4))
+    D = bfs_distances(path(4))[0]
     assert D[0][3] == D[3][0] == 3
     assert D[0][0] == 0
     assert D == ((0, 1, 2, 3), (1, 0, 1, 2), (2, 1, 0, 1), (3, 2, 1, 0))
 
 
 def test_bfs_distances_c6_antipodal():
-    assert bfs_distances(cycle(6))[0][3] == 3
+    assert bfs_distances(cycle(6))[0][0][3] == 3
 
 
 def test_bfs_distances_unreachable_sentinel():
     g = from_edge_list(3, [(0, 1)])
-    D = bfs_distances(g)
+    D = bfs_distances(g)[0]
     assert D[0][2] == D[2][1] == g.n
     assert D[0][1] == 1
 
 
 def test_distance_matrix_matches_adjacency(census):
     for g in census(5):
-        D = bfs_distances(g)
+        D = bfs_distances(g)[0]
         assert len(D) == g.n and all(len(row) == g.n for row in D)
         for u in range(g.n):
             for v in range(g.n):
@@ -334,10 +335,12 @@ def test_distance_matrix_matches_adjacency(census):
 
 
 def _one_pass_tables(g):
-    """D and I from one ``bfs_distances`` call, checked against the
-    one-argument call and the layer formula of ``oracles.interval_table``."""
-    D, I = bfs_distances(g, intervals=True)
-    assert D == bfs_distances(g)
+    """D and I from one ``bfs_distances`` call, checked against networkx's
+    distances (n across components) and the layer formula of
+    ``oracles.interval_table``."""
+    D, I = bfs_distances(g)
+    dist = dict(nx.all_pairs_shortest_path_length(to_nx(g)))
+    assert D == tuple(tuple(dist[u].get(v, g.n) for v in range(g.n)) for u in range(g.n))
     assert I == interval_table(D)
     assert all(type(row) is tuple for row in I)
     return D, I
@@ -395,23 +398,23 @@ def test_one_pass_tables_on_corona_products(g, h):
 
 def test_an_interval_read_builds_both_tables_in_one_pass(monkeypatch):
     """The memo reaches ``bfs_distances`` through its module-level name,
-    which the benchmark tracer wraps; ``diameter`` on a graph with no tables
-    yet keeps the distance rows alone."""
+    which the benchmark tracer wraps; ``diameter`` reads the same one pass,
+    so a later interval read builds nothing more."""
     calls = []
     bfs = graphs.bfs_distances
-    monkeypatch.setattr(graphs, "bfs_distances", lambda g, **kw: calls.append(kw) or bfs(g, **kw))
+    monkeypatch.setattr(graphs, "bfs_distances", lambda g: calls.append(g) or bfs(g))
     for first in ("distances", "intervals"):
         g = cycle(7)
         getattr(g, first)
-        assert calls == [{"intervals": True}]
+        assert calls == [g]
         assert sorted(vars(g)) == ["adj", "distances", "intervals", "n"]
         assert g.intervals == interval_table(g.distances)
         calls.clear()
     g = cycle(7)
-    assert diameter(g) == 3 and calls == [{}]
-    assert sorted(vars(g)) == ["adj", "distances", "n"]
+    assert diameter(g) == 3 and calls == [g]
+    assert sorted(vars(g)) == ["adj", "distances", "intervals", "n"]
     assert g.intervals == interval_table(g.distances)
-    assert calls == [{}, {"intervals": True}]
+    assert calls == [g]
     with pytest.raises(AttributeError, match="'Graph' object has no attribute 'interval'"):
         g.interval
 
@@ -433,6 +436,41 @@ def test_diameter_of_k1_corona_never_exceeds_two(census):
     for order in (1, 2, 3, 4):
         for h in census(order):
             assert diameter(corona(complete(1), h)[0]) <= 2
+
+
+def _agrees_with_diameter(g):
+    two = is_diameter_two(g)
+    assert vars(g).keys() == {"n", "adj"}  # the test builds no table
+    assert two == (diameter(g) == 2), (g.n, g.adj)
+    return two
+
+
+def test_is_diameter_two_agrees_with_diameter_on_the_census(census):
+    checked = twos = 0
+    for order in range(1, 8):
+        for g in census(order):
+            twos += _agrees_with_diameter(Graph(g.n, g.adj))  # shared census graphs may hold tables
+            checked += 1
+    assert checked == 996 and twos == 451
+
+
+@pytest.mark.parametrize("g,two", [
+    (complete(1), False), (complete(2), False), (empty(2), False), (complete(6), False),
+    (path(3), True), (cycle(5), True), (star(4), True), (cycle(6), False), (path(4), False),
+    (from_edge_list(4, [(0, 1), (1, 2)]), False),  # diameter 2 on a component, but disconnected
+])
+def test_is_diameter_two_examples(g, two):
+    assert _agrees_with_diameter(g) == two
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_is_diameter_two_agrees_with_diameter_hypothesis(data):
+    n = data.draw(st.integers(min_value=1, max_value=12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    dense = data.draw(st.booleans())  # dense draws reach diameter 2, sparse ones stay disconnected
+    chosen = [p for p in pairs if data.draw(st.floats(0, 1)) < (0.7 if dense else 0.15)]
+    _agrees_with_diameter(from_edge_list(n, chosen))
 
 
 def test_is_connected_examples():

@@ -12,7 +12,7 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
-from coronageo import cli, harness
+from coronageo import cli, graphs, harness
 from coronageo.corpus import CorpusSpec, random_connected_graph
 from coronageo.errors import DomainError
 from coronageo.formats import encode_graph6, parse_graph6
@@ -892,10 +892,11 @@ def test_verify_closes_the_pool_when_stdout_closes(tmp_path):
 
 
 def test_run_corpus_frees_each_graphs_tables_once_it_is_checked():
-    # DIAM2_G_LE_S reads the distance rows of each order-62 graph (about
-    # 34 KB, against 3 KB for the graph) and then hits the cap; a run that
-    # kept every graph's rows until the last report would peak about ten
-    # times above the corpus
+    # DIAM2_G_LE_S tests its hypothesis on each order-62 graph without a
+    # table and then hits the cap, so it builds none; a run that built and
+    # kept every graph's tables until the last report (the distance rows
+    # alone are about 34 KB, against 3 KB for the graph) would peak about
+    # ten times above the corpus
     spec = CorpusSpec.random(62, 0.5, 40, 1)
     tracemalloc.start()
     try:
@@ -909,6 +910,42 @@ def test_run_corpus_frees_each_graphs_tables_once_it_is_checked():
         tracemalloc.stop()
     assert len(reports) == 40
     assert run_peak < 2 * corpus_peak
+
+
+def test_execute_frees_the_tables_of_a_checked_diameter_two_graph(monkeypatch):
+    built = []
+    bfs = graphs.bfs_distances
+    monkeypatch.setattr(graphs, "bfs_distances", lambda g: built.append(g) or bfs(g))
+    items = build_items("DIAM2_STEINER_GEODETIC", corpus=CorpusSpec.random(8, 0.6, 40, 1))
+    item = next(it for it in items if graphs.is_diameter_two(it[1][0]))
+    G = item[1][0]
+    report = harness._execute(item)
+    assert report.verdict != "SKIPPED" and built == [G]  # the check built both tables
+    assert "distances" not in vars(G) and "intervals" not in vars(G)
+
+
+@pytest.mark.parametrize("theorem,spec,expected", [
+    ("DIAM2_STEINER_GEODETIC", CorpusSpec.random(8, 0.6, 40, 1), 27),
+    ("DIAM2_G_LE_S", CorpusSpec.parse("all-connected:7..7"), 362),
+    ("DIAM2_STEINER_GEODETIC", CorpusSpec.parse("all-connected:7..7"), 373),
+])
+def test_diam2_hypotheses_build_no_table(monkeypatch, theorem, spec, expected):
+    """Work guard: a DIAM2 hypothesis is tested without a table, so a graph
+    that fails it runs no ``bfs_distances``.  DIAM2_STEINER_GEODETIC runs one
+    pass for both tables of each diameter-2 graph (27 of the 40 random ones,
+    373 of the order-7 census); DIAM2_G_LE_S builds no table on the graph
+    itself, and its 362 passes are the block picks' misses."""
+    calls = 0
+    bfs = graphs.bfs_distances
+
+    def counted_bfs(G):
+        nonlocal calls
+        calls += 1
+        return bfs(G)
+
+    monkeypatch.setattr(graphs, "bfs_distances", counted_bfs)
+    reports = list(run_corpus(theorem, corpus=spec))
+    assert calls == expected, (theorem, len(reports))
 
 
 def test_multiprocessing_is_imported_only_when_a_pool_starts():

@@ -54,7 +54,7 @@ from oracles import (
 def test_two_terminal_degeneration_is_the_distance(census):
     for order in (2, 3, 4, 5):
         for g in census(order):
-            D = bfs_distances(g)
+            D = bfs_distances(g)[0]
             for u in range(g.n):
                 for v in range(u + 1, g.n):
                     assert steiner_distance(g, mask_of([u, v])) == D[u][v]
@@ -176,7 +176,7 @@ def test_steiner_distance_matches_brute_on_random_graphs_large_terminal_sets():
 def test_pair_hulls_equal_intervals_small_census(census):
     for order in (2, 3, 4, 5):
         for g in census(order):
-            D = bfs_distances(g)
+            D = bfs_distances(g)[0]
             for u in range(g.n):
                 for v in range(u + 1, g.n):
                     assert steiner_hull(g, mask_of([u, v])) == interval(D, u, v)
