@@ -15,7 +15,7 @@ from .corpus import CENSUS_MAX_ORDER, Caps, CorpusSpec, census_lines, parse_rang
 from .errors import CapExceeded, DomainError, FormatError
 from .formats import (encode_graph6, format_edge_list, jsonline, parse_edge_list, parse_graph6,
                       parse_graph6_lines)
-from .geodesic import geodetic_families, geodetic_number, interval, k_geodetic_number
+from .geodesic import geodetic_families, geodetic_number, k_geodetic_number
 from .graphs import Graph, corona, diameter, extreme_vertices, mask_of, vertex_tuple
 from .steiner import steiner_distance, steiner_hull, steiner_number, steiner_sets
 from .subsets import least_size
@@ -112,7 +112,10 @@ def _measure_payload(g: Graph, measure: str, args: argparse.Namespace, caps: Cap
         vs = _parse_vertices(args.vertices, g.n)
         if len(vs) != 2:
             raise DomainError("measure interval needs --vertices U,V (exactly two)")
-        out = vertex_tuple(interval(g.distances, vs[0], vs[1]))
+        u, v = vs
+        if g.distances[u][v] == g.n:
+            raise DomainError(f"vertices {u} and {v} are in different components")
+        out = vertex_tuple(g.intervals[u][v])
         return {"vertices": vs, "value": len(out), "witness": list(out)}
     if measure == "steiner-distance":
         vs = _parse_vertices(args.vertices, g.n)

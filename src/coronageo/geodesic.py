@@ -1,4 +1,4 @@
-"""Geodesic intervals, geodetic sets, and the (k-)geodetic number by exact search."""
+"""Geodetic sets, and the (k-)geodetic number by exact search."""
 
 from __future__ import annotations
 
@@ -31,34 +31,16 @@ class GeodeticResult(namedtuple("GeodeticResult", "value witness explored")):
         return self.value is None
 
 
-def interval(D: tuple[tuple[int, ...], ...], u: int, v: int) -> Mask:
-    """I[u, v]: all vertices w with d(u,w) + d(w,v) = d(u,v), from the
-    ``bfs_distances`` rows ``D``."""
-    n = len(D)
-    for x in (u, v):
-        if not 0 <= x < n:
-            raise DomainError(f"vertex {x} out of range")
-    du, dv = D[u], D[v]
-    target = du[v]
-    if target >= n:
-        raise DomainError(f"vertices {u} and {v} are in different components")
-    out = 0
-    for w in range(n):
-        if du[w] + dv[w] == target:
-            out |= 1 << w
-    return out
-
-
 def is_geodetic(G: Graph, members: Mask) -> bool:
     """True when the intervals I[u, v] over pairs of the set, with the set
     itself, cover every vertex."""
+    I = G.intervals  # as in ``geodetic_families``
     if not is_connected(G):
         raise DomainError("geodetic sets are defined for connected graphs")
     if members == 0:
         raise DomainError("geodetic sets are nonempty")
     if members & ~G.full_mask:
         raise DomainError("vertex set is not within the graph")
-    I = G.intervals
     vs = vertex_tuple(members)
     acc = members
     for i, u in enumerate(vs):
@@ -68,8 +50,8 @@ def is_geodetic(G: Graph, members: Mask) -> bool:
     return acc == G.full_mask
 
 
-def _require_connected(connected: bool) -> None:
-    if not connected:
+def _require_connected(G: Graph) -> None:
+    if not is_connected(G):
         raise DomainError("search requires a connected graph")
 
 
@@ -97,16 +79,15 @@ def geodetic_families(G: Graph, k: int | None, *, cap: int = DEFAULT_GEODETIC_CA
     k-family, 0 when no pair is at distance k or k is None; the other pairs
     at distance 2 or more, set aside, follow, and the AND again is the
     geodetic family."""
-    # row 0 of the distance table, which the pass reads anyway, holds n
-    # at every vertex outside the component of 0
-    _require_connected(G.n not in G.distances[0])
+    D, I = G.distances, G.intervals  # before ``is_connected``, which reads D once built
+    _require_connected(G)
     if k is not None and k < 2:
         raise DomainError(f"k-geodetic sets need k >= 2, got {k}")
     if G.n > cap:
         raise CapExceeded(f"geodetic search capped at n <= {cap}, got {G.n}")
     Q = set_patterns(G.n)
     at_k, others = [], []
-    for u, (row, du) in enumerate(zip(G.intervals, G.distances)):
+    for u, (row, du) in enumerate(zip(I, D)):
         for v in range(u + 1, G.n):
             if (d := du[v]) > 1:  # a pair at distance 1 covers only itself
                 (at_k if d == k else others).append((Q[u] & Q[v], row[v] & ~(1 << u | 1 << v)))
@@ -185,7 +166,7 @@ def geodetic_number(G: Graph, *, cap: int = DEFAULT_GEODETIC_CAP) -> GeodeticRes
     S ∩ F_B.  The relabeling keeps the order of F_B, so it picks the first
     least subset of F_B that passes, as (5) needs.
     """
-    _require_connected(is_connected(G))
+    _require_connected(G)
     if G.n > cap:
         raise CapExceeded(f"geodetic search capped at n <= {cap}, got {G.n}")
     ext = extreme_vertices(G)
@@ -226,16 +207,16 @@ def k_geodetic_number(G: Graph, k: int, *, cap: int = DEFAULT_GEODETIC_CAP) -> G
     in the full order is therefore the first among the supersets of X, and
     ``explored`` is its ``candidate_rank`` with nothing forced.
     """
-    _require_connected(G.n not in G.distances[0])  # as in ``geodetic_families``
+    D, I = G.distances, G.intervals  # as in ``geodetic_families``
+    _require_connected(G)
     if k < 2:
         raise DomainError(f"k-geodetic sets need k >= 2, got {k}")
     if G.n > cap:
         raise CapExceeded(f"k-geodetic search capped at n <= {cap}, got {G.n}")
-    D = G.distances
     if not any(k in row for row in D):
         return GeodeticResult(None, None, 0)
     # I[u, v] is the k-interval when d(u, v) = k; the shared table stays as it is
-    table = [[m if d == k else 0 for m, d in zip(row, du)] for row, du in zip(G.intervals, D)]
+    table = [[m if d == k else 0 for m, d in zip(row, du)] for row, du in zip(I, D)]
     witness = first_cover(table, G.n, extreme_vertices(G))
     return GeodeticResult(witness.bit_count(), vertex_tuple(witness),
                           candidate_rank(witness, G.full_mask))

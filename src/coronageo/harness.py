@@ -760,6 +760,8 @@ def build_items(
     # each bound counts the largest graph built: K1 ⊙ rim(n) has n + 1 vertices
     if "n_range" in names and n_range[1] + (THEOREMS[theorem].kind == "range") > MAX_VERTICES:
         raise DomainError(f"{theorem} range ends at {n_range[1]}; its graphs exceed {MAX_VERTICES} vertices")
+    if "n_range" in names and n_range[0] < 0:
+        raise DomainError(f"{theorem} range starts at {n_range[0]}; a range starts at 0 or above")
     if "k" in names and k > MAX_VERTICES:
         raise DomainError(f"{theorem} k = {k} is above the {MAX_VERTICES}-vertex limit")
     axes = {

@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from coronageo import cli, graphs
+from coronageo.corpus import census_lines
 from coronageo.formats import encode_graph6, parse_edge_list, parse_graph6
 from coronageo.geodesic import geodetic_number, k_geodetic_number
 from coronageo.graphs import complete, corona, cycle, mask_of, path, vertex_tuple
@@ -143,6 +147,38 @@ def test_vertices_beyond_the_order_exit_2(run_cli, measure):
     assert res.returncode == 2, res.stderr
     assert "not in the graph" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+INTERVAL_RECORD = Path(__file__).resolve().parent / "golden" / "compute_interval_runs.json"
+
+
+def _interval_runs() -> list[tuple[str, int, int]]:
+    """(graph6, U, V) for every ordered vertex pair, U = V included, of every
+    census graph of order <= 5, then of ``C?``, four isolated vertices,
+    whose distinct pairs are all in different components."""
+    codes = [code for order in range(1, 6) for code in census_lines(order)] + ["C?"]
+    return [(code, u, v) for code in codes for n in [parse_graph6(code).n]
+            for u in range(n) for v in range(n)]
+
+
+def _compute_in_process(*argv: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(list(argv))
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_compute_interval_replays_its_record(monkeypatch):
+    """``compute --json --measure interval`` on every run of ``_interval_runs``
+    gives the exit code, stdout and stderr recorded in ``INTERVAL_RECORD``
+    byte for byte.  The record was made with the interval computed from two
+    distance rows, before ``compute`` read it off ``Graph.intervals``."""
+    monkeypatch.delenv("CORONA_CENSUS_DIR", raising=False)
+    got = [[code, u, v, *_compute_in_process("compute", "--g6", code, "--json", "--measure",
+                                             "interval", "--vertices", f"{u},{v}")]
+           for code, u, v in _interval_runs()]
+    assert got == json.loads(INTERVAL_RECORD.read_text())
+    assert [run[3] for run in got].count(2) == 12  # the distinct pairs of C?
 
 
 def test_compute_cap_exit_code(run_cli):
@@ -283,6 +319,16 @@ def test_verify_argument_errors_name_the_theorem(run_cli, theorem, flags, missin
     assert res.stdout == ""
     assert theorem in res.stderr and missing in res.stderr, res.stderr
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("theorem, flags", [("WHEEL_GEO", ()),
+                                            ("CORONA_CYCLE_PATH", ("--family-g", "path:2..3"))])
+def test_verify_range_starting_below_0_exits_2(run_cli, theorem, flags):
+    """``--range=-1..3`` passes a negative start through argparse; it is
+    refused before any output, with a message naming the claim and the start."""
+    res = run_cli("verify", "--theorem", theorem, *flags, "--range=-1..3")
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == f"error: {theorem} range starts at -1; a range starts at 0 or above\n"
 
 
 def test_verify_random_requires_seed(run_cli):

@@ -1,12 +1,14 @@
 import gc
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coronageo import geodesic, graphs, subsets
+from coronageo import cli, geodesic, graphs, subsets
+from coronageo.corpus import Caps
 from coronageo.errors import CapExceeded, DomainError
 from coronageo.formats import encode_graph6, parse_graph6
 from coronageo.geodesic import (
@@ -15,7 +17,6 @@ from coronageo.geodesic import (
     geodetic_families,
     geodetic_number,
     geodetic_sets,
-    interval,
     is_geodetic,
     k_geodetic_number,
 )
@@ -29,13 +30,14 @@ from coronageo.graphs import (
     empty,
     extreme_vertices,
     from_edge_list,
+    is_complete,
     mask_of,
     path,
     vertex_tuple,
     wheel,
 )
 from coronageo.harness import check_diam2_steiner_geodetic, check_geo_corona_eq
-from coronageo.steiner import steiner_number
+from coronageo.steiner import steiner_number, steiner_sets
 from coronageo.subsets import ascending_subsets, candidate_rank, first_cover, first_set, least_size
 
 from oracles import (
@@ -50,40 +52,45 @@ from oracles import (
 
 
 # --- intervals ---------------------------------------------------------------
+# I[u, v] is read off the one-pass table ``bfs_distances(G)[1]``, which
+# ``Graph.intervals`` holds.
 
 
 def test_interval_unique_geodesic_path3():
-    D = bfs_distances(path(3))[0]
-    assert interval(D, 0, 2) == 0b111
+    assert bfs_distances(path(3))[1][0][2] == 0b111
 
 
 def test_interval_of_vertex_with_itself():
-    D = bfs_distances(cycle(5))[0]
-    assert interval(D, 3, 3) == 0b01000
+    assert bfs_distances(cycle(5))[1][3][3] == 0b01000
 
 
 def test_interval_c4_both_geodesics():
     # confirmed by brute-force path enumeration
     g = cycle(4)
-    assert interval(bfs_distances(g)[0], 0, 2) == g.full_mask
+    assert bfs_distances(g)[1][0][2] == g.full_mask
     assert interval_vertices(g, 0, 2) == {0, 1, 2, 3}
 
 
 def test_interval_cross_component_is_domain_error():
-    D = bfs_distances(empty(2))[0]
-    with pytest.raises(DomainError):
-        interval(D, 0, 1)
-    with pytest.raises(DomainError):
-        interval(D, 0, 5)
+    """Across components the table holds distance n and an empty interval,
+    and ``compute --measure interval`` refuses the pair, as it refuses a
+    vertex outside the graph."""
+    g = empty(2)
+    D, I = bfs_distances(g)
+    assert (D[0][1], I[0][1]) == (2, 0)
+    for text, message in (("0,1", "^vertices 0 and 1 are in different components$"),
+                          ("0,5", r"^--vertices entry 5 is not in the graph \(order 2\)$")):
+        with pytest.raises(DomainError, match=message):
+            cli._measure_payload(g, "interval", SimpleNamespace(vertices=text), Caps())
 
 
 def test_interval_matches_path_enumeration(census):
     for order in (2, 3, 4, 5):
         for g in census(order):
-            D = bfs_distances(g)[0]
+            I = bfs_distances(g)[1]
             for u in range(g.n):
                 for v in range(u, g.n):
-                    assert vertex_tuple(interval(D, u, v)) == tuple(sorted(interval_vertices(g, u, v)))
+                    assert vertex_tuple(I[u][v]) == tuple(sorted(interval_vertices(g, u, v)))
 
 
 # --- geodetic predicates -------------------------------------------------------
@@ -562,6 +569,34 @@ def test_first_geodetic_set_is_geodetic_number_on_corona_products(census):
     assert checked == 184
 
 
+def test_corona_products_by_their_families(census):
+    """Every product G ⊙ H of a census G of order <= 4 and a census H of
+    order <= 7, up to order 16: ``geodetic_number`` is the least size and the
+    first set of ``geodetic_sets``, and the paper's formulas hold on the
+    families alone, with no minimum-set search: s(G ⊙ H) = n1·n2 for
+    n1 >= 2, and g(G ⊙ H) = n1·g(K1 ⊙ H) for H not complete, so g <= s."""
+    hub_g = {}  # g(K1 ⊙ H) by H, read when G is K1, the first census graph
+    checked = 0
+    for g in (g for order in range(1, 5) for g in census(order)):
+        for h in (h for order in range(1, 8) for h in census(order)):
+            if g.n * (h.n + 1) > 16:
+                continue
+            product, _ = corona(g, h)
+            geo = geodetic_sets(product)
+            value, r = least_size(geo, product.n), geodetic_number(product)
+            label = (encode_graph6(g), encode_graph6(h))
+            assert (value, vertex_tuple(first_set(geo, product.n))) == (r.value, r.witness), label
+            if g.n == 1:
+                hub_g[h] = value
+            elif not is_complete(h):
+                assert value == g.n * hub_g[h], label
+            if g.n >= 2:
+                s = least_size(steiner_sets(product), product.n)
+                assert s == g.n * h.n and value <= s, label
+            checked += 1
+    assert checked == 2036
+
+
 def test_geodetic_sets_errors():
     with pytest.raises(DomainError):
         geodetic_sets(empty(3))
@@ -605,6 +640,31 @@ def test_geodetic_families_edge_cases():
         geodetic_families(path(3), 1)
     with pytest.raises(CapExceeded, match="geodetic search capped at n <= 6, got 7"):
         geodetic_families(wheel(6), 2, cap=6)
+
+
+def test_search_errors_come_connected_then_k_then_cap():
+    """On a disconnected graph above the cap with a bad k, the graph is
+    refused as disconnected; a connected one above the cap is refused for
+    its k, and only a good k meets the cap.  ``is_geodetic`` tests
+    connectivity, then the empty set, then a set outside the graph."""
+    apart, above = empty(21), path(21)  # the default cap is 20
+    for search in (geodetic_families, k_geodetic_number):
+        with pytest.raises(DomainError, match="^search requires a connected graph$"):
+            search(apart, 1)
+        with pytest.raises(DomainError, match="^k-geodetic sets need k >= 2, got 1$"):
+            search(above, 1)
+        with pytest.raises(CapExceeded, match="search capped at n <= 20, got 21$"):
+            search(above, 2)
+    with pytest.raises(DomainError, match="^search requires a connected graph$"):
+        geodetic_families(apart, None)
+    with pytest.raises(DomainError, match="^geodetic sets are defined for connected graphs$"):
+        is_geodetic(apart, 0)
+    with pytest.raises(DomainError, match="^geodetic sets are defined for connected graphs$"):
+        is_geodetic(apart, 1 << 40)
+    with pytest.raises(DomainError, match="^geodetic sets are nonempty$"):
+        is_geodetic(above, 0)
+    with pytest.raises(DomainError, match="^vertex set is not within the graph$"):
+        is_geodetic(above, 1 << 21 | 1)
 
 
 # --- families of vertex sets as 2^n-bit ints --------------------------------------

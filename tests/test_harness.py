@@ -588,6 +588,16 @@ def test_build_items_bounds_count_the_graphs_each_kind_builds():
     assert [(r.verdict, r.reason.split(":")[0]) for r in reports] == [("SKIPPED", "cap-exceeded")] * 2
 
 
+@pytest.mark.parametrize("theorem, corpus", [("WHEEL_GEO", None),
+                                             ("CORONA_CYCLE_PATH", CorpusSpec.exhaustive(2, 2))])
+def test_build_items_refuses_a_range_that_starts_below_0(theorem, corpus):
+    """The start of a range is bounded beside its end, before any item is
+    built, so a range reaching far below 0 costs nothing; 0 is a valid start."""
+    with pytest.raises(DomainError, match=f"^{theorem} range starts at -1; a range starts at 0 or above$"):
+        build_items(theorem, corpus=corpus, n_range=(-1, 3))
+    assert len(build_items(theorem, corpus=corpus, n_range=(0, 3))) == 4
+
+
 def test_run_corpus_geo_corona_eq_small_grid():
     reports = list(run_corpus(
         "GEO_CORONA_EQ",
