@@ -122,6 +122,28 @@ MUTANTS = (
         ("tests/test_harness.py::test_build_items_refuses_a_range_that_starts_below_0[WHEEL_GEO-None]",),
     ),
     Mutant(
+        "from-edge-list-sets-one-row-per-edge",
+        "src/coronageo/graphs.py",
+        "        rows[u] |= 1 << v\n        rows[v] |= 1 << u\n",
+        "        rows[u] |= 1 << v\n",
+        ("tests/test_graphs.py::test_from_edge_list_passes_the_graph_check_hypothesis",
+         "tests/test_graphs.py::test_generators_pass_the_graph_check_over_their_whole_range[path]"),
+    ),
+    Mutant(
+        "search-result-ranked-without-forced",
+        "src/coronageo/subsets.py",
+        "candidate_rank(witness, universe, forced))",
+        "candidate_rank(witness, universe))",
+        ("tests/test_geodesic.py::test_block_search_matches_flat_search_on_census",),
+    ),
+    Mutant(
+        "geodetic-families-without-the-ceiling",
+        "src/coronageo/geodesic.py",
+        "    if G.n > (cap := min(cap, FAMILY_MAX_ORDER)):\n",
+        "    if G.n > cap:\n",
+        ("tests/test_geodesic.py::test_geodetic_sets_stop_at_order_24_whatever_the_cap",),
+    ),
+    Mutant(
         "compute-interval-without-its-component-test",
         "src/coronageo/cli.py",
         "        if g.distances[u][v] == g.n:\n",

@@ -26,6 +26,7 @@ CENSUS_MAX_ORDER = max(CENSUS_COUNTS)
 # a random corpus is built whole before the first report; a graph takes
 # about 200 B at order 8 and 2.9 KB at order 62, so this keeps it under 300 MB
 RANDOM_MAX_COUNT = 100_000
+RANDOM_ATTEMPTS = 10_000  # samples ``random_connected_graph`` draws before it gives up
 
 FAMILIES = {
     "path": path,
@@ -83,17 +84,17 @@ def parse_range(text: str) -> tuple[int, int]:
     return a, b
 
 
-def random_connected_graph(n: int, p: float, rng: random.Random, *, attempts: int = 10_000) -> Graph:
+def random_connected_graph(n: int, p: float, rng: random.Random) -> Graph:
     """One connected G(n, p) sample, by rejection."""
     if n < 1:
         raise DomainError(f"random graphs need n >= 1, got {n}")
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"edge probability must be in [0, 1], got {p}")
-    for _ in range(attempts):  # ``from_edge_list`` checks n before it draws a pair
+    for _ in range(RANDOM_ATTEMPTS):  # ``from_edge_list`` checks n before it draws a pair
         g = from_edge_list(n, ((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p))
         if is_connected(g):
             return g
-    raise DomainError(f"no connected G({n}, {p}) sample in {attempts} attempts")
+    raise DomainError(f"no connected G({n}, {p}) sample in {RANDOM_ATTEMPTS} attempts")
 
 
 class CorpusEntry(namedtuple("CorpusEntry", "source error")):

@@ -2,33 +2,15 @@
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import lru_cache, reduce
 from operator import and_
 
 from .errors import CapExceeded, DomainError
 from .graphs import Graph, Mask, blocks, extreme_vertices, induced_rows, is_connected, vertex_tuple
-from .subsets import candidate_rank, first_cover, set_patterns
+from .subsets import FAMILY_MAX_ORDER, SearchResult, first_cover, set_patterns
 
 DEFAULT_GEODETIC_CAP = 20
 _BLOCK_PICK_CACHE_SIZE = 4096  # block searches that ``_block_pick`` keeps, across calls
-
-
-class GeodeticResult(namedtuple("GeodeticResult", "value witness explored")):
-    """Outcome of a minimum-set search.
-
-    ``value is None`` means no set exists (k-geodetic search with no vertex
-    pair at distance exactly k); this is an answer, not an error.
-    ``explored`` is the witness's 1-based rank among the nonempty candidates
-    in canonical order, computed from the witness by
-    ``subsets.candidate_rank``, not counted by the search.
-    """
-
-    __slots__ = ()
-
-    @property
-    def unsatisfiable(self) -> bool:
-        return self.value is None
 
 
 def is_geodetic(G: Graph, members: Mask) -> bool:
@@ -66,7 +48,8 @@ def geodetic_sets(G: Graph, *, cap: int = DEFAULT_GEODETIC_CAP) -> int:
     ``cover[w]``: about n^3 / 2 operations on 2^n-bit ints, one bit per set
     (the word-parallel idea of Knuth, TAOCP 4A, §7.1.3).  No Q[u] holds bit
     0, so the empty set is never geodetic.  The k-geodetic sets are
-    ``geodetic_families(G, k)[1]``.
+    ``geodetic_families(G, k)[1]``.  No cap goes above
+    ``subsets.FAMILY_MAX_ORDER``.
     """
     return geodetic_families(G, None, cap=cap)[0]
 
@@ -83,7 +66,7 @@ def geodetic_families(G: Graph, k: int | None, *, cap: int = DEFAULT_GEODETIC_CA
     _require_connected(G)
     if k is not None and k < 2:
         raise DomainError(f"k-geodetic sets need k >= 2, got {k}")
-    if G.n > cap:
+    if G.n > (cap := min(cap, FAMILY_MAX_ORDER)):
         raise CapExceeded(f"geodetic search capped at n <= {cap}, got {G.n}")
     Q = set_patterns(G.n)
     at_k, others = [], []
@@ -116,7 +99,7 @@ def _block_pick(rows: tuple[Mask, ...], forced: Mask) -> Mask:
     return first_cover(g.intervals, g.n, forced) & ~forced
 
 
-def geodetic_number(G: Graph, *, cap: int = DEFAULT_GEODETIC_CAP) -> GeodeticResult:
+def geodetic_number(G: Graph, *, cap: int = DEFAULT_GEODETIC_CAP) -> SearchResult:
     """Minimum geodetic set by exact search, block by block.
 
     Candidates are the supersets of the extreme vertices X (every geodetic
@@ -187,11 +170,10 @@ def geodetic_number(G: Graph, *, cap: int = DEFAULT_GEODETIC_CAP) -> GeodeticRes
             low = pick & -pick
             witness |= 1 << vs[low.bit_length() - 1]
             pick ^= low
-    return GeodeticResult(witness.bit_count(), vertex_tuple(witness),
-                          candidate_rank(witness, G.full_mask, ext))
+    return SearchResult.of(witness, G.full_mask, ext)
 
 
-def k_geodetic_number(G: Graph, k: int, *, cap: int = DEFAULT_GEODETIC_CAP) -> GeodeticResult:
+def k_geodetic_number(G: Graph, k: int, *, cap: int = DEFAULT_GEODETIC_CAP) -> SearchResult:
     """Minimum set S such that every vertex outside S lies on an x-y geodesic
     with x, y in S and d(x, y) = k exactly.
 
@@ -214,9 +196,8 @@ def k_geodetic_number(G: Graph, k: int, *, cap: int = DEFAULT_GEODETIC_CAP) -> G
     if G.n > cap:
         raise CapExceeded(f"k-geodetic search capped at n <= {cap}, got {G.n}")
     if not any(k in row for row in D):
-        return GeodeticResult(None, None, 0)
+        return SearchResult(None, None, 0)
     # I[u, v] is the k-interval when d(u, v) = k; the shared table stays as it is
     table = [[m if d == k else 0 for m, d in zip(row, du)] for row, du in zip(I, D)]
     witness = first_cover(table, G.n, extreme_vertices(G))
-    return GeodeticResult(witness.bit_count(), vertex_tuple(witness),
-                          candidate_rank(witness, G.full_mask))
+    return SearchResult.of(witness, G.full_mask)

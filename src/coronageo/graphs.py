@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from itertools import chain
 
 from .errors import DomainError
 
@@ -54,9 +53,10 @@ class Graph:
     """Immutable simple graph; ``adj[v]`` is the neighbor bitmask of ``v``.
 
     ``Graph(n, adj)`` checks that the rows are in range, loop-free and
-    symmetric.  ``corona``, the block search of ``geodetic_number`` and
-    ``parse_graph6`` build rows valid by construction, and skip that O(m)
-    scan through ``Graph._trusted``.
+    symmetric.  Every graph the library builds (``from_edge_list`` and the
+    generators, ``induced_subgraph``, ``corona``, ``parse_graph6`` and the
+    block search of ``geodetic_number``) has rows valid by construction, and
+    skips that O(m) scan through ``Graph._trusted``.
 
     The two tables ``distances`` and ``intervals`` are built together, by
     one ``bfs_distances`` pass, on first use of either, and kept on the
@@ -155,7 +155,7 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise DomainError(f"self-loop at {u}: simple graphs only")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
+    return Graph._trusted(tuple(rows))
 
 
 def induced_subgraph(G: Graph, members: Mask) -> Graph:
@@ -167,8 +167,7 @@ def induced_subgraph(G: Graph, members: Mask) -> Graph:
         raise DomainError("cannot induce a subgraph on the empty set")
     if members & ~G.full_mask:
         raise DomainError("vertex set is not within the graph")
-    rows = induced_rows(G, members)
-    return Graph(len(rows), rows)
+    return Graph._trusted(induced_rows(G, members))
 
 
 def induced_rows(G: Graph, members: Mask) -> tuple[Mask, ...]:
@@ -380,8 +379,9 @@ def extreme_vertices(G: Graph) -> Mask:
 
 
 # ---------------------------------------------------------------------------
-# Generators.  Canonical labelings: the hub of star/wheel/fan is index 0.
-# Each passes lazy edges to ``from_edge_list``, which checks the order first.
+# Generators.  path, cycle, complete and empty pass lazy edges to
+# ``from_edge_list``, which checks the order first; star, wheel and fan are
+# the coronas K1 ⊙ X, so their hub is index 0.
 
 
 def path(n: int) -> Graph:
@@ -410,34 +410,24 @@ def empty(n: int) -> Graph:
 
 
 def star(n: int) -> Graph:
-    """Star with hub 0 and n leaves (order n + 1)."""
+    """Star K1 ⊙ empty(n): hub 0 and n leaves (order n + 1)."""
     if n < 1:
         raise DomainError(f"star needs n >= 1 leaves, got {n}")
-    return from_edge_list(n + 1, ((0, i) for i in range(1, n + 1)))
+    return corona(complete(1), empty(n))[0]
 
 
 def wheel(n: int) -> Graph:
-    """Wheel: hub 0 joined to the rim cycle 1..n (order n + 1).
-
-    Labeled identically to corona(complete(1), cycle(n)).
-    """
+    """Wheel K1 ⊙ cycle(n): hub 0 joined to the rim cycle 1..n (order n + 1)."""
     if n < 3:
         raise DomainError(f"wheel needs a rim of size >= 3, got {n}")
-    rim = ((i, i % n + 1) for i in range(1, n + 1))
-    spokes = ((0, i) for i in range(1, n + 1))
-    return from_edge_list(n + 1, chain(rim, spokes))
+    return corona(complete(1), cycle(n))[0]
 
 
 def fan(n: int) -> Graph:
-    """Fan: hub 0 joined to the path 1..n (order n + 1).
-
-    Labeled identically to corona(complete(1), path(n)).
-    """
+    """Fan K1 ⊙ path(n): hub 0 joined to the path 1..n (order n + 1)."""
     if n < 2:
         raise DomainError(f"fan needs a path of size >= 2, got {n}")
-    spine = ((i, i + 1) for i in range(1, n))
-    spokes = ((0, i) for i in range(1, n + 1))
-    return from_edge_list(n + 1, chain(spine, spokes))
+    return corona(complete(1), path(n))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -305,8 +305,8 @@ def check_geo_bounds(G: Graph, H: Graph, caps: Caps = Caps()) -> Outcome:
     _need(G.n >= 2 or not is_complete(H), R_H_COMPLETE)
     prod, _ = _build_corona(G, H)
     r = geodetic_number(prod, cap=caps.geodetic)
-    g_h = geodetic_number_sum(H, cap=caps.geodetic)
     comps = [induced_subgraph(H, c) for c in components(H)]
+    g_h = sum(geodetic_number(c, cap=caps.geodetic).value for c in comps)
     all_complete = all(is_complete(c) for c in comps)
     none_complete = not any(is_complete(c) for c in comps)
     lower = G.n * g_h

@@ -4,7 +4,8 @@ One table of the Steiner distance of every vertex subset serves every query:
 the distance of a terminal set W is one entry, and v lies on a minimum tree
 for W exactly when d(W + v) = d(W), so the hull of W, the Steiner-set test,
 ``steiner_sets`` and ``steiner_number`` all compare entries of the same
-table.  Every query is capped by the order of the graph.
+table.  Every query is capped by the order of the graph, and no cap goes
+above ``subsets.FAMILY_MAX_ORDER``.
 
 The table is one Python int of 2^n bytes with one byte lane per vertex
 subset: lane C is byte C, little-endian.  Every pass over the table is then
@@ -17,29 +18,15 @@ C without v.  ``steiner_sets`` turns lanes into bits, the family form of
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import lru_cache
 
 from .errors import CapExceeded, DomainError
-from .graphs import (
-    Graph,
-    Mask,
-    is_connected,
-    mask_of,
-    vertex_tuple,
-)
-from .subsets import candidate_rank, first_set
+from .graphs import Graph, Mask, is_connected, mask_of
+from .subsets import FAMILY_MAX_ORDER, SearchResult, first_set
 
 DEFAULT_STEINER_CAP = 16
 
 _FAR = 127  # lane of a set that is not connected, before the superset minima; below 0x80
-
-
-class SteinerResult(namedtuple("SteinerResult", "value witness explored")):
-    """Minimum Steiner set: its size, the canonical witness, and the number
-    of candidate sets examined."""
-
-    __slots__ = ()
 
 
 @lru_cache(maxsize=2)  # the two most recent orders, as ``subsets.set_patterns``
@@ -91,7 +78,7 @@ def _steiner_distance_table(G: Graph) -> int:
 def _checked_table(G: Graph, cap: int, what: str) -> int:
     if not is_connected(G):
         raise DomainError(f"{what} defined for connected graphs")
-    if G.n > cap:
+    if G.n > (cap := min(cap, FAMILY_MAX_ORDER)):
         raise CapExceeded(f"Steiner search capped at n <= {cap}, got {G.n}")
     return _steiner_distance_table(G)
 
@@ -148,7 +135,7 @@ def steiner_sets(G: Graph, *, cap: int = DEFAULT_STEINER_CAP) -> int:
     return _sets(G, cap, "Steiner sets are")
 
 
-def steiner_number(G: Graph, *, cap: int = DEFAULT_STEINER_CAP) -> SteinerResult:
+def steiner_number(G: Graph, *, cap: int = DEFAULT_STEINER_CAP) -> SearchResult:
     """Minimum Steiner set by exact search, cardinality then lexicographic order.
 
     The search is ``subsets.first_set`` on ``steiner_sets``, and
@@ -159,4 +146,4 @@ def steiner_number(G: Graph, *, cap: int = DEFAULT_STEINER_CAP) -> SteinerResult
     which took at most four passes on every census graph.
     """
     first = first_set(_sets(G, cap, "Steiner number is"), G.n)
-    return SteinerResult(first.bit_count(), vertex_tuple(first), candidate_rank(first, G.full_mask))
+    return SearchResult.of(first, G.full_mask)

@@ -11,6 +11,7 @@ set exactly when W is in it, as ``geodetic_sets`` and ``steiner_sets`` return.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
 from itertools import accumulate, combinations
@@ -18,6 +19,28 @@ from math import comb
 from operator import or_
 
 from .graphs import Mask, mask_of, vertex_tuple
+
+# ceiling on the cap of every engine that builds a family: their memory
+# doubles with each order, to about 0.6 GiB (geodetic) and 1.1 GiB (Steiner) at 24
+FAMILY_MAX_ORDER = 24
+
+
+class SearchResult(namedtuple("SearchResult", "value witness explored")):
+    """Outcome of a minimum-set search: the least size, the canonical
+    witness, and ``explored``, the witness's rank among the nonempty
+    candidates by ``candidate_rank``, computed, not counted by the search.
+
+    ``value is None`` means no set exists (k-geodetic search with no vertex
+    pair at distance exactly k); this is an answer, not an error.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, witness: Mask, universe: Mask, forced: Mask = 0) -> SearchResult:
+        """The result whose witness is ``witness``, ranked among the
+        candidates of ``ascending_subsets(universe, forced)``."""
+        return cls(witness.bit_count(), vertex_tuple(witness), candidate_rank(witness, universe, forced))
 
 
 def ascending_subsets(universe: Mask, forced: Mask = 0) -> Iterator[Mask]:

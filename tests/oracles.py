@@ -43,7 +43,7 @@ from typing import Iterator, Sequence
 import networkx as nx
 
 from coronageo.errors import CapExceeded, DomainError, FormatError
-from coronageo.geodesic import GeodeticResult, is_geodetic
+from coronageo.geodesic import is_geodetic
 from coronageo.graphs import (
     Graph,
     Mask,
@@ -55,7 +55,7 @@ from coronageo.graphs import (
     reachable_set,
     vertex_tuple,
 )
-from coronageo.subsets import ascending_subsets
+from coronageo.subsets import SearchResult, ascending_subsets
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -410,7 +410,7 @@ def parse_graph6_by_pairs(text: str) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def geodetic_search_by_closure(g: Graph, forced: Mask) -> GeodeticResult:
+def geodetic_search_by_closure(g: Graph, forced: Mask) -> SearchResult:
     """First set containing ``forced``, by cardinality then lexicographic
     order, whose pairwise interval closure is V(G); ``explored`` counts the
     nonempty candidates tested."""
@@ -426,11 +426,11 @@ def geodetic_search_by_closure(g: Graph, forced: Mask) -> GeodeticResult:
             for v in vs[i + 1:]:
                 closure |= table[u][v]
         if closure == g.full_mask:
-            return GeodeticResult(len(vs), vs, explored)
+            return SearchResult(len(vs), vs, explored)
     raise AssertionError("a connected graph always has a geodetic set")
 
 
-def k_geodetic_search_by_closure(g: Graph, k: int) -> GeodeticResult:
+def k_geodetic_search_by_closure(g: Graph, k: int) -> SearchResult:
     """First set, by cardinality then lexicographic order, whose pairs at
     distance exactly k cover every vertex outside it; unsatisfiable
     (``explored == 0``) when no pair is at distance k."""
@@ -442,7 +442,7 @@ def k_geodetic_search_by_closure(g: Graph, k: int) -> GeodeticResult:
             if rows[u][v] == k:
                 kmask[u][v] = mask_of(w for w in range(n) if rows[u][w] + rows[v][w] == k)
     if not any(map(any, kmask)):
-        return GeodeticResult(None, None, 0)
+        return SearchResult(None, None, 0)
     explored = 0
     for members in ascending_subsets(g.full_mask, 0):
         if not members:
@@ -454,7 +454,7 @@ def k_geodetic_search_by_closure(g: Graph, k: int) -> GeodeticResult:
             for v in vs[i + 1:]:
                 covered |= kmask[u][v]
         if covered == g.full_mask:
-            return GeodeticResult(len(vs), vs, explored)
+            return SearchResult(len(vs), vs, explored)
     raise AssertionError("a k-geodetic set exists whenever a distance-k pair does")
 
 

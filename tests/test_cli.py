@@ -265,6 +265,18 @@ def test_verify_wheel_geo_range(run_cli):
     assert json.loads(lines[-1])["summary"]["pass"] == 7
 
 
+def test_verify_steiner_above_order_24_is_skipped_whatever_the_cap(run_cli):
+    # P4 ⊙ P7 has order 32: its geodetic number is found under --max-n 62,
+    # and its Steiner number meets the order-24 ceiling before any table
+    res = run_cli("verify", "--theorem", "CORONA_G_LE_S", "--family-g", "path:4..4",
+                  "--family-h", "path:7..7", "--max-n", "62")
+    assert res.returncode == 0 and res.stderr == ""
+    report, summary = map(json.loads, res.stdout.splitlines())
+    assert report["verdict"] == "SKIPPED"
+    assert report["reason"] == "cap-exceeded: Steiner search capped at n <= 24, got 32"
+    assert summary == {"summary": {"fail": 0, "pass": 0, "skipped": 1}}
+
+
 def test_verify_unknown_theorem_exits_2(run_cli):
     res = run_cli("verify", "--theorem", "NOPE")
     assert res.returncode == 2

@@ -134,5 +134,5 @@ def test_random_connected_graph_rejects_bad_parameters():
         random_connected_graph(0, 0.5, rng)
     with pytest.raises(DomainError):
         random_connected_graph(3, 1.5, rng)
-    with pytest.raises(DomainError):
-        random_connected_graph(4, 0.0, rng, attempts=10)
+    with pytest.raises(DomainError, match=r"^no connected G\(4, 0\.0\) sample in 10000 attempts$"):
+        random_connected_graph(4, 0.0, rng)

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -12,7 +13,6 @@ from coronageo.corpus import Caps
 from coronageo.errors import CapExceeded, DomainError
 from coronageo.formats import encode_graph6, parse_graph6
 from coronageo.geodesic import (
-    GeodeticResult,
     _block_pick,
     geodetic_families,
     geodetic_number,
@@ -38,7 +38,7 @@ from coronageo.graphs import (
 )
 from coronageo.harness import check_diam2_steiner_geodetic, check_geo_corona_eq
 from coronageo.steiner import steiner_number, steiner_sets
-from coronageo.subsets import ascending_subsets, candidate_rank, first_cover, first_set, least_size
+from coronageo.subsets import SearchResult, ascending_subsets, candidate_rank, first_cover, first_set, least_size
 
 from oracles import (
     closure_vertices,
@@ -222,7 +222,7 @@ def test_g2_path4():
     r = k_geodetic_number(path(4), 2)
     assert r.value == 3
     assert r.witness == (0, 1, 3)
-    assert not r.unsatisfiable
+    assert r.value is not None
 
 
 def test_g2_cycle4():
@@ -231,12 +231,11 @@ def test_g2_cycle4():
 
 def test_gk_unsatisfiable_beyond_diameter():
     r = k_geodetic_number(path(3), 3)
-    assert r.unsatisfiable
-    assert r.value is None and r.witness is None
+    assert r.value is None and r.witness is None and r.explored == 0
 
 
 def test_gk_unsatisfiable_on_complete_graphs():
-    assert k_geodetic_number(complete(4), 2).unsatisfiable
+    assert k_geodetic_number(complete(4), 2).value is None
 
 
 def test_gk_rejects_k_below_two():
@@ -256,7 +255,7 @@ def test_gk_witness_contains_extreme_vertices(census):
         for g in census(order):
             for k in (2, 3):
                 r = k_geodetic_number(g, k)
-                if not r.unsatisfiable:
+                if r.value is not None:
                     assert extreme_vertices(g) & ~mask_of(r.witness) == 0
 
 
@@ -290,14 +289,14 @@ def test_g2_p5_differs_from_g():
 
 def _unforced(g):
     members = first_cover(interval_table(bfs_distances(g)[0]), g.n, 0)
-    return GeodeticResult(members.bit_count(), vertex_tuple(members), candidate_rank(members, g.full_mask))
+    return SearchResult(members.bit_count(), vertex_tuple(members), candidate_rank(members, g.full_mask))
 
 
 def _flat(g):
     """The search over the whole graph that the block search replaces."""
     ext = extreme_vertices(g)
     members = first_cover(g.intervals, g.n, ext)
-    return GeodeticResult(members.bit_count(), vertex_tuple(members), candidate_rank(members, g.full_mask, ext))
+    return SearchResult(members.bit_count(), vertex_tuple(members), candidate_rank(members, g.full_mask, ext))
 
 
 def test_cover_search_matches_closure_search_on_census(census):
@@ -311,7 +310,7 @@ def test_cover_search_matches_closure_search_on_census(census):
             for k in (2, 3, diameter(g) + 2):
                 r = k_geodetic_number(g, k)
                 assert r == k_geodetic_search_by_closure(g, k), (code, k)
-                unsatisfiable += r.unsatisfiable
+                unsatisfiable += r.value is None
             checked += 1
     assert checked == 143
     assert unsatisfiable > 143  # every k = D + 2, and k = 2, 3 above small diameters
@@ -544,7 +543,7 @@ def _assert_first_k_set_is_k_geodetic_number(g, k):
         first = first_set(geo, g.n)
         assert (first.bit_count(), vertex_tuple(first)) == (r.value, r.witness), (encode_graph6(g), k)
     else:
-        assert r.unsatisfiable, (encode_graph6(g), k)
+        assert r.value is None, (encode_graph6(g), k)
 
 
 def test_first_geodetic_set_is_geodetic_number_on_census(census):
@@ -606,6 +605,25 @@ def test_geodetic_sets_errors():
         geodetic_sets(path(21))
     assert geodetic_sets(complete(1)) == 1 << 0b1
     assert geodetic_sets(path(3)) == 1 << 0b101 | 1 << 0b111  # {0, 2} and {0, 1, 2}
+
+
+def test_geodetic_sets_stop_at_order_24_whatever_the_cap():
+    """No cap of a family reaches above ``FAMILY_MAX_ORDER``: order 25 is
+    refused before a family is built (its search would peak above 1 GiB),
+    while ``geodetic_number``, which builds no family, keeps its cap."""
+    g = wheel(24)  # order 25
+    tracemalloc.start()
+    try:
+        for k in (None, 2):
+            with pytest.raises(CapExceeded, match="^geodetic search capped at n <= 24, got 25$"):
+                geodetic_families(g, k, cap=62)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"{peak / (1 << 20):.1f} MiB"
+    with pytest.raises(CapExceeded, match="^geodetic search capped at n <= 24, got 25$"):
+        geodetic_sets(g, cap=62)
+    assert geodetic_number(path(30), cap=62).value == 2
 
 
 def test_k_geodetic_sets_errors_and_empty_results():

@@ -12,7 +12,6 @@ from coronageo import geodesic, graphs
 from coronageo.corpus import Caps, CorpusEntry, CorpusSpec
 from coronageo.errors import DomainError
 from coronageo.formats import encode_graph6
-from coronageo.geodesic import GeodeticResult
 from coronageo.graphs import (
     CoronaLayout,
     Graph,
@@ -40,7 +39,7 @@ from coronageo.graphs import (
     vertex_tuple,
     wheel,
 )
-from coronageo.steiner import SteinerResult
+from coronageo.subsets import SearchResult
 
 from oracles import extreme_by_double_loop, interval_table, to_nx
 
@@ -154,9 +153,9 @@ def test_graph_survives_a_pickle_round_trip(built):
 @pytest.mark.parametrize("record,text", [
     (Caps(), "Caps(geodetic=20, steiner=16)"),
     (Caps(steiner=5), "Caps(geodetic=20, steiner=5)"),
-    (GeodeticResult(2, (0, 3), 4), "GeodeticResult(value=2, witness=(0, 3), explored=4)"),
-    (GeodeticResult(None, None, 0), "GeodeticResult(value=None, witness=None, explored=0)"),
-    (SteinerResult(3, (0, 1, 4), 9), "SteinerResult(value=3, witness=(0, 1, 4), explored=9)"),
+    (SearchResult(2, (0, 3), 4), "SearchResult(value=2, witness=(0, 3), explored=4)"),
+    (SearchResult(None, None, 0), "SearchResult(value=None, witness=None, explored=0)"),
+    (SearchResult.of(0b10011, 0b11111), "SearchResult(value=3, witness=(0, 1, 4), explored=18)"),
     (CoronaLayout(2, 3), "CoronaLayout(n1=2, n2=3)"),
     (CorpusEntry("f.g6:2", "bad"), "CorpusEntry(source='f.g6:2', error='bad')"),
     (CorpusSpec.exhaustive(1, 4), "CorpusSpec(kind='exhaustive', family=None, lo=1, hi=4, "
@@ -189,14 +188,20 @@ def test_generator_orders_and_sizes():
     assert (fan(4).n, fan(4).edge_count()) == (5, 7)
 
 
+def _spokes(n):
+    return [(0, i) for i in range(1, n + 1)]
+
+
 @pytest.mark.parametrize("n", range(3, 8))
 def test_wheel_equals_corona_of_k1_and_cycle(n):
-    assert wheel(n) == corona(complete(1), cycle(n))[0]
+    rim = [(i, i % n + 1) for i in range(1, n + 1)]
+    assert wheel(n) == corona(complete(1), cycle(n))[0] == from_edge_list(n + 1, rim + _spokes(n))
 
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_fan_equals_corona_of_k1_and_path(n):
-    assert fan(n) == corona(complete(1), path(n))[0]
+    spine = [(i, i + 1) for i in range(1, n)]
+    assert fan(n) == corona(complete(1), path(n))[0] == from_edge_list(n + 1, spine + _spokes(n))
 
 
 def test_generator_minimums():
@@ -207,7 +212,61 @@ def test_generator_minimums():
 
 
 def test_star_is_corona_of_k1_and_empty():
-    assert star(3) == corona(complete(1), empty(3))[0]
+    assert star(3) == corona(complete(1), empty(3))[0] == from_edge_list(4, _spokes(3))
+
+
+_GENERATOR_RANGES = [(path, 1, 62), (cycle, 3, 62), (complete, 1, 62), (empty, 1, 62),
+                     (star, 1, 61), (wheel, 3, 61), (fan, 2, 61)]
+
+
+@pytest.mark.parametrize("gen,lo,hi", _GENERATOR_RANGES, ids=[gen.__name__ for gen, *_ in _GENERATOR_RANGES])
+def test_generators_pass_the_graph_check_over_their_whole_range(gen, lo, hi):
+    """The generators build by ``Graph._trusted``; each graph would pass
+    ``Graph``'s own check unchanged, and one step past either end is refused."""
+    for n in range(lo, hi + 1):
+        g = gen(n)
+        assert Graph(g.n, g.adj) == g
+    for n in (lo - 1, hi + 1):
+        with pytest.raises(DomainError):
+            gen(n)
+
+
+@pytest.mark.parametrize("gen", [star, wheel, fan], ids=lambda gen: gen.__name__)
+def test_hub_generators_stop_at_order_62(gen):
+    """K1 ⊙ X has order |X| + 1, so X of order 62 is refused by ``corona``,
+    before it builds a row."""
+    assert gen(61).n == 62
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="^corona order 63 exceeds the 62-vertex limit$"):
+            gen(62)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"{peak / (1 << 20):.1f} MiB"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_from_edge_list_passes_the_graph_check_hypothesis(data):
+    n = data.draw(st.integers(min_value=2, max_value=62))
+    # (u, u + k mod n) with 0 < k < n: any ordered pair of distinct vertices, repeats allowed
+    edge = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)).map(lambda e: (e[0], (e[0] + e[1]) % n))
+    edges = data.draw(st.lists(edge, max_size=120))
+    g = from_edge_list(n, edges)
+    assert Graph(g.n, g.adj) == g
+    assert g.edges() == sorted({(min(e), max(e)) for e in edges})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_induced_subgraph_passes_the_graph_check_hypothesis(census, data):
+    g = data.draw(st.sampled_from(census(data.draw(st.integers(min_value=1, max_value=7)))))
+    members = data.draw(st.integers(min_value=1, max_value=g.full_mask))
+    sub = induced_subgraph(g, members)
+    assert Graph(sub.n, sub.adj) == sub
+    vs = vertex_tuple(members)
+    assert sub.edges() == [(vs.index(u), vs.index(v)) for u, v in g.edges() if members >> u & members >> v & 1]
 
 
 # --- corona -----------------------------------------------------------------

@@ -327,6 +327,25 @@ def test_lane_table_memory_at_order_20():
     assert peak < 40 << 20, f"{peak / (1 << 20):.1f} MiB"
 
 
+def test_steiner_queries_stop_at_order_24_whatever_the_cap():
+    """No cap reaches above ``FAMILY_MAX_ORDER``: at order 25 the table
+    alone would be 32 MiB and ``steiner_sets`` would peak above 2 GiB, so
+    every query is refused before it allocates one."""
+    g = wheel(24)  # order 25
+    queries = [lambda: steiner_sets(g, cap=62), lambda: steiner_number(g, cap=62),
+               lambda: steiner_hull(g, 0b11, cap=62), lambda: steiner_distance(g, 0b11, cap=62),
+               lambda: is_steiner_set(g, 0b11, cap=62)]
+    tracemalloc.start()
+    try:
+        for query in queries:
+            with pytest.raises(CapExceeded, match="^Steiner search capped at n <= 24, got 25$"):
+                query()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"{peak / (1 << 20):.1f} MiB"
+
+
 def test_pattern_caches_keep_the_two_latest_orders():
     """A run over many orders holds the per-order masks of two of them,
     not of every order it has seen."""
