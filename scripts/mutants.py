@@ -80,7 +80,7 @@ MUTANTS = (
     Mutant(
         "is-diameter-two-closed-neighbourhoods-only",
         "src/coronageo/graphs.py",
-        "        for u in bits(nb):\n            ball |= adj[u]\n",
+        "        for u in vertex_tuple(nb):\n            ball |= adj[u]\n",
         "",
         ("tests/test_graphs.py::test_is_diameter_two_agrees_with_diameter_on_the_census",),
     ),

@@ -8,7 +8,7 @@ the exact searches.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 from .errors import DomainError
 
@@ -23,14 +23,6 @@ def mask_of(vertices: Iterable[int]) -> Mask:
     for v in vertices:
         m |= 1 << v
     return m
-
-
-def bits(mask: Mask) -> Iterator[int]:
-    """Vertices of a bitmask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def check_order(n: int) -> None:
@@ -120,7 +112,7 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as (u, v) pairs with u < v, lexicographically sorted."""
-        return [(u, v) for u in range(self.n) for v in bits(self.adj[u]) if u < v]
+        return [(u, v) for u in range(self.n) for v in vertex_tuple(self.adj[u]) if u < v]
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
@@ -346,7 +338,7 @@ def is_diameter_two(G: Graph) -> bool:
     adj, full = G.adj, G.full_mask
     for v, nb in enumerate(adj):
         ball = nb | 1 << v
-        for u in bits(nb):
+        for u in vertex_tuple(nb):
             ball |= adj[u]
         if ball != full:
             return False

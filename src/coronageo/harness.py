@@ -28,7 +28,6 @@ from .corpus import Caps, CorpusEntry, CorpusSpec
 from .errors import CapExceeded, DomainError
 from .formats import encode_graph6, jsonline
 from .geodesic import (
-    DEFAULT_GEODETIC_CAP,
     geodetic_number,
     geodetic_sets,
     is_geodetic,
@@ -121,10 +120,8 @@ def summary_json(counts: dict) -> str:
 
 @dataclass(frozen=True)
 class TheoremInfo:
-    id: str
     kind: str  # "single" | "pair" | "range" | "g_range" | "pendant"
     checker: Callable[..., VerificationReport]
-    claim: str
 
 
 THEOREMS: dict[str, TheoremInfo] = {}
@@ -162,7 +159,7 @@ _INSTANCES = {
 }
 
 
-def claim(theorem: str, kind: str, text: str, family: tuple[Callable[[int], Graph], int] | None = None):
+def claim(theorem: str, kind: str, family: tuple[Callable[[int], Graph], int] | None = None):
     """Register the decorated claim body as the checker of ``theorem``.
 
     The checker takes the body's arguments, times the call, records the
@@ -200,7 +197,7 @@ def claim(theorem: str, kind: str, text: str, family: tuple[Callable[[int], Grap
                 elapsed_ms=int((time.perf_counter() - start) * 1000),
             )
 
-        THEOREMS[theorem] = TheoremInfo(theorem, kind, checker, text)
+        THEOREMS[theorem] = TheoremInfo(kind, checker)
         return checker
 
     return register
@@ -213,15 +210,6 @@ def _build_corona(G: Graph, H: Graph) -> tuple[Graph, CoronaLayout]:
         raise _Skip(f"{R_CAP}: {exc}") from None
 
 
-def geodetic_number_sum(H: Graph, *, cap: int = DEFAULT_GEODETIC_CAP) -> int:
-    """Geodetic number of a possibly-disconnected graph: the sum over its
-    components, each single vertex contributing 1."""
-    return sum(
-        geodetic_number(induced_subgraph(H, comp), cap=cap).value
-        for comp in components(H)
-    )
-
-
 def _k1_corona(H: Graph) -> Graph:
     return _build_corona(complete(1), H)[0]
 
@@ -230,7 +218,7 @@ def _k1_corona(H: Graph) -> Graph:
 # Geodetic checkers.
 
 
-@claim("GEO_KN", "single", "g(G) = n iff G is complete")
+@claim("GEO_KN", "single")
 def check_geo_kn(G: Graph, caps: Caps = Caps()) -> Outcome:
     """g(G) = n exactly when G is complete."""
     _need(is_connected(G), R_G_DISCONNECTED)
@@ -240,7 +228,7 @@ def check_geo_kn(G: Graph, caps: Caps = Caps()) -> Outcome:
     return (r.value == G.n) == comp, computed, [r.witness], None
 
 
-@claim("CORONA_GEO_STRUCT", "pair", "structure of minimum geodetic sets of G ⊙ H")
+@claim("CORONA_GEO_STRUCT", "pair")
 def check_corona_structure_geo(G: Graph, H: Graph, caps: Caps = Caps()) -> Outcome:
     """Structural facts about geodetic sets of G ⊙ H:
     (i) no copy vertex is geodominated by a pair leaving its copy,
@@ -277,16 +265,17 @@ def check_corona_structure_geo(G: Graph, H: Graph, caps: Caps = Caps()) -> Outco
     return all(parts.values()), computed, [r.witness], reason
 
 
-@claim("GEO_K1_LB", "single", "g(K1 ⊙ H) >= g(H)")
+@claim("GEO_K1_LB", "single")
 def check_geo_k1_lb(H: Graph, caps: Caps = Caps()) -> Outcome:
     """g(K1 ⊙ H) >= g(H) for any graph H (components summed when disconnected)."""
-    g_h = geodetic_number_sum(H, cap=caps.geodetic)
+    g_h = sum(geodetic_number(induced_subgraph(H, c), cap=caps.geodetic).value
+              for c in components(H))
     r = geodetic_number(_k1_corona(H), cap=caps.geodetic)
     computed = {"g_h": g_h, "g_k1_h": r.value}
     return r.value >= g_h, computed, [r.witness], None
 
 
-@claim("EXTREME_IN_GEODETIC", "single", "minimum geodetic witnesses contain all extreme vertices")
+@claim("EXTREME_IN_GEODETIC", "single")
 def check_extreme_in_geodetic(G: Graph, caps: Caps = Caps()) -> Outcome:
     """The canonical minimum geodetic witness contains every extreme vertex."""
     _need(is_connected(G), R_G_DISCONNECTED)
@@ -297,7 +286,7 @@ def check_extreme_in_geodetic(G: Graph, caps: Caps = Caps()) -> Outcome:
     return ok, computed, [r.witness], None
 
 
-@claim("GEO_BOUNDS", "pair", "n1·g(H) <= g(G ⊙ H) <= n1·n2, equality and sharpening")
+@claim("GEO_BOUNDS", "pair")
 def check_geo_bounds(G: Graph, H: Graph, caps: Caps = Caps()) -> Outcome:
     """n1·g(H) <= g(G ⊙ H) <= n1·n2; equality on the right exactly when every
     component of H is complete; <= n1(n2-1) when no component is complete."""
@@ -330,7 +319,7 @@ def check_geo_bounds(G: Graph, H: Graph, caps: Caps = Caps()) -> Outcome:
     return ok, computed, [r.witness], None
 
 
-@claim("GEO_CORONA_EQ", "pair", "g(G ⊙ H) = n1·g(K1 ⊙ H) for non-complete H")
+@claim("GEO_CORONA_EQ", "pair")
 def check_geo_corona_eq(G: Graph, H: Graph, caps: Caps = Caps()) -> Outcome:
     """g(G ⊙ H) = n1 · g(K1 ⊙ H) for connected G and non-complete H."""
     _need(is_connected(G), R_G_DISCONNECTED)
@@ -343,7 +332,7 @@ def check_geo_corona_eq(G: Graph, H: Graph, caps: Caps = Caps()) -> Outcome:
     return rp.value == expected, computed, [rp.witness, rh.witness], None
 
 
-@claim("WHEEL_GEO", "range", "g(wheel_n) = ceil(n/2) for n >= 4", family=(cycle, 3))
+@claim("WHEEL_GEO", "range", family=(cycle, 3))
 def check_wheel_geo(n: int, caps: Caps = Caps()) -> Outcome:
     """g(wheel with rim n) = ceil(n / 2) for n >= 4."""
     _need(n >= 4, R_N_BELOW_MIN)
@@ -353,7 +342,7 @@ def check_wheel_geo(n: int, caps: Caps = Caps()) -> Outcome:
     return r.value == expected, computed, [r.witness], None
 
 
-@claim("FAN_GEO", "range", "g(fan_n) = ceil((n+1)/2) for n >= 3", family=(path, 1))
+@claim("FAN_GEO", "range", family=(path, 1))
 def check_fan_geo(n: int, caps: Caps = Caps()) -> Outcome:
     """g(fan over a path of n) = ceil((n + 1) / 2) for n >= 3."""
     _need(n >= 3, R_N_BELOW_MIN)
@@ -363,7 +352,7 @@ def check_fan_geo(n: int, caps: Caps = Caps()) -> Outcome:
     return r.value == expected, computed, [r.witness], None
 
 
-@claim("CORONA_CYCLE_PATH", "g_range", "g(G ⊙ C_n) and g(G ⊙ P_n) closed forms")
+@claim("CORONA_CYCLE_PATH", "g_range")
 def check_corona_cycle_path(G: Graph, n2: int, caps: Caps = Caps()) -> Outcome:
     """g(G ⊙ C_n2) = n1·ceil(n2/2) for n2 >= 4 and
     g(G ⊙ P_n2) = n1·ceil((n2+1)/2) for n2 >= 3."""
@@ -391,7 +380,7 @@ def check_corona_cycle_path(G: Graph, n2: int, caps: Caps = Caps()) -> Outcome:
     return ok, computed, witness, None
 
 
-@claim("G2_EQUIV", "single", "g(H) = g(K1 ⊙ H) iff g(H) = g2(H)")
+@claim("G2_EQUIV", "single")
 def check_g2_equivalence(H: Graph, caps: Caps = Caps()) -> Outcome:
     """g(H) = g(K1 ⊙ H) exactly when g(H) = g2(H), for connected non-complete H."""
     _need(is_connected(H), R_H_DISCONNECTED)
@@ -411,7 +400,7 @@ def check_g2_equivalence(H: Graph, caps: Caps = Caps()) -> Outcome:
     return left == right, computed, None, None
 
 
-@claim("G2_CORONA_EQUIV", "pair", "g(G ⊙ H) = n1·g(H) iff g(H) = g2(H)")
+@claim("G2_CORONA_EQUIV", "pair")
 def check_g2_corona_equiv(G: Graph, H: Graph, caps: Caps = Caps()) -> Outcome:
     """g(G ⊙ H) = n1·g(H) exactly when g(H) = g2(H), for connected G and
     connected non-complete H."""
@@ -434,7 +423,7 @@ def check_g2_corona_equiv(G: Graph, H: Graph, caps: Caps = Caps()) -> Outcome:
     return left == right, computed, None, None
 
 
-@claim("DIAM2_GEO_EQ", "pair", "diameter-2 H gives g(G ⊙ H) = n1·g(H)")
+@claim("DIAM2_GEO_EQ", "pair")
 def check_diam2_geo_eq(G: Graph, H: Graph, caps: Caps = Caps()) -> Outcome:
     """If H has diameter 2, then g(G ⊙ H) = n1·g(H)."""
     _need(is_connected(G), R_G_DISCONNECTED)
@@ -446,7 +435,7 @@ def check_diam2_geo_eq(G: Graph, H: Graph, caps: Caps = Caps()) -> Outcome:
     return g_prod.value == G.n * g_h.value, computed, [g_prod.witness], None
 
 
-@claim("PENDANT_COROLLARY", "pendant", "g(G ⊙ (H ⊙ N_k)) = n1·n2·k")
+@claim("PENDANT_COROLLARY", "pendant")
 def check_pendant_corollary(G: Graph, H: Graph, k: int, caps: Caps = Caps()) -> Outcome:
     """g(G ⊙ (H ⊙ N_k)) = n1·n2·k for connected G, H and k >= 2; the pendants
     of H ⊙ N_k form both a geodetic and a 2-geodetic minimum set."""
@@ -472,7 +461,7 @@ def check_pendant_corollary(G: Graph, H: Graph, k: int, caps: Caps = Caps()) -> 
     return ok, computed, [g_prod.witness], None
 
 
-@claim("GEO_LOWER_MINUS1", "pair", "g(H) != g2(H) gives g(G ⊙ H) >= n1·(g(H)-1)")
+@claim("GEO_LOWER_MINUS1", "pair")
 def check_geo_lower_minus1(G: Graph, H: Graph, caps: Caps = Caps()) -> Outcome:
     """If g(H) != g2(H), then g(G ⊙ H) >= n1·(g(H) - 1); H connected non-complete."""
     _need(is_connected(G), R_G_DISCONNECTED)
@@ -497,7 +486,7 @@ def check_geo_lower_minus1(G: Graph, H: Graph, caps: Caps = Caps()) -> Outcome:
 # Steiner checkers.
 
 
-@claim("STEINER_KN", "single", "s(G) = n iff G is complete")
+@claim("STEINER_KN", "single")
 def check_steiner_kn(G: Graph, caps: Caps = Caps()) -> Outcome:
     """s(G) = n exactly when G is complete."""
     _need(is_connected(G), R_G_DISCONNECTED)
@@ -515,7 +504,7 @@ def _separates(prod: Graph, terminals: Mask, v: int) -> bool:
     return terminals & ~reach != 0
 
 
-@claim("STEINER_CORONA_STRUCT", "pair", "structure of minimum Steiner sets of G ⊙ H")
+@claim("STEINER_CORONA_STRUCT", "pair")
 def check_corona_structure_steiner(G: Graph, H: Graph, caps: Caps = Caps()) -> Outcome:
     """Structural facts about Steiner sets of G ⊙ H:
     (i) for n1 >= 2, terminal sets inside the copies meeting every copy force
@@ -547,7 +536,7 @@ def check_corona_structure_steiner(G: Graph, H: Graph, caps: Caps = Caps()) -> O
     return all(parts.values()), computed, [r.witness], reason
 
 
-@claim("STEINER_K1_LB", "single", "s(K1 ⊙ G) >= s(G)")
+@claim("STEINER_K1_LB", "single")
 def check_steiner_k1_lb(G: Graph, caps: Caps = Caps()) -> Outcome:
     """s(K1 ⊙ G) >= s(G) for connected G."""
     _need(is_connected(G), R_G_DISCONNECTED)
@@ -557,7 +546,7 @@ def check_steiner_k1_lb(G: Graph, caps: Caps = Caps()) -> Outcome:
     return s_k1.value >= s_g.value, computed, [s_k1.witness], None
 
 
-@claim("STEINER_CORONA_EQ", "pair", "s(G ⊙ H) = n1·n2 for n1 >= 2")
+@claim("STEINER_CORONA_EQ", "pair")
 def check_steiner_corona_eq(G: Graph, H: Graph, caps: Caps = Caps()) -> Outcome:
     """s(G ⊙ H) = n1·n2 for connected G of order >= 2 and arbitrary H, by an
     unrestricted search of the product."""
@@ -570,7 +559,7 @@ def check_steiner_corona_eq(G: Graph, H: Graph, caps: Caps = Caps()) -> Outcome:
     return r.value == expected, computed, [r.witness], None
 
 
-@claim("WHEEL_STEINER", "range", "s(wheel_n) = n - 2 for n >= 4", family=(cycle, 3))
+@claim("WHEEL_STEINER", "range", family=(cycle, 3))
 def check_wheel_steiner(n: int, caps: Caps = Caps()) -> Outcome:
     """s(wheel with rim n) = n - 2 for n >= 4."""
     _need(n >= 4, R_N_BELOW_MIN)
@@ -579,7 +568,7 @@ def check_wheel_steiner(n: int, caps: Caps = Caps()) -> Outcome:
     return r.value == n - 2, computed, [r.witness], None
 
 
-@claim("FAN_STEINER", "range", "s(fan_n) = n - 1 for n >= 3 (g also reported)", family=(path, 2))
+@claim("FAN_STEINER", "range", family=(path, 2))
 def check_fan_steiner(n: int, caps: Caps = Caps()) -> Outcome:
     """s(fan over a path of n) = n - 1 for n >= 3.
 
@@ -604,7 +593,7 @@ def check_fan_steiner(n: int, caps: Caps = Caps()) -> Outcome:
     return s_matches, computed, [rs.witness], reason
 
 
-@claim("STEINER_K1_IFF_DIAM2", "single", "s(K1 ⊙ H) = s(H) iff H has diameter 2")
+@claim("STEINER_K1_IFF_DIAM2", "single")
 def check_steiner_k1_iff_diam2(H: Graph, caps: Caps = Caps()) -> Outcome:
     """Checks s(K1 ⊙ H) = s(H) exactly when H has diameter 2, for connected
     non-complete H.  The claim is false: ``EyUG`` and ``EyuG`` have diameter 2,
@@ -630,7 +619,7 @@ def check_steiner_k1_iff_diam2(H: Graph, caps: Caps = Caps()) -> Outcome:
 # Geodetic-vs-Steiner checkers.
 
 
-@claim("DIAM2_STEINER_GEODETIC", "single", "every Steiner set of a diameter-2 graph is geodetic")
+@claim("DIAM2_STEINER_GEODETIC", "single")
 def check_diam2_steiner_geodetic(G: Graph, caps: Caps = Caps()) -> Outcome:
     """Checks that on diameter-2 graphs every Steiner set is geodetic, at
     every order within the caps.
@@ -665,7 +654,7 @@ def check_diam2_steiner_geodetic(G: Graph, caps: Caps = Caps()) -> Outcome:
     return ok, computed, witness, None
 
 
-@claim("DIAM2_G_LE_S", "single", "g(G) <= s(G) on diameter-2 graphs")
+@claim("DIAM2_G_LE_S", "single")
 def check_diam2_g_le_s(G: Graph, caps: Caps = Caps()) -> Outcome:
     """Checks g(G) <= s(G) on diameter-2 graphs.  The claim is false:
     ``FhayG`` has g = 4 > s = 3, one of 13 failing census graphs of order 7."""
@@ -676,7 +665,7 @@ def check_diam2_g_le_s(G: Graph, caps: Caps = Caps()) -> Outcome:
     return rg.value <= rs.value, computed, [rg.witness, rs.witness], None
 
 
-@claim("CORONA_G_LE_S", "pair", "g(G ⊙ H) <= s(G ⊙ H) with the four-step chain")
+@claim("CORONA_G_LE_S", "pair")
 def check_corona_g_le_s(G: Graph, H: Graph, caps: Caps = Caps()) -> Outcome:
     """g(G ⊙ H) <= s(G ⊙ H) for connected G of order >= 2 and non-complete H,
     replaying the chain g = n1·g(K1⊙H) <= n1·s(K1⊙H) <= n1·n2 = s."""

@@ -2,10 +2,10 @@
 
 One table of the Steiner distance of every vertex subset serves every query:
 the distance of a terminal set W is one entry, and v lies on a minimum tree
-for W exactly when d(W + v) = d(W), so the hull of W, the Steiner-set test,
-``steiner_sets`` and ``steiner_number`` all compare entries of the same
-table.  Every query is capped by the order of the graph, and no cap goes
-above ``subsets.FAMILY_MAX_ORDER``.
+for W exactly when d(W + v) = d(W), so the hull of W, ``steiner_sets`` and
+``steiner_number`` all compare entries of the same table.  Every query is
+capped by the order of the graph, and no cap goes above
+``subsets.FAMILY_MAX_ORDER``.
 
 The table is one Python int of 2^n bytes with one byte lane per vertex
 subset: lane C is byte C, little-endian.  Every pass over the table is then
@@ -103,10 +103,6 @@ def steiner_hull(G: Graph, members: Mask, *, cap: int = DEFAULT_STEINER_CAP) -> 
     sd = _terminal_table(G, members, cap)
     d = sd[members]
     return mask_of(v for v in range(G.n) if sd[members | 1 << v] == d)
-
-
-def is_steiner_set(G: Graph, members: Mask, *, cap: int = DEFAULT_STEINER_CAP) -> bool:
-    return steiner_hull(G, members, cap=cap) == G.full_mask
 
 
 _ZERO_TO_DIGIT = b"1" + b"0" * 255  # translate table: "1" for a lane that is 0, else "0"

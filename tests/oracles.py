@@ -48,7 +48,6 @@ from coronageo.graphs import (
     Graph,
     Mask,
     bfs_distances,
-    bits,
     induced_subgraph,
     is_connected,
     mask_of,
@@ -151,7 +150,7 @@ def _connected_within(adj: Sequence[Mask], members: Mask) -> bool:
     seen = frontier = start
     while frontier:
         nxt = 0
-        for v in bits(frontier):
+        for v in vertex_tuple(frontier):
             nxt |= adj[v]
         nxt &= members & ~seen
         seen |= nxt
@@ -273,7 +272,7 @@ def in_every_steiner_tree_by_dp(g: Graph, terminals: Mask, v: int) -> bool:
     if terminals & ~reach:
         return True
     index = {w: i for i, w in enumerate(vertex_tuple(reach))}
-    mapped = mask_of(index[w] for w in bits(terminals))
+    mapped = mask_of(index[w] for w in vertex_tuple(terminals))
     return steiner_distance_by_dp(induced_subgraph(g, reach), mapped) > base
 
 

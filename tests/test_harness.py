@@ -57,7 +57,6 @@ from coronageo.harness import (
     check_wheel_geo,
     check_wheel_steiner,
     check_corona_cycle_path,
-    geodetic_number_sum,
     run_corpus,
     summarize,
     summary_json,
@@ -494,7 +493,9 @@ def test_diam2_steiner_geodetic_counterexamples_above_order_8(code, checked, off
 def test_diam2_golden_fail_lines_are_confirmed_by_networkx():
     """Every FAIL line of a golden DIAM2_STEINER_GEODETIC run names a
     diameter-2 graph and a vertex set that the brute-force oracles find to
-    be a Steiner set and not a geodetic set."""
+    be a Steiner set and not a geodetic set, and its g is the brute-force
+    one.  Up to order 10, s and whether the first minimum Steiner set is
+    geodetic are recomputed by brute force too (0.27 s per g at order 12)."""
     fails = []
     for path_ in sorted(GOLDEN.glob("*.jsonl")):
         if path_.stem == "census_6_table":  # a census table, not JSON Lines
@@ -502,13 +503,22 @@ def test_diam2_golden_fail_lines_are_confirmed_by_networkx():
         for line in path_.read_text().splitlines():
             report = json.loads(line)
             if report.get("theorem") == "DIAM2_STEINER_GEODETIC" and report["verdict"] == "FAIL":
-                fails.append((report["instance"]["g6"][0], report["witness"][0]))
-    for code, members in fails:
+                fails.append((report["instance"]["g6"][0], report["witness"][0], report["computed"]))
+    brute_s = 0
+    for code, members, computed in fails:
         g = parse_graph6(code)
+        everything = set(range(g.n))
         assert nx.diameter(to_nx(g)) == 2, code
-        assert steiner_hull_brute(g, members) == set(range(g.n)), code
-        assert closure_vertices(g, members) != set(range(g.n)), code
+        assert steiner_hull_brute(g, members) == everything, code
+        assert closure_vertices(g, members) != everything, code
+        assert computed["g"] == geodetic_number_brute(g)[0], code
+        if g.n <= 10:
+            s, least = steiner_number_brute(g)
+            assert computed["s"] == s, code
+            assert computed["min_steiner_witness_geodetic"] == (closure_vertices(g, least) == everything), code
+            brute_s += 1
     assert len(fails) == 5 + 4 + 8  # the orders 8, 10 and 12 random runs
+    assert brute_s == 5 + 4
 
 
 def test_diam2_g_le_s():
@@ -543,16 +553,15 @@ def test_corona_g_le_s_examples():
 
 
 def test_geodetic_number_sum_over_components():
-    assert geodetic_number_sum(empty(3)) == 3
+    assert check_geo_k1_lb(empty(3)).computed["g_h"] == 3
     h = from_edge_list(5, [(0, 1), (2, 3), (3, 4)])
-    assert geodetic_number_sum(h) == 4
-    assert geodetic_number_sum(cycle(4)) == 2
+    assert check_geo_k1_lb(h).computed["g_h"] == 4
+    assert check_geo_k1_lb(cycle(4)).computed["g_h"] == 2
 
 
 def test_registry_covers_all_claims():
     assert len(THEOREM_IDS) == 24
-    for tid, info in THEOREMS.items():
-        assert info.id == tid
+    for info in THEOREMS.values():
         assert info.kind in ("single", "pair", "range", "g_range", "pendant")
         assert callable(info.checker)
 

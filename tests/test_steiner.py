@@ -25,7 +25,6 @@ from coronageo.graphs import (
 from coronageo.steiner import (
     _lane_patterns,
     _steiner_distance_table,
-    is_steiner_set,
     steiner_distance,
     steiner_hull,
     steiner_number,
@@ -89,7 +88,7 @@ def test_steiner_distance_errors():
     for members, message in ((0, "terminal set is empty"),
                              (1 << 20, "terminal set is not within the graph"),
                              (0b11, "Steiner distance is defined for connected graphs")):
-        for query in (steiner_distance, steiner_hull, is_steiner_set):
+        for query in (steiner_distance, steiner_hull):
             with pytest.raises(DomainError, match=message):
                 query(empty(20), members, cap=4)
     with pytest.raises(CapExceeded, match="Steiner search capped at n <= 16, got 17"):
@@ -210,20 +209,20 @@ def test_hull_matches_brute_oracle(census):
 
 
 def test_full_vertex_set_is_steiner():
-    assert is_steiner_set(cycle(5), cycle(5).full_mask)
+    assert steiner_hull(cycle(5), cycle(5).full_mask) == cycle(5).full_mask
 
 
 def test_complete_graphs_have_no_proper_steiner_sets():
     g = complete(5)
     for size in range(1, 5):
         for combo in itertools.combinations(range(5), size):
-            assert not is_steiner_set(g, mask_of(combo))
+            assert steiner_hull(g, mask_of(combo)) != g.full_mask
 
 
 @pytest.mark.parametrize("g,h", [(path(2), complete(2)), (path(2), path(2)), (cycle(3), path(2))])
 def test_copies_union_is_steiner_in_corona(g, h):
     prod, layout = corona(g, h)
-    assert is_steiner_set(prod, layout.copies_mask)
+    assert steiner_hull(prod, layout.copies_mask) == prod.full_mask
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -333,8 +332,7 @@ def test_steiner_queries_stop_at_order_24_whatever_the_cap():
     every query is refused before it allocates one."""
     g = wheel(24)  # order 25
     queries = [lambda: steiner_sets(g, cap=62), lambda: steiner_number(g, cap=62),
-               lambda: steiner_hull(g, 0b11, cap=62), lambda: steiner_distance(g, 0b11, cap=62),
-               lambda: is_steiner_set(g, 0b11, cap=62)]
+               lambda: steiner_hull(g, 0b11, cap=62), lambda: steiner_distance(g, 0b11, cap=62)]
     tracemalloc.start()
     try:
         for query in queries:
