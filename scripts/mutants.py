@@ -151,6 +151,13 @@ MUTANTS = (
         ("tests/test_cli.py::test_compute_interval_replays_its_record",
          "tests/test_geodesic.py::test_interval_cross_component_is_domain_error"),
     ),
+    Mutant(
+        "pair-takes-h-only-from-family-h",
+        "src/coronageo/harness.py",
+        '    "pair": (("corpus", "n1", ("family_g",)), ("corpus_h", "n2", ("family_h", "random"))),\n',
+        '    "pair": (("corpus", "n1", ("family_g",)), ("corpus_h", "n2", ("family_h",))),\n',
+        ("tests/test_cli.py::test_verify_flag_routes_give_the_same_reports[pair-h-from-random]",),
+    ),
 )
 
 

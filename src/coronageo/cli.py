@@ -32,16 +32,6 @@ _CENSUS_CHUNK = 16
 MEASURES = ("g", "g2", "gk", "s", "diameter", "extreme", "interval",
             "steiner-distance", "steiner-hull")
 
-# the corpus and parameter flags of ``verify`` that each kind of claim takes
-VERIFY_FLAGS = {
-    "single": ("family_g", "family_h", "random"),
-    "pair": ("family_g", "family_h", "random"),
-    "pendant": ("family_g", "family_h", "random", "k"),
-    "range": ("range",),
-    "g_range": ("family_g", "range"),
-}
-
-
 def _load_one_graph(g6: str | None, edges_path: str | None, what: str) -> Graph:
     if (g6 is None) == (edges_path is None):
         raise DomainError(f"provide exactly one source for {what} (graph6 or edge-list file)")
@@ -175,18 +165,9 @@ def cmd_corona(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _corpus_from_flags(args: argparse.Namespace, *, which: str) -> CorpusSpec | None:
-    spec = getattr(args, f"family_{which}", None)
-    if spec is not None:
-        return CorpusSpec.parse(spec)
-    return None
-
-
-def _random_corpus(args: argparse.Namespace) -> CorpusSpec | None:
-    if args.random is None:
-        return None
+def _random_corpus(text: str, seed: int | None) -> CorpusSpec:
     fields = {}
-    for part in args.random.split(","):
+    for part in text.split(","):
         key, sep, value = (s.strip() for s in part.partition("="))
         if not sep:
             raise DomainError(f"bad --random entry {part!r}; expected key=value")
@@ -195,57 +176,44 @@ def _random_corpus(args: argparse.Namespace) -> CorpusSpec | None:
         fields[key] = value
     if missing := {"n", "p", "count"} - set(fields):
         raise DomainError(f"--random needs n=, p=, count= (missing {sorted(missing)})")
-    if args.seed is None:
+    if seed is None:
         raise DomainError("--random corpora need --seed")
     try:
         n, p, count = int(fields["n"]), float(fields["p"]), int(fields["count"])
     except ValueError:
-        raise DomainError(f"bad --random value in {args.random!r}") from None
-    return CorpusSpec.random(n, p, count, args.seed)
+        raise DomainError(f"bad --random value in {text!r}") from None
+    return CorpusSpec.random(n, p, count, seed)
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    """Map the corpus flags onto the claim's arguments; a flag the claim
-    does not take is an error, and ``build_items`` reports any argument that
-    is still missing, both before any output.  Each report is written as it
-    arrives and tallied for the summary line and the exit code.  An error
-    mid-run leaves the reports before it, with no summary line."""
-    from .harness import THEOREMS, run_corpus, summarize, summary_json
+    """Map the flags onto the claim's arguments by ``harness.KINDS``.  A flag
+    the claim does not take, ``--seed`` without ``--random``, or two flags
+    for one argument is an error before any flag is parsed, and
+    ``build_items`` reports any argument that is still missing, all before
+    any output.  Each report is written as it arrives and tallied for the
+    summary line and the exit code.  An error mid-run leaves the reports
+    before it, with no summary line."""
+    from .harness import KINDS, THEOREMS, run_corpus, summarize, summary_json
 
     caps = _caps(args)
-    kind = THEOREMS[args.theorem].kind
-    for flag in ("family_g", "family_h", "random", "range", "k"):
-        if getattr(args, flag) is not None and flag not in VERIFY_FLAGS[kind]:
-            raise DomainError(f"{args.theorem} does not take --{flag.replace('_', '-')}")
+    parsers = {"family_g": CorpusSpec.parse, "family_h": CorpusSpec.parse,
+               "random": lambda text: _random_corpus(text, args.seed), "range": parse_range, "k": int}
+    leading = KINDS[THEOREMS[args.theorem].kind]
+    for flag in parsers:
+        if getattr(args, flag) is not None and all(flag not in flags for _, _, flags in leading):
+            raise DomainError(f"{args.theorem} does not take {_flag(flag)}")
     if args.seed is not None and args.random is None:
         raise DomainError("--seed needs --random")
-    corpus = _corpus_from_flags(args, which="g")
-    corpus_h = _corpus_from_flags(args, which="h")
-    rand = _random_corpus(args)
-    n_range = parse_range(args.range) if args.range is not None else None
-
-    if kind == "single":
-        picked = [c for c in (corpus, corpus_h, rand) if c is not None]
-        if len(picked) != 1:
-            raise DomainError(
-                f"{args.theorem} takes exactly one corpus (--family-g, --family-h, or --random)"
-            )
-        corpus, corpus_h = picked[0], None
-    elif kind in ("pair", "pendant"):
-        if corpus_h is not None and rand is not None:
-            raise DomainError(f"{args.theorem} takes H from --family-h or --random, not both")
-        if corpus_h is None:
-            corpus_h = rand
-
-    reports = run_corpus(
-        args.theorem,
-        corpus=corpus,
-        corpus_h=corpus_h,
-        n_range=n_range,
-        k=args.k,
-        caps=caps,
-        parallel=args.parallel,
-    )
+    given = {name: [f for f in flags if getattr(args, f) is not None] for name, _, flags in leading}
+    for name, _, flags in leading:
+        if len(given[name]) > 1:
+            raise DomainError(f"{args.theorem} takes exactly one {name} from {', '.join(map(_flag, flags))}")
+    arguments = {name: parsers[f[0]](getattr(args, f[0])) for name, f in given.items() if f}
+    reports = run_corpus(args.theorem, caps=caps, parallel=args.parallel, **arguments)
     try:
         counts = summarize(_written(reports, args.timing))
     finally:

@@ -141,21 +141,16 @@ def _need(condition: bool, reason: str) -> None:
         raise _Skip(reason)
 
 
-# the ``build_items`` arguments each kind takes, in the checker's argument order
-KINDS: dict[str, tuple[str, ...]] = {
-    "single": ("corpus",),
-    "pair": ("corpus", "corpus_h"),
-    "range": ("n_range",),
-    "g_range": ("corpus", "n_range"),
-    "pendant": ("corpus", "corpus_h", "k"),
-}
-
-# instance graphs and params of each kind, from the checker's leading arguments
-_INSTANCES = {
-    "single": lambda G, *_: ([G], {"n": G.n}),
-    "pair": lambda G, H, *_: ([G, H], {"n1": G.n, "n2": H.n}),
-    "g_range": lambda G, n2, *_: ([G], {"n1": G.n, "n2": n2}),
-    "pendant": lambda G, H, k, *_: ([G, H], {"n1": G.n, "n2": H.n, "k": k}),
+# each kind's leading checker arguments, in order, as (the ``build_items``
+# argument that gives it, the instance param it is recorded as, the ``verify``
+# flags that may supply it)
+KINDS: dict[str, tuple[tuple[str, str, tuple[str, ...]], ...]] = {
+    "single": (("corpus", "n", ("family_g", "family_h", "random")),),
+    "pair": (("corpus", "n1", ("family_g",)), ("corpus_h", "n2", ("family_h", "random"))),
+    "range": (("n_range", "n", ("range",)),),
+    "g_range": (("corpus", "n1", ("family_g",)), ("n_range", "n2", ("range",))),
+    "pendant": (("corpus", "n1", ("family_g",)), ("corpus_h", "n2", ("family_h", "random")),
+                ("k", "k", ("k",))),
 }
 
 
@@ -165,16 +160,12 @@ def claim(theorem: str, kind: str, family: tuple[Callable[[int], Graph], int] | 
     The checker takes the body's arguments, times the call, records the
     instance, and builds a PASS or FAIL report from the body's ``Outcome``.
     A ``_Skip`` or a ``CapExceeded`` raised anywhere in the body gives a
-    SKIPPED report instead.  For a "range" claim, ``family = (rim, least)``:
-    the instance of parameter n is K1 ⊙ rim(n), recorded from n >= least.
+    SKIPPED report instead.  The instance records each leading argument
+    under its ``KINDS`` param (a graph's order, or the int itself) and the
+    graphs among them; with ``family = (rim, least)`` the graph of
+    parameter n is K1 ⊙ rim(n) instead, recorded from n >= least.
     """
-    if kind == "range":
-        rim, least = family
-
-        def instance(n: int, *_) -> tuple[list[Graph], dict]:
-            return ([corona(complete(1), rim(n))[0]] if n >= least else []), {"n": n}
-    else:
-        instance = _INSTANCES[kind]
+    names = [param for _, param, _ in KINDS[kind]]
 
     def register(body: Callable[..., Outcome]) -> Callable[..., VerificationReport]:
         signature = inspect.signature(body)
@@ -182,7 +173,13 @@ def claim(theorem: str, kind: str, family: tuple[Callable[[int], Graph], int] | 
         @functools.wraps(body)
         def checker(*args, **kwargs) -> VerificationReport:
             start = time.perf_counter()
-            graphs, params = instance(*signature.bind(*args, **kwargs).arguments.values())
+            leading = dict(zip(names, signature.bind(*args, **kwargs).arguments.values()))
+            if family is None:
+                graphs = [a for a in leading.values() if isinstance(a, Graph)]
+            else:
+                rim, least = family
+                graphs = [corona(complete(1), rim(leading["n"]))[0]] if leading["n"] >= least else []
+            params = {name: a.n if isinstance(a, Graph) else a for name, a in leading.items()}
             inst = {"g6": [encode_graph6(g) for g in graphs], "params": params}
             try:
                 ok, computed, witness, reason = body(*args, **kwargs)
@@ -742,7 +739,7 @@ def build_items(
     if theorem not in THEOREMS:
         raise DomainError(f"unknown theorem id {theorem!r}")
     given = {"corpus": corpus, "corpus_h": corpus_h, "n_range": n_range, "k": k}
-    names = KINDS[THEOREMS[theorem].kind]
+    names = [name for name, _, _ in KINDS[THEOREMS[theorem].kind]]
     missing = [name for name in names if given[name] is None]
     if missing:
         raise DomainError(f"{theorem} needs {', '.join(missing)}")

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from coronageo import cli, graphs
-from coronageo.corpus import census_lines
+from coronageo.corpus import CorpusSpec, census_lines
 from coronageo.formats import encode_graph6, parse_edge_list, parse_graph6
 from coronageo.geodesic import geodetic_number, k_geodetic_number
 from coronageo.graphs import complete, corona, cycle, mask_of, path, vertex_tuple
@@ -161,7 +161,7 @@ def _interval_runs() -> list[tuple[str, int, int]]:
             for u in range(n) for v in range(n)]
 
 
-def _compute_in_process(*argv: str) -> tuple[int, str, str]:
+def _cli_in_process(*argv: str) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = cli.main(list(argv))
@@ -174,8 +174,8 @@ def test_compute_interval_replays_its_record(monkeypatch):
     byte for byte.  The record was made with the interval computed from two
     distance rows, before ``compute`` read it off ``Graph.intervals``."""
     monkeypatch.delenv("CORONA_CENSUS_DIR", raising=False)
-    got = [[code, u, v, *_compute_in_process("compute", "--g6", code, "--json", "--measure",
-                                             "interval", "--vertices", f"{u},{v}")]
+    got = [[code, u, v, *_cli_in_process("compute", "--g6", code, "--json", "--measure",
+                                         "interval", "--vertices", f"{u},{v}")]
            for code, u, v in _interval_runs()]
     assert got == json.loads(INTERVAL_RECORD.read_text())
     assert [run[3] for run in got].count(2) == 12  # the distinct pairs of C?
@@ -298,13 +298,15 @@ _RANDOM_H = ("--random", "n=4,p=0.5,count=1", "--seed", "1")
 
 
 @pytest.mark.parametrize("theorem, flags, missing", [
-    pytest.param("GEO_KN", (), "exactly one corpus", id="single-no-corpus"),
+    pytest.param("GEO_KN", (), "needs corpus", id="single-no-corpus"),
     pytest.param("GEO_KN", ("--family-g", "path:2..3", "--family-h", "path:2..3"),
                  "exactly one corpus", id="single-two-corpora"),
+    pytest.param("GEO_KN", ("--family-g", "path:2..3", "--family-h", "path:2..3", *_RANDOM_H),
+                 "exactly one corpus", id="single-three-corpora"),
     pytest.param("GEO_CORONA_EQ", (), "needs corpus, corpus_h", id="pair-no-corpus"),
     pytest.param("GEO_CORONA_EQ", ("--family-g", "path:2..3"), "needs corpus_h", id="pair-no-h"),
     pytest.param("GEO_CORONA_EQ", ("--family-g", "path:2..3", "--family-h", "path:2..3", *_RANDOM_H),
-                 "not both", id="pair-h-twice"),
+                 "exactly one corpus_h from --family-h, --random", id="pair-h-twice"),
     pytest.param("WHEEL_GEO", (), "needs n_range", id="range-no-range"),
     pytest.param("CORONA_CYCLE_PATH", ("--family-g", "path:2..3"), "needs n_range",
                  id="g_range-no-range"),
@@ -331,6 +333,29 @@ def test_verify_argument_errors_name_the_theorem(run_cli, theorem, flags, missin
     assert res.stdout == ""
     assert theorem in res.stderr and missing in res.stderr, res.stderr
     assert "Traceback" not in res.stderr
+
+
+_RANDOM_H3 = ("--random", "n=4,p=0.5,count=3", "--seed", "1")
+
+
+@pytest.mark.parametrize("theorem, flags, route, counterpart", [
+    pytest.param("G2_EQUIV", (), ("--family-h", "all-connected:1..5"),
+                 ("--family-g", "all-connected:1..5"), id="single-from-family-h"),
+    pytest.param("GEO_CORONA_EQ", ("--family-g", "path:2..3"), _RANDOM_H3, ("--family-h", "FILE"),
+                 id="pair-h-from-random"),
+    pytest.param("PENDANT_COROLLARY", ("--family-g", "path:1..1", "--k", "2"), _RANDOM_H3,
+                 ("--family-h", "FILE"), id="pendant-h-from-random"),
+])
+def test_verify_flag_routes_give_the_same_reports(tmp_path, theorem, flags, route, counterpart):
+    """Each flag that may supply an argument feeds it: the same corpus through
+    another of its flags prints the same stdout bytes.  ``FILE`` holds the
+    graph6 codes of the ``--random`` corpus, in its order."""
+    target = tmp_path / "random.g6"
+    target.write_text("".join(encode_graph6(g) + "\n" for g in CorpusSpec.random(4, 0.5, 3, 1).load()))
+    counterpart = tuple(f"file:{target}" if a == "FILE" else a for a in counterpart)
+    rc, out, err = _cli_in_process("verify", "--theorem", theorem, *flags, *route)
+    assert (rc, err) == (0, "") and out.count("\n") > 1
+    assert _cli_in_process("verify", "--theorem", theorem, *flags, *counterpart) == (rc, out, err)
 
 
 @pytest.mark.parametrize("theorem, flags", [("WHEEL_GEO", ()),

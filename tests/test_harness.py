@@ -459,6 +459,12 @@ def test_diam2_steiner_geodetic_counterexample_gvxi():
     assert r.witness == [[2, 6, 7]]
     assert r.computed == {"g": 4, "s": 3, "tier_a": 1, "steiner_sets_checked": 1,
                           "min_steiner_witness_geodetic": 0}
+    # the brute-force oracles agree: {2, 6, 7} is a Steiner set and not a geodetic set
+    g, everything = parse_graph6("Gvxi]?"), set(range(8))
+    assert steiner_hull_brute(g, [2, 6, 7]) == everything
+    assert closure_vertices(g, [2, 6, 7]) != everything
+    assert geodetic_number_brute(g)[0] == 4
+    assert steiner_number_brute(g)[0] == 3
 
 
 def test_diam2_steiner_geodetic_bitset_holds_only_the_counterexample():
@@ -495,20 +501,29 @@ def test_diam2_golden_fail_lines_are_confirmed_by_networkx():
     diameter-2 graph and a vertex set that the brute-force oracles find to
     be a Steiner set and not a geodetic set, and its g is the brute-force
     one.  Up to order 10, s and whether the first minimum Steiner set is
-    geodetic are recomputed by brute force too (0.27 s per g at order 12)."""
+    geodetic are recomputed by brute force too (0.27 s per g at order 12).
+    Every FAIL line of the golden STEINER_K1_IFF_DIAM2 run names a
+    diameter-2 graph H with s(H) = 3 and s(K1 ⊙ H) = 4 by brute force."""
     fails = []
     for path_ in sorted(GOLDEN.glob("*.jsonl")):
         if path_.stem == "census_6_table":  # a census table, not JSON Lines
             continue
         for line in path_.read_text().splitlines():
             report = json.loads(line)
-            if report.get("theorem") == "DIAM2_STEINER_GEODETIC" and report["verdict"] == "FAIL":
-                fails.append((report["instance"]["g6"][0], report["witness"][0], report["computed"]))
+            if (report.get("theorem") in ("DIAM2_STEINER_GEODETIC", "STEINER_K1_IFF_DIAM2")
+                    and report["verdict"] == "FAIL"):
+                fails.append(report)
     brute_s = 0
-    for code, members, computed in fails:
+    for report in fails:
+        code, computed = report["instance"]["g6"][0], report["computed"]
         g = parse_graph6(code)
         everything = set(range(g.n))
         assert nx.diameter(to_nx(g)) == 2, code
+        if report["theorem"] == "STEINER_K1_IFF_DIAM2":
+            assert computed["s_h"] == steiner_number_brute(g)[0] == 3, code
+            assert computed["s_k1_h"] == steiner_number_brute(corona(complete(1), g)[0])[0] == 4, code
+            continue
+        members = report["witness"][0]
         assert steiner_hull_brute(g, members) == everything, code
         assert closure_vertices(g, members) != everything, code
         assert computed["g"] == geodetic_number_brute(g)[0], code
@@ -517,7 +532,10 @@ def test_diam2_golden_fail_lines_are_confirmed_by_networkx():
             assert computed["s"] == s, code
             assert computed["min_steiner_witness_geodetic"] == (closure_vertices(g, least) == everything), code
             brute_s += 1
-    assert len(fails) == 5 + 4 + 8  # the orders 8, 10 and 12 random runs
+    # the orders 8, 10 and 12 random runs, then EyUG and EyuG
+    assert len(fails) == 5 + 4 + 8 + 2
+    k1_fails = [r["instance"]["g6"][0] for r in fails if r["theorem"] == "STEINER_K1_IFF_DIAM2"]
+    assert k1_fails == ["EyUG", "EyuG"]
     assert brute_s == 5 + 4
 
 

@@ -19,7 +19,7 @@ _spec.loader.exec_module(mutants)
 
 def test_mutant_names_are_unique():
     names = [m.name for m in mutants.MUTANTS]
-    assert len(names) == len(set(names)) >= 12
+    assert len(names) == len(set(names)) >= 16
 
 
 @pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda m: m.name)
