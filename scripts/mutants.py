@@ -158,6 +158,30 @@ MUTANTS = (
         '    "pair": (("corpus", "n1", ("family_g",)), ("corpus_h", "n2", ("family_h",))),\n',
         ("tests/test_cli.py::test_verify_flag_routes_give_the_same_reports[pair-h-from-random]",),
     ),
+    Mutant(
+        "steiner-levels-closed-without-the-last-vertex",
+        "src/coronageo/steiner.py",
+        "        for q, s in steps:\n            level |= (level & q) >> s\n",
+        "        for q, s in steps[:-1]:\n            level |= (level & q) >> s\n",
+        ("tests/test_steiner.py::test_levels_match_byte_table",
+         "tests/test_steiner.py::test_steiner_sets_match_single_set_dp"),
+    ),
+    Mutant(
+        "steiner-sets-skip-the-first-level",
+        "src/coronageo/steiner.py",
+        "    for level in _levels(G):\n",
+        "    for level in list(_levels(G))[1:]:\n",
+        ("tests/test_steiner.py::test_steiner_number_complete[3]",
+         "tests/test_steiner.py::test_steiner_sets_match_single_set_dp"),
+    ),
+    Mutant(
+        "steiner-connected-sets-marked-in-one-sweep",
+        "src/coronageo/steiner.py",
+        "    while conn != last:\n",
+        "    if conn != last:\n",
+        ("tests/test_steiner.py::test_levels_match_byte_table",
+         "tests/test_steiner.py::test_steiner_sets_match_single_set_dp"),
+    ),
 )
 
 

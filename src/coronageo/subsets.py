@@ -21,7 +21,7 @@ from operator import or_
 from .graphs import Mask, mask_of, vertex_tuple
 
 # ceiling on the cap of every engine that builds a family: their memory
-# doubles with each order, to about 0.6 GiB (geodetic) and 1.1 GiB (Steiner) at 24
+# doubles with each order, to about 0.6 GiB (geodetic) and 0.25 GiB (Steiner) at 24
 FAMILY_MAX_ORDER = 24
 
 

@@ -7,14 +7,14 @@ witness and ``explored`` count:
 
 * ``steiner_distance_by_dp``, ``steiner_hull_by_dp`` and
   ``is_steiner_set_by_dp`` run the Dreyfus–Wagner terminal DP (Networks 1,
-  1971) on one terminal set, independent of the subset table that every
-  Steiner query of the package reads; the checks of that table compare
+  1971) on one terminal set, independent of the distance levels that every
+  Steiner query of the package reads; the checks of those levels compare
   against them;
-* ``steiner_number_by_dp`` pins the subset table of ``steiner_number`` to the
-  single-set Steiner DP;
+* ``steiner_number_by_dp`` pins the Steiner-set family of ``steiner_number``
+  to the single-set Steiner DP;
 * ``steiner_distance_table_by_marking`` and ``steiner_sets_by_table`` are the
   byte-per-subset table (a mark loop over the subsets, then superset minima
-  over strided slices) and the per-set test that the lane-parallel table and
+  over strided slices) and the per-set test that the distance levels and
   Steiner-set family of ``coronageo.steiner`` replaced;
 * ``geodetic_search_by_closure`` and ``k_geodetic_search_by_closure`` pin the
   prefix-incremental cover search (``subsets.first_cover``) behind

@@ -2,8 +2,6 @@
 tolerance) and prints one PASS line when it holds."""
 
 import itertools
-import subprocess
-import sys
 
 import networkx as nx
 
@@ -235,27 +233,18 @@ def test_criterion_12_complete_graph_characterizations(census):
     _report("12 g(G)=n iff complete and s(G)=n iff complete, order <= 6")
 
 
-def _run_verify(*argv: str) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, "-m", "coronageo", "verify", *argv],
-        capture_output=True,
-        text=True,
-        timeout=600,
-    )
-
-
-def test_criterion_13_determinism_including_parallel():
+def test_criterion_13_determinism_including_parallel(run_cli):
     base = ("--theorem", "GEO_CORONA_EQ",
             "--family-g", "all-connected:1..3", "--family-h", "all-connected:1..3")
-    first = _run_verify(*base)
-    second = _run_verify(*base)
-    parallel = _run_verify(*base, "--parallel", "4")
+    first = run_cli("verify", *base)
+    second = run_cli("verify", *base)
+    parallel = run_cli("verify", *base, "--parallel", "4")
     assert first.returncode == second.returncode == parallel.returncode == 0
     assert first.stdout == second.stdout == parallel.stdout
 
     seeded = ("--theorem", "DIAM2_G_LE_S", "--random", "n=7,p=0.4,count=5", "--seed", "1234")
-    r1 = _run_verify(*seeded)
-    r2 = _run_verify(*seeded, "--parallel", "4")
+    r1 = run_cli("verify", *seeded)
+    r2 = run_cli("verify", *seeded, "--parallel", "4")
     assert r1.returncode == r2.returncode == 0
     assert r1.stdout == r2.stdout
     _report("13 byte-identical verify output across runs and under --parallel 4")

@@ -23,8 +23,7 @@ from coronageo.graphs import (
     wheel,
 )
 from coronageo.steiner import (
-    _lane_patterns,
-    _steiner_distance_table,
+    _levels,
     steiner_distance,
     steiner_hull,
     steiner_number,
@@ -250,7 +249,10 @@ def test_steiner_number_errors():
 
 
 def _table_bytes(g):
-    return _steiner_distance_table(g).to_bytes(1 << g.n, "little")
+    """d(W) for every vertex set W, one byte each: the number of levels
+    D_0, ..., D_{n-2} that miss W."""
+    rows = [format(level, f"0{1 << g.n}b")[::-1] for level in _levels(g)]
+    return bytes(sum(row[w] == "0" for row in rows) for w in range(1 << g.n))
 
 
 def test_subset_table_is_steiner_distance(census):
@@ -285,45 +287,50 @@ def _connected_graphs(data, max_n):
     return from_edge_list(n, sorted(set(tree) | set(extra)))
 
 
-def _assert_lanes_match_byte_table(g):
+def _assert_levels_match_byte_table(g):
     assert _table_bytes(g) == steiner_distance_table_by_marking(g), encode_graph6(g)
     assert steiner_sets(g) == steiner_sets_by_table(g), encode_graph6(g)
 
 
-def test_lane_table_matches_byte_table(census):
+def test_levels_match_byte_table(census):
     checked = 0
     for order in range(1, 8):
         for g in census(order):
-            _assert_lanes_match_byte_table(g)
+            _assert_levels_match_byte_table(g)
             checked += 1
     assert checked == 996
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.data())
-def test_lane_table_matches_byte_table_hypothesis(data):
-    _assert_lanes_match_byte_table(_connected_graphs(data, 12))
+def test_levels_match_byte_table_hypothesis(data):
+    _assert_levels_match_byte_table(_connected_graphs(data, 12))
 
 
-def test_lane_table_matches_byte_table_order_16():
+def test_levels_match_byte_table_order_16():
     prod, _ = corona(path(2), cycle(7))
     assert prod.n == 16
-    _assert_lanes_match_byte_table(prod)
+    _assert_levels_match_byte_table(prod)
 
 
-def test_lane_table_memory_at_order_20():
-    # the cached lane patterns hold n ints of 2^n bytes (20 MiB here); the
-    # table build on top of them keeps one more list of n lane ints, the
-    # neighbour lanes, and a few whole-table temporaries
+def _warm_patterns(n):
+    subsets.set_patterns(n)
+    subsets._size_layers(n)
+
+
+def test_steiner_sets_memory_at_order_20():
+    # the cached set patterns and size layers hold 2n + 1 ints of 2^n bits
+    # (5.1 MiB here); on top of them the family build keeps one more list of
+    # n such ints, the sets where v has a neighbour, and a few temporaries
     g = wheel(19)
-    _lane_patterns(g.n)
+    _warm_patterns(g.n)
     tracemalloc.start()
     try:
-        _steiner_distance_table(g)
+        steiner_sets(g, cap=20)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40 << 20, f"{peak / (1 << 20):.1f} MiB"
+    assert peak < 8 << 20, f"{peak / (1 << 20):.1f} MiB"
 
 
 def test_steiner_queries_stop_at_order_24_whatever_the_cap():
@@ -347,7 +354,7 @@ def test_steiner_queries_stop_at_order_24_whatever_the_cap():
 def test_pattern_caches_keep_the_two_latest_orders():
     """A run over many orders holds the per-order masks of two of them,
     not of every order it has seen."""
-    caches = (_lane_patterns, subsets.set_patterns, subsets._size_layers)
+    caches = (subsets.set_patterns, subsets._size_layers)
     for n in range(14, 21):
         assert steiner_number(wheel(n - 1), cap=20).value == n - 3
         for cache in caches:
@@ -359,18 +366,18 @@ def test_pattern_caches_keep_the_two_latest_orders():
 
 
 def test_steiner_number_memory_at_order_20():
-    # on top of the cached lane patterns, the search holds the table build,
-    # a few whole-table temporaries, the 2^n-bit family of Steiner sets and
-    # the pick's per-order masks: n + 1 size layers and n set patterns
+    # on top of the cached set patterns and size layers, the search holds
+    # the family build, the 2^n-bit family of Steiner sets and the pick's
+    # few temporaries
     g = wheel(19)
-    _lane_patterns(g.n)
+    _warm_patterns(g.n)
     tracemalloc.start()
     try:
         steiner_number(g, cap=20)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40 << 20, f"{peak / (1 << 20):.1f} MiB"
+    assert peak < 8 << 20, f"{peak / (1 << 20):.1f} MiB"
 
 
 @pytest.mark.parametrize("n", range(1, 7))
