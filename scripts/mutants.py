@@ -182,6 +182,13 @@ MUTANTS = (
         ("tests/test_steiner.py::test_levels_match_byte_table",
          "tests/test_steiner.py::test_steiner_sets_match_single_set_dp"),
     ),
+    Mutant(
+        "fan-steiner-geodetic-search-without-the-cap",
+        "src/coronageo/harness.py",
+        "    rg = geodetic_number(f, cap=cap)\n",
+        "    rg = geodetic_number(f)\n",
+        ("tests/test_harness.py::test_every_claim_passes_its_cap_to_every_search[FAN_STEINER]",),
+    ),
 )
 
 

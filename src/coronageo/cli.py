@@ -11,14 +11,14 @@ import argparse
 import sys
 from collections.abc import Iterator
 
-from .corpus import CENSUS_MAX_ORDER, Caps, CorpusSpec, census_lines, parse_range, read_text
+from .corpus import CENSUS_MAX_ORDER, CorpusSpec, census_lines, parse_range, read_text
 from .errors import CapExceeded, DomainError, FormatError
 from .formats import (encode_graph6, format_edge_list, jsonline, parse_edge_list, parse_graph6,
                       parse_graph6_lines)
 from .geodesic import geodetic_families, geodetic_number, k_geodetic_number
 from .graphs import Graph, corona, diameter, extreme_vertices, mask_of, vertex_tuple
 from .steiner import steiner_distance, steiner_hull, steiner_number, steiner_sets
-from .subsets import least_size
+from .subsets import DEFAULT_CAP, least_size
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -51,13 +51,12 @@ def _load_compute_graphs(args: argparse.Namespace) -> list[Graph]:
     return [parse_edge_list(read_text(args.edges))]
 
 
-def _caps(args: argparse.Namespace) -> Caps:
-    if getattr(args, "max_n", None) is not None:
-        m = args.max_n
-        if m < 1:
-            raise DomainError("--max-n must be positive")
-        return Caps(geodetic=m, steiner=m)
-    return Caps()
+def _cap(args: argparse.Namespace) -> int:
+    if args.max_n is None:
+        return DEFAULT_CAP
+    if args.max_n < 1:
+        raise DomainError("--max-n must be positive")
+    return args.max_n
 
 
 def _parse_vertices(text: str | None, n: int) -> list[int]:
@@ -77,21 +76,21 @@ def _parse_vertices(text: str | None, n: int) -> list[int]:
     return vs
 
 
-def _measure_payload(g: Graph, measure: str, args: argparse.Namespace, caps: Caps) -> dict:
+def _measure_payload(g: Graph, measure: str, args: argparse.Namespace, cap: int) -> dict:
     if measure == "g":
-        r = geodetic_number(g, cap=caps.geodetic)
+        r = geodetic_number(g, cap=cap)
         return {"value": r.value, "witness": list(r.witness)}
     if measure == "g2":
-        r = k_geodetic_number(g, 2, cap=caps.geodetic)
+        r = k_geodetic_number(g, 2, cap=cap)
         return {"value": r.value, "witness": None if r.witness is None else list(r.witness)}
     if measure == "gk":
         if args.k is None:
             raise DomainError("measure gk needs --k")
-        r = k_geodetic_number(g, args.k, cap=caps.geodetic)
+        r = k_geodetic_number(g, args.k, cap=cap)
         return {"k": args.k, "value": r.value,
                 "witness": None if r.witness is None else list(r.witness)}
     if measure == "s":
-        r = steiner_number(g, cap=caps.steiner)
+        r = steiner_number(g, cap=cap)
         return {"value": r.value, "witness": list(r.witness)}
     if measure == "diameter":
         return {"value": diameter(g)}
@@ -109,10 +108,10 @@ def _measure_payload(g: Graph, measure: str, args: argparse.Namespace, caps: Cap
         return {"vertices": vs, "value": len(out), "witness": list(out)}
     if measure == "steiner-distance":
         vs = _parse_vertices(args.vertices, g.n)
-        return {"vertices": vs, "value": steiner_distance(g, mask_of(vs), cap=caps.steiner)}
+        return {"vertices": vs, "value": steiner_distance(g, mask_of(vs), cap=cap)}
     if measure == "steiner-hull":
         vs = _parse_vertices(args.vertices, g.n)
-        out = vertex_tuple(steiner_hull(g, mask_of(vs), cap=caps.steiner))
+        out = vertex_tuple(steiner_hull(g, mask_of(vs), cap=cap))
         return {"vertices": vs, "value": len(out), "witness": list(out)}
     raise DomainError(f"unknown measure {measure!r}")
 
@@ -124,7 +123,7 @@ def _human_value(measure: str, value) -> str:
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
-    caps = _caps(args)
+    cap = _cap(args)
     measures = [m.strip() for m in args.measure.split(",") if m.strip()]
     for m in measures:
         if m not in MEASURES:
@@ -132,7 +131,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     for g in _load_compute_graphs(args):
         code = encode_graph6(g)
         for m in measures:
-            payload = _measure_payload(g, m, args, caps)
+            payload = _measure_payload(g, m, args, cap)
             if args.json:
                 line = {"g6": code, "measure": m}
                 line.update(payload)
@@ -199,7 +198,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     before it, with no summary line."""
     from .harness import KINDS, THEOREMS, run_corpus, summarize, summary_json
 
-    caps = _caps(args)
+    cap = _cap(args)
     parsers = {"family_g": CorpusSpec.parse, "family_h": CorpusSpec.parse,
                "random": lambda text: _random_corpus(text, args.seed), "range": parse_range, "k": int}
     leading = KINDS[THEOREMS[args.theorem].kind]
@@ -213,7 +212,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if len(given[name]) > 1:
             raise DomainError(f"{args.theorem} takes exactly one {name} from {', '.join(map(_flag, flags))}")
     arguments = {name: parsers[f[0]](getattr(args, f[0])) for name, f in given.items() if f}
-    reports = run_corpus(args.theorem, caps=caps, parallel=args.parallel, **arguments)
+    reports = run_corpus(args.theorem, cap=cap, parallel=args.parallel, **arguments)
     try:
         counts = summarize(_written(reports, args.timing))
     finally:
@@ -245,12 +244,12 @@ def cmd_census(args: argparse.Namespace) -> int:
     ``k_geodetic_number(·, 2)``, and s is the least size in
     ``steiner_sets``, the value of ``steiner_number``.  No witness is
     printed, so no minimum-set search runs."""
-    caps = _caps(args)
+    cap = _cap(args)
     codes = census_lines(args.order)
     for start in range(0, len(codes), _CENSUS_CHUNK):
         graphs = [parse_graph6(code) for code in codes[start:start + _CENSUS_CHUNK]]
-        families = [geodetic_families(g, 2, cap=caps.geodetic) for g in graphs]
-        steiner = [steiner_sets(g, cap=caps.steiner) for g in graphs]
+        families = [geodetic_families(g, 2, cap=cap) for g in graphs]
+        steiner = [steiner_sets(g, cap=cap) for g in graphs]
         lines = []
         for i, (g, (fam, fam2), st) in enumerate(zip(graphs, families, steiner), start):
             geo, geo2, s = (least_size(f, g.n) for f in (fam, fam2, st))
@@ -295,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--k", type=int, help="k for the gk measure")
     p_compute.add_argument("--vertices", help="comma-separated vertices for interval / steiner measures")
     p_compute.add_argument("--json", action="store_true", help="emit JSON Lines instead of text")
-    p_compute.add_argument("--max-n", type=int, help="override all search caps")
+    p_compute.add_argument("--max-n", type=int, help=f"order cap of every search (default {DEFAULT_CAP})")
     p_compute.set_defaults(func=cmd_compute)
 
     p_corona = sub.add_parser("corona", help="build a corona product")
@@ -318,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--range", help="parameter range A..B for family formulas")
     p_verify.add_argument("--k", type=int, help="pendant-copy count for PENDANT_COROLLARY")
     p_verify.add_argument("--parallel", type=int, default=1, help="worker processes (default 1)")
-    p_verify.add_argument("--max-n", type=int, help="override all search caps")
+    p_verify.add_argument("--max-n", type=int, help=f"order cap of every search (default {DEFAULT_CAP})")
     p_verify.add_argument("--timing", action="store_true",
                           help="include elapsed_ms in reports (breaks byte-for-byte determinism)")
     p_verify.set_defaults(func=cmd_verify)
@@ -326,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_census = sub.add_parser("census", help="tabulate g, g2, s, diameter over a census order")
     p_census.add_argument("--order", type=int, required=True, help=f"graph order (1..{CENSUS_MAX_ORDER})")
     p_census.add_argument("--json", action="store_true", help="emit JSON Lines instead of a table")
-    p_census.add_argument("--max-n", type=int, help="override all search caps")
+    p_census.add_argument("--max-n", type=int, help=f"order cap of every search (default {DEFAULT_CAP})")
     p_census.set_defaults(func=cmd_census)
 
     return parser

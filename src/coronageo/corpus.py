@@ -14,13 +14,11 @@ from collections import namedtuple
 
 from .errors import DomainError, FormatError
 from .formats import graph6_records, parse_graph6
-from .geodesic import DEFAULT_GEODETIC_CAP
 from .graphs import (MAX_VERTICES, Graph, check_order, complete, cycle, empty, fan, from_edge_list,
                      is_connected, path, star, wheel)
-from .steiner import DEFAULT_STEINER_CAP
 
 CENSUS_ENV = "CORONA_CENSUS_DIR"
-# connected graphs per order, used to sanity-check the data files
+# connected graphs per order; ``census_lines`` refuses a file with another count
 CENSUS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 CENSUS_MAX_ORDER = max(CENSUS_COUNTS)
 # a random corpus is built whole before the first report; a graph takes
@@ -37,12 +35,6 @@ FAMILIES = {
     "wheel": wheel,
     "fan": fan,
 }
-
-
-class Caps(namedtuple("Caps", "geodetic steiner", defaults=(DEFAULT_GEODETIC_CAP, DEFAULT_STEINER_CAP))):
-    """Search caps that a run threads through every search it makes."""
-
-    __slots__ = ()
 
 
 def read_text(path: str) -> str:
@@ -64,7 +56,10 @@ def census_lines(order: int) -> list[str]:
             raise DomainError(f"census file not found: {target}")
     else:
         target = os.path.join(os.path.dirname(__file__), "data", name)
-    return [ln for ln in read_text(target).splitlines() if ln.strip()]
+    lines = [ln for ln in read_text(target).splitlines() if ln.strip()]
+    if (got := len(lines)) != (want := CENSUS_COUNTS[order]):
+        raise DomainError(f"census file {target} holds {got} graphs, not the {want} of order {order}")
+    return lines
 
 
 def census_graphs(order: int) -> list[Graph]:

@@ -7,9 +7,8 @@ from operator import and_
 
 from .errors import CapExceeded, DomainError
 from .graphs import Graph, Mask, blocks, extreme_vertices, induced_rows, is_connected, vertex_tuple
-from .subsets import FAMILY_MAX_ORDER, SearchResult, first_cover, set_patterns
+from .subsets import DEFAULT_CAP, FAMILY_MAX_ORDER, SearchResult, first_cover, set_patterns
 
-DEFAULT_GEODETIC_CAP = 20
 _BLOCK_PICK_CACHE_SIZE = 4096  # block searches that ``_block_pick`` keeps, across calls
 
 
@@ -37,7 +36,7 @@ def _require_connected(G: Graph) -> None:
         raise DomainError("search requires a connected graph")
 
 
-def geodetic_sets(G: Graph, *, cap: int = DEFAULT_GEODETIC_CAP) -> int:
+def geodetic_sets(G: Graph, *, cap: int = DEFAULT_CAP) -> int:
     """An int of 2^n bits whose bit W is set exactly when the vertex set W
     is geodetic.
 
@@ -54,7 +53,7 @@ def geodetic_sets(G: Graph, *, cap: int = DEFAULT_GEODETIC_CAP) -> int:
     return geodetic_families(G, None, cap=cap)[0]
 
 
-def geodetic_families(G: Graph, k: int | None, *, cap: int = DEFAULT_GEODETIC_CAP) -> tuple[int, int]:
+def geodetic_families(G: Graph, k: int | None, *, cap: int = DEFAULT_CAP) -> tuple[int, int]:
     """The geodetic and the k-geodetic family, in the form of
     ``geodetic_sets``, from one pass over the vertex pairs: the pairs at
     distance k (the only ones a k-geodetic set counts, as in
@@ -99,7 +98,7 @@ def _block_pick(rows: tuple[Mask, ...], forced: Mask) -> Mask:
     return first_cover(g.intervals, g.n, forced) & ~forced
 
 
-def geodetic_number(G: Graph, *, cap: int = DEFAULT_GEODETIC_CAP) -> SearchResult:
+def geodetic_number(G: Graph, *, cap: int = DEFAULT_CAP) -> SearchResult:
     """Minimum geodetic set by exact search, block by block.
 
     Candidates are the supersets of the extreme vertices X (every geodetic
@@ -173,7 +172,7 @@ def geodetic_number(G: Graph, *, cap: int = DEFAULT_GEODETIC_CAP) -> SearchResul
     return SearchResult.of(witness, G.full_mask, ext)
 
 
-def k_geodetic_number(G: Graph, k: int, *, cap: int = DEFAULT_GEODETIC_CAP) -> SearchResult:
+def k_geodetic_number(G: Graph, k: int, *, cap: int = DEFAULT_CAP) -> SearchResult:
     """Minimum set S such that every vertex outside S lies on an x-y geodesic
     with x, y in S and d(x, y) = k exactly.
 

@@ -24,7 +24,7 @@ import time
 from collections.abc import Callable, Generator, Iterable, Sequence
 from dataclasses import dataclass
 
-from .corpus import Caps, CorpusEntry, CorpusSpec
+from .corpus import CorpusEntry, CorpusSpec
 from .errors import CapExceeded, DomainError
 from .formats import encode_graph6, jsonline
 from .geodesic import (
@@ -57,7 +57,7 @@ from .graphs import (
     wheel,
 )
 from .steiner import steiner_number, steiner_sets
-from .subsets import first_set, least_size
+from .subsets import DEFAULT_CAP, first_set, least_size
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -216,17 +216,17 @@ def _k1_corona(H: Graph) -> Graph:
 
 
 @claim("GEO_KN", "single")
-def check_geo_kn(G: Graph, caps: Caps = Caps()) -> Outcome:
+def check_geo_kn(G: Graph, cap: int = DEFAULT_CAP) -> Outcome:
     """g(G) = n exactly when G is complete."""
     _need(is_connected(G), R_G_DISCONNECTED)
-    r = geodetic_number(G, cap=caps.geodetic)
+    r = geodetic_number(G, cap=cap)
     comp = is_complete(G)
     computed = {"g": r.value, "n": G.n, "complete": int(comp)}
     return (r.value == G.n) == comp, computed, [r.witness], None
 
 
 @claim("CORONA_GEO_STRUCT", "pair")
-def check_corona_structure_geo(G: Graph, H: Graph, caps: Caps = Caps()) -> Outcome:
+def check_corona_structure_geo(G: Graph, H: Graph, cap: int = DEFAULT_CAP) -> Outcome:
     """Structural facts about geodetic sets of G ⊙ H:
     (i) no copy vertex is geodominated by a pair leaving its copy,
     (ii) the minimum witness meets every copy,
@@ -234,7 +234,7 @@ def check_corona_structure_geo(G: Graph, H: Graph, caps: Caps = Caps()) -> Outco
     (iv) each per-copy slice is geodetic in K1 ⊙ H (H non-complete)."""
     _need(is_connected(G), R_G_DISCONNECTED)
     prod, layout = _build_corona(G, H)
-    r = geodetic_number(prod, cap=caps.geodetic)
+    r = geodetic_number(prod, cap=cap)
 
     I = prod.intervals
     blocks = [layout.copy_mask(i) for i in range(layout.n1)]
@@ -263,20 +263,20 @@ def check_corona_structure_geo(G: Graph, H: Graph, caps: Caps = Caps()) -> Outco
 
 
 @claim("GEO_K1_LB", "single")
-def check_geo_k1_lb(H: Graph, caps: Caps = Caps()) -> Outcome:
+def check_geo_k1_lb(H: Graph, cap: int = DEFAULT_CAP) -> Outcome:
     """g(K1 ⊙ H) >= g(H) for any graph H (components summed when disconnected)."""
-    g_h = sum(geodetic_number(induced_subgraph(H, c), cap=caps.geodetic).value
+    g_h = sum(geodetic_number(induced_subgraph(H, c), cap=cap).value
               for c in components(H))
-    r = geodetic_number(_k1_corona(H), cap=caps.geodetic)
+    r = geodetic_number(_k1_corona(H), cap=cap)
     computed = {"g_h": g_h, "g_k1_h": r.value}
     return r.value >= g_h, computed, [r.witness], None
 
 
 @claim("EXTREME_IN_GEODETIC", "single")
-def check_extreme_in_geodetic(G: Graph, caps: Caps = Caps()) -> Outcome:
+def check_extreme_in_geodetic(G: Graph, cap: int = DEFAULT_CAP) -> Outcome:
     """The canonical minimum geodetic witness contains every extreme vertex."""
     _need(is_connected(G), R_G_DISCONNECTED)
-    r = geodetic_number(G, cap=caps.geodetic)
+    r = geodetic_number(G, cap=cap)
     ext = extreme_vertices(G)
     computed = {"g": r.value, "extreme_count": ext.bit_count()}
     ok = ext & ~mask_of(r.witness) == 0
@@ -284,15 +284,15 @@ def check_extreme_in_geodetic(G: Graph, caps: Caps = Caps()) -> Outcome:
 
 
 @claim("GEO_BOUNDS", "pair")
-def check_geo_bounds(G: Graph, H: Graph, caps: Caps = Caps()) -> Outcome:
+def check_geo_bounds(G: Graph, H: Graph, cap: int = DEFAULT_CAP) -> Outcome:
     """n1·g(H) <= g(G ⊙ H) <= n1·n2; equality on the right exactly when every
     component of H is complete; <= n1(n2-1) when no component is complete."""
     _need(is_connected(G), R_G_DISCONNECTED)
     _need(G.n >= 2 or not is_complete(H), R_H_COMPLETE)
     prod, _ = _build_corona(G, H)
-    r = geodetic_number(prod, cap=caps.geodetic)
+    r = geodetic_number(prod, cap=cap)
     comps = [induced_subgraph(H, c) for c in components(H)]
-    g_h = sum(geodetic_number(c, cap=caps.geodetic).value for c in comps)
+    g_h = sum(geodetic_number(c, cap=cap).value for c in comps)
     all_complete = all(is_complete(c) for c in comps)
     none_complete = not any(is_complete(c) for c in comps)
     lower = G.n * g_h
@@ -317,46 +317,46 @@ def check_geo_bounds(G: Graph, H: Graph, caps: Caps = Caps()) -> Outcome:
 
 
 @claim("GEO_CORONA_EQ", "pair")
-def check_geo_corona_eq(G: Graph, H: Graph, caps: Caps = Caps()) -> Outcome:
+def check_geo_corona_eq(G: Graph, H: Graph, cap: int = DEFAULT_CAP) -> Outcome:
     """g(G ⊙ H) = n1 · g(K1 ⊙ H) for connected G and non-complete H."""
     _need(is_connected(G), R_G_DISCONNECTED)
     _need(not is_complete(H), R_H_COMPLETE)
     prod, _ = _build_corona(G, H)
-    rp = geodetic_number(prod, cap=caps.geodetic)
-    rh = geodetic_number(_k1_corona(H), cap=caps.geodetic)
+    rp = geodetic_number(prod, cap=cap)
+    rh = geodetic_number(_k1_corona(H), cap=cap)
     expected = G.n * rh.value
     computed = {"g_product": rp.value, "g_k1_h": rh.value, "expected": expected}
     return rp.value == expected, computed, [rp.witness, rh.witness], None
 
 
 @claim("WHEEL_GEO", "range", family=(cycle, 3))
-def check_wheel_geo(n: int, caps: Caps = Caps()) -> Outcome:
+def check_wheel_geo(n: int, cap: int = DEFAULT_CAP) -> Outcome:
     """g(wheel with rim n) = ceil(n / 2) for n >= 4."""
     _need(n >= 4, R_N_BELOW_MIN)
-    r = geodetic_number(wheel(n), cap=caps.geodetic)
+    r = geodetic_number(wheel(n), cap=cap)
     expected = (n + 1) // 2
     computed = {"g": r.value, "expected": expected}
     return r.value == expected, computed, [r.witness], None
 
 
 @claim("FAN_GEO", "range", family=(path, 1))
-def check_fan_geo(n: int, caps: Caps = Caps()) -> Outcome:
+def check_fan_geo(n: int, cap: int = DEFAULT_CAP) -> Outcome:
     """g(fan over a path of n) = ceil((n + 1) / 2) for n >= 3."""
     _need(n >= 3, R_N_BELOW_MIN)
-    r = geodetic_number(fan(n), cap=caps.geodetic)
+    r = geodetic_number(fan(n), cap=cap)
     expected = (n + 2) // 2
     computed = {"g": r.value, "expected": expected}
     return r.value == expected, computed, [r.witness], None
 
 
 @claim("CORONA_CYCLE_PATH", "g_range")
-def check_corona_cycle_path(G: Graph, n2: int, caps: Caps = Caps()) -> Outcome:
+def check_corona_cycle_path(G: Graph, n2: int, cap: int = DEFAULT_CAP) -> Outcome:
     """g(G ⊙ C_n2) = n1·ceil(n2/2) for n2 >= 4 and
     g(G ⊙ P_n2) = n1·ceil((n2+1)/2) for n2 >= 3."""
     _need(is_connected(G), R_G_DISCONNECTED)
     _need(n2 >= 3, R_N_BELOW_MIN)
     prod_path, _ = _build_corona(G, path(n2))
-    r_path = geodetic_number(prod_path, cap=caps.geodetic)
+    r_path = geodetic_number(prod_path, cap=cap)
     cycle_checked = n2 >= 4
     expected_path = G.n * ((n2 + 2) // 2)
     computed = {
@@ -368,7 +368,7 @@ def check_corona_cycle_path(G: Graph, n2: int, caps: Caps = Caps()) -> Outcome:
     witness = [r_path.witness]
     if cycle_checked:
         prod_cycle, _ = _build_corona(G, cycle(n2))
-        r_cycle = geodetic_number(prod_cycle, cap=caps.geodetic)
+        r_cycle = geodetic_number(prod_cycle, cap=cap)
         expected_cycle = G.n * ((n2 + 1) // 2)
         computed["g_corona_cycle"] = r_cycle.value
         computed["expected_cycle"] = expected_cycle
@@ -378,13 +378,13 @@ def check_corona_cycle_path(G: Graph, n2: int, caps: Caps = Caps()) -> Outcome:
 
 
 @claim("G2_EQUIV", "single")
-def check_g2_equivalence(H: Graph, caps: Caps = Caps()) -> Outcome:
+def check_g2_equivalence(H: Graph, cap: int = DEFAULT_CAP) -> Outcome:
     """g(H) = g(K1 ⊙ H) exactly when g(H) = g2(H), for connected non-complete H."""
     _need(is_connected(H), R_H_DISCONNECTED)
     _need(not is_complete(H), R_H_COMPLETE)
-    g_h = geodetic_number(H, cap=caps.geodetic)
-    g2_h = k_geodetic_number(H, 2, cap=caps.geodetic)
-    g_k1 = geodetic_number(_k1_corona(H), cap=caps.geodetic)
+    g_h = geodetic_number(H, cap=cap)
+    g2_h = k_geodetic_number(H, 2, cap=cap)
+    g_k1 = geodetic_number(_k1_corona(H), cap=cap)
     left = g_h.value == g_k1.value
     right = g2_h.value is not None and g_h.value == g2_h.value
     computed = {
@@ -398,16 +398,16 @@ def check_g2_equivalence(H: Graph, caps: Caps = Caps()) -> Outcome:
 
 
 @claim("G2_CORONA_EQUIV", "pair")
-def check_g2_corona_equiv(G: Graph, H: Graph, caps: Caps = Caps()) -> Outcome:
+def check_g2_corona_equiv(G: Graph, H: Graph, cap: int = DEFAULT_CAP) -> Outcome:
     """g(G ⊙ H) = n1·g(H) exactly when g(H) = g2(H), for connected G and
     connected non-complete H."""
     _need(is_connected(G), R_G_DISCONNECTED)
     _need(is_connected(H), R_H_DISCONNECTED)
     _need(not is_complete(H), R_H_COMPLETE)
     prod, _ = _build_corona(G, H)
-    g_prod = geodetic_number(prod, cap=caps.geodetic)
-    g_h = geodetic_number(H, cap=caps.geodetic)
-    g2_h = k_geodetic_number(H, 2, cap=caps.geodetic)
+    g_prod = geodetic_number(prod, cap=cap)
+    g_h = geodetic_number(H, cap=cap)
+    g2_h = k_geodetic_number(H, 2, cap=cap)
     left = g_prod.value == G.n * g_h.value
     right = g2_h.value is not None and g_h.value == g2_h.value
     computed = {
@@ -421,19 +421,19 @@ def check_g2_corona_equiv(G: Graph, H: Graph, caps: Caps = Caps()) -> Outcome:
 
 
 @claim("DIAM2_GEO_EQ", "pair")
-def check_diam2_geo_eq(G: Graph, H: Graph, caps: Caps = Caps()) -> Outcome:
+def check_diam2_geo_eq(G: Graph, H: Graph, cap: int = DEFAULT_CAP) -> Outcome:
     """If H has diameter 2, then g(G ⊙ H) = n1·g(H)."""
     _need(is_connected(G), R_G_DISCONNECTED)
     _need(is_diameter_two(H), R_DIAM_NE_2)
     prod, _ = _build_corona(G, H)
-    g_prod = geodetic_number(prod, cap=caps.geodetic)
-    g_h = geodetic_number(H, cap=caps.geodetic)
+    g_prod = geodetic_number(prod, cap=cap)
+    g_h = geodetic_number(H, cap=cap)
     computed = {"g_product": g_prod.value, "g_h": g_h.value, "expected": G.n * g_h.value}
     return g_prod.value == G.n * g_h.value, computed, [g_prod.witness], None
 
 
 @claim("PENDANT_COROLLARY", "pendant")
-def check_pendant_corollary(G: Graph, H: Graph, k: int, caps: Caps = Caps()) -> Outcome:
+def check_pendant_corollary(G: Graph, H: Graph, k: int, cap: int = DEFAULT_CAP) -> Outcome:
     """g(G ⊙ (H ⊙ N_k)) = n1·n2·k for connected G, H and k >= 2; the pendants
     of H ⊙ N_k form both a geodetic and a 2-geodetic minimum set."""
     _need(is_connected(G), R_G_DISCONNECTED)
@@ -441,9 +441,9 @@ def check_pendant_corollary(G: Graph, H: Graph, k: int, caps: Caps = Caps()) -> 
     _need(k >= 2, R_K_LT_2)
     hnk, _ = _build_corona(H, empty(k))
     prod, _ = _build_corona(G, hnk)
-    g_prod = geodetic_number(prod, cap=caps.geodetic)
-    g_hnk = geodetic_number(hnk, cap=caps.geodetic)
-    g2_hnk = k_geodetic_number(hnk, 2, cap=caps.geodetic)
+    g_prod = geodetic_number(prod, cap=cap)
+    g_hnk = geodetic_number(hnk, cap=cap)
+    g2_hnk = k_geodetic_number(hnk, 2, cap=cap)
     expected = G.n * H.n * k
     pendants = H.n * k
     computed = {
@@ -459,16 +459,16 @@ def check_pendant_corollary(G: Graph, H: Graph, k: int, caps: Caps = Caps()) -> 
 
 
 @claim("GEO_LOWER_MINUS1", "pair")
-def check_geo_lower_minus1(G: Graph, H: Graph, caps: Caps = Caps()) -> Outcome:
+def check_geo_lower_minus1(G: Graph, H: Graph, cap: int = DEFAULT_CAP) -> Outcome:
     """If g(H) != g2(H), then g(G ⊙ H) >= n1·(g(H) - 1); H connected non-complete."""
     _need(is_connected(G), R_G_DISCONNECTED)
     _need(is_connected(H), R_H_DISCONNECTED)
     _need(not is_complete(H), R_H_COMPLETE)
-    g_h = geodetic_number(H, cap=caps.geodetic)
-    g2_h = k_geodetic_number(H, 2, cap=caps.geodetic)
+    g_h = geodetic_number(H, cap=cap)
+    g2_h = k_geodetic_number(H, 2, cap=cap)
     _need(g2_h.value is None or g_h.value != g2_h.value, R_G_EQ_G2)
     prod, _ = _build_corona(G, H)
-    g_prod = geodetic_number(prod, cap=caps.geodetic)
+    g_prod = geodetic_number(prod, cap=cap)
     bound = G.n * (g_h.value - 1)
     computed = {
         "g_product": g_prod.value,
@@ -484,10 +484,10 @@ def check_geo_lower_minus1(G: Graph, H: Graph, caps: Caps = Caps()) -> Outcome:
 
 
 @claim("STEINER_KN", "single")
-def check_steiner_kn(G: Graph, caps: Caps = Caps()) -> Outcome:
+def check_steiner_kn(G: Graph, cap: int = DEFAULT_CAP) -> Outcome:
     """s(G) = n exactly when G is complete."""
     _need(is_connected(G), R_G_DISCONNECTED)
-    r = steiner_number(G, cap=caps.steiner)
+    r = steiner_number(G, cap=cap)
     comp = is_complete(G)
     computed = {"s": r.value, "n": G.n, "complete": int(comp)}
     return (r.value == G.n) == comp, computed, [r.witness], None
@@ -502,7 +502,7 @@ def _separates(prod: Graph, terminals: Mask, v: int) -> bool:
 
 
 @claim("STEINER_CORONA_STRUCT", "pair")
-def check_corona_structure_steiner(G: Graph, H: Graph, caps: Caps = Caps()) -> Outcome:
+def check_corona_structure_steiner(G: Graph, H: Graph, cap: int = DEFAULT_CAP) -> Outcome:
     """Structural facts about Steiner sets of G ⊙ H:
     (i) for n1 >= 2, terminal sets inside the copies meeting every copy force
         every base vertex onto every minimum tree,
@@ -515,7 +515,7 @@ def check_corona_structure_steiner(G: Graph, H: Graph, caps: Caps = Caps()) -> O
     """
     _need(is_connected(G), R_G_DISCONNECTED)
     prod, layout = _build_corona(G, H)
-    r = steiner_number(prod, cap=caps.steiner)
+    r = steiner_number(prod, cap=cap)
 
     U = mask_of(r.witness)
     parts = {"part_ii": all(U & layout.copy_mask(i) for i in range(layout.n1))}
@@ -534,39 +534,39 @@ def check_corona_structure_steiner(G: Graph, H: Graph, caps: Caps = Caps()) -> O
 
 
 @claim("STEINER_K1_LB", "single")
-def check_steiner_k1_lb(G: Graph, caps: Caps = Caps()) -> Outcome:
+def check_steiner_k1_lb(G: Graph, cap: int = DEFAULT_CAP) -> Outcome:
     """s(K1 ⊙ G) >= s(G) for connected G."""
     _need(is_connected(G), R_G_DISCONNECTED)
-    s_g = steiner_number(G, cap=caps.steiner)
-    s_k1 = steiner_number(_k1_corona(G), cap=caps.steiner)
+    s_g = steiner_number(G, cap=cap)
+    s_k1 = steiner_number(_k1_corona(G), cap=cap)
     computed = {"s_g": s_g.value, "s_k1_g": s_k1.value}
     return s_k1.value >= s_g.value, computed, [s_k1.witness], None
 
 
 @claim("STEINER_CORONA_EQ", "pair")
-def check_steiner_corona_eq(G: Graph, H: Graph, caps: Caps = Caps()) -> Outcome:
+def check_steiner_corona_eq(G: Graph, H: Graph, cap: int = DEFAULT_CAP) -> Outcome:
     """s(G ⊙ H) = n1·n2 for connected G of order >= 2 and arbitrary H, by an
     unrestricted search of the product."""
     _need(is_connected(G), R_G_DISCONNECTED)
     _need(G.n >= 2, R_N1_LT_2)
     prod, _ = _build_corona(G, H)
-    r = steiner_number(prod, cap=caps.steiner)
+    r = steiner_number(prod, cap=cap)
     expected = G.n * H.n
     computed = {"s_product": r.value, "expected": expected}
     return r.value == expected, computed, [r.witness], None
 
 
 @claim("WHEEL_STEINER", "range", family=(cycle, 3))
-def check_wheel_steiner(n: int, caps: Caps = Caps()) -> Outcome:
+def check_wheel_steiner(n: int, cap: int = DEFAULT_CAP) -> Outcome:
     """s(wheel with rim n) = n - 2 for n >= 4."""
     _need(n >= 4, R_N_BELOW_MIN)
-    r = steiner_number(wheel(n), cap=caps.steiner)
+    r = steiner_number(wheel(n), cap=cap)
     computed = {"s": r.value, "expected": n - 2}
     return r.value == n - 2, computed, [r.witness], None
 
 
 @claim("FAN_STEINER", "range", family=(path, 2))
-def check_fan_steiner(n: int, caps: Caps = Caps()) -> Outcome:
+def check_fan_steiner(n: int, cap: int = DEFAULT_CAP) -> Outcome:
     """s(fan over a path of n) = n - 1 for n >= 3.
 
     Both s and g of the fan are computed and reported: the claim names the
@@ -574,8 +574,8 @@ def check_fan_steiner(n: int, caps: Caps = Caps()) -> Outcome:
     """
     _need(n >= 3, R_N_BELOW_MIN)
     f = fan(n)
-    rs = steiner_number(f, cap=caps.steiner)
-    rg = geodetic_number(f, cap=caps.geodetic)
+    rs = steiner_number(f, cap=cap)
+    rg = geodetic_number(f, cap=cap)
     formula = n - 1
     s_matches = rs.value == formula
     g_matches = rg.value == formula
@@ -591,14 +591,14 @@ def check_fan_steiner(n: int, caps: Caps = Caps()) -> Outcome:
 
 
 @claim("STEINER_K1_IFF_DIAM2", "single")
-def check_steiner_k1_iff_diam2(H: Graph, caps: Caps = Caps()) -> Outcome:
+def check_steiner_k1_iff_diam2(H: Graph, cap: int = DEFAULT_CAP) -> Outcome:
     """Checks s(K1 ⊙ H) = s(H) exactly when H has diameter 2, for connected
     non-complete H.  The claim is false: ``EyUG`` and ``EyuG`` have diameter 2,
     s(H) = 3 and s(K1 ⊙ H) = 4."""
     _need(is_connected(H), R_H_DISCONNECTED)
     _need(not is_complete(H), R_H_COMPLETE)
-    s_h = steiner_number(H, cap=caps.steiner)
-    s_k1 = steiner_number(_k1_corona(H), cap=caps.steiner)
+    s_h = steiner_number(H, cap=cap)
+    s_k1 = steiner_number(_k1_corona(H), cap=cap)
     diam = diameter(H)
     left = s_k1.value == s_h.value
     right = diam == 2
@@ -617,9 +617,9 @@ def check_steiner_k1_iff_diam2(H: Graph, caps: Caps = Caps()) -> Outcome:
 
 
 @claim("DIAM2_STEINER_GEODETIC", "single")
-def check_diam2_steiner_geodetic(G: Graph, caps: Caps = Caps()) -> Outcome:
+def check_diam2_steiner_geodetic(G: Graph, cap: int = DEFAULT_CAP) -> Outcome:
     """Checks that on diameter-2 graphs every Steiner set is geodetic, at
-    every order within the caps.
+    every order within the cap.
 
     ``steiner_sets`` and ``geodetic_sets`` hold one bit per vertex set, so
     the Steiner sets that are not geodetic are the bits of one AND NOT.  The
@@ -634,8 +634,8 @@ def check_diam2_steiner_geodetic(G: Graph, caps: Caps = Caps()) -> Outcome:
     ``K~Pc[LGeEZsh`` (order 12).
     """
     _need(is_diameter_two(G), R_DIAM_NE_2)
-    geo = geodetic_sets(G, cap=caps.geodetic)
-    steiner = steiner_sets(G, cap=caps.steiner)
+    geo = geodetic_sets(G, cap=cap)
+    steiner = steiner_sets(G, cap=cap)
     least = first_set(steiner, G.n)
     bad = steiner & ~geo
     first = bad & -bad  # 0 when every Steiner set is geodetic
@@ -652,29 +652,29 @@ def check_diam2_steiner_geodetic(G: Graph, caps: Caps = Caps()) -> Outcome:
 
 
 @claim("DIAM2_G_LE_S", "single")
-def check_diam2_g_le_s(G: Graph, caps: Caps = Caps()) -> Outcome:
+def check_diam2_g_le_s(G: Graph, cap: int = DEFAULT_CAP) -> Outcome:
     """Checks g(G) <= s(G) on diameter-2 graphs.  The claim is false:
     ``FhayG`` has g = 4 > s = 3, one of 13 failing census graphs of order 7."""
     _need(is_diameter_two(G), R_DIAM_NE_2)
-    rg = geodetic_number(G, cap=caps.geodetic)
-    rs = steiner_number(G, cap=caps.steiner)
+    rg = geodetic_number(G, cap=cap)
+    rs = steiner_number(G, cap=cap)
     computed = {"g": rg.value, "s": rs.value}
     return rg.value <= rs.value, computed, [rg.witness, rs.witness], None
 
 
 @claim("CORONA_G_LE_S", "pair")
-def check_corona_g_le_s(G: Graph, H: Graph, caps: Caps = Caps()) -> Outcome:
+def check_corona_g_le_s(G: Graph, H: Graph, cap: int = DEFAULT_CAP) -> Outcome:
     """g(G ⊙ H) <= s(G ⊙ H) for connected G of order >= 2 and non-complete H,
     replaying the chain g = n1·g(K1⊙H) <= n1·s(K1⊙H) <= n1·n2 = s."""
     _need(is_connected(G), R_G_DISCONNECTED)
     _need(G.n >= 2, R_N1_LT_2)
     _need(not is_complete(H), R_H_COMPLETE)
     prod, _ = _build_corona(G, H)
-    g_prod = geodetic_number(prod, cap=caps.geodetic)
-    s_prod = steiner_number(prod, cap=caps.steiner)
+    g_prod = geodetic_number(prod, cap=cap)
+    s_prod = steiner_number(prod, cap=cap)
     k1h = _k1_corona(H)
-    g_k1h = geodetic_number(k1h, cap=caps.geodetic)
-    s_k1h = steiner_number(k1h, cap=caps.steiner)
+    g_k1h = geodetic_number(k1h, cap=cap)
+    s_k1h = steiner_number(k1h, cap=cap)
     sub1 = g_prod.value == G.n * g_k1h.value
     sub2 = g_k1h.value <= s_k1h.value
     sub3 = s_k1h.value <= H.n
@@ -714,11 +714,11 @@ def _entry_report(theorem: str, entry: CorpusEntry) -> VerificationReport:
 def _execute(item: tuple) -> VerificationReport:
     """Checks one item, then frees the tables its graphs built: a corpus
     run holds every item until the last report."""
-    theorem, args, caps = item
+    theorem, args, cap = item
     for a in args:
         if isinstance(a, CorpusEntry):
             return _entry_report(theorem, a)
-    report = THEOREMS[theorem].checker(*args, caps)
+    report = THEOREMS[theorem].checker(*args, cap)
     for a in args:
         if isinstance(a, Graph):
             a.drop_tables()
@@ -732,7 +732,7 @@ def build_items(
     corpus_h: CorpusSpec | None = None,
     n_range: tuple[int, int] | None = None,
     k: int | None = None,
-    caps: Caps = Caps(),
+    cap: int = DEFAULT_CAP,
 ) -> list[tuple]:
     """Materialize the work items for a corpus run, in canonical order: the
     product of the kind's argument axes, the first axis outermost."""
@@ -756,7 +756,7 @@ def build_items(
         "n_range": lambda: range(n_range[0], n_range[1] + 1),
         "k": lambda: (k,),
     }
-    return [(theorem, args, caps) for args in itertools.product(*(axes[name]() for name in names))]
+    return [(theorem, args, cap) for args in itertools.product(*(axes[name]() for name in names))]
 
 
 def get_context():
@@ -773,7 +773,7 @@ def run_corpus(
     corpus_h: CorpusSpec | None = None,
     n_range: tuple[int, int] | None = None,
     k: int | None = None,
-    caps: Caps = Caps(),
+    cap: int = DEFAULT_CAP,
     parallel: int = 1,
 ) -> Generator[VerificationReport, None, None]:
     """Run one checker over a corpus, yielding each report in canonical
@@ -787,7 +787,7 @@ def run_corpus(
     if parallel < 1:
         raise DomainError(f"parallel worker count must be at least 1, got {parallel}")
     items = build_items(theorem, corpus=corpus, corpus_h=corpus_h,
-                        n_range=n_range, k=k, caps=caps)
+                        n_range=n_range, k=k, cap=cap)
     return _reports(items, min(parallel, os.cpu_count() or 1, len(items)))
 
 

@@ -17,9 +17,7 @@ from collections.abc import Iterator
 
 from .errors import CapExceeded, DomainError
 from .graphs import Graph, Mask, is_connected, mask_of
-from .subsets import FAMILY_MAX_ORDER, SearchResult, _size_layers, first_set, set_patterns
-
-DEFAULT_STEINER_CAP = 16
+from .subsets import DEFAULT_CAP, FAMILY_MAX_ORDER, SearchResult, _size_layers, first_set, set_patterns
 
 
 def _checked(G: Graph, cap: int, what: str) -> None:
@@ -77,13 +75,13 @@ def _first_level(G: Graph, members: Mask, cap: int) -> tuple[int, int]:
     return G.n - 1, (1 << (1 << G.n)) - 1
 
 
-def steiner_distance(G: Graph, members: Mask, *, cap: int = DEFAULT_STEINER_CAP) -> int:
+def steiner_distance(G: Graph, members: Mask, *, cap: int = DEFAULT_CAP) -> int:
     """Minimum number of edges of a connected subgraph containing the set
     (necessarily a tree)."""
     return _first_level(G, members, cap)[0]
 
 
-def steiner_hull(G: Graph, members: Mask, *, cap: int = DEFAULT_STEINER_CAP) -> Mask:
+def steiner_hull(G: Graph, members: Mask, *, cap: int = DEFAULT_CAP) -> Mask:
     """Vertices lying on at least one minimum tree for the set:
     v is in the hull exactly when d(W + v) = d(W)."""
     level = _first_level(G, members, cap)[1]
@@ -104,7 +102,7 @@ def _sets(G: Graph, cap: int, what: str) -> int:
     return every & ~bad & ~1
 
 
-def steiner_sets(G: Graph, *, cap: int = DEFAULT_STEINER_CAP) -> int:
+def steiner_sets(G: Graph, *, cap: int = DEFAULT_CAP) -> int:
     """An int of 2^n bits whose bit W is set exactly when the vertex set W
     is a Steiner set, the form of ``geodetic_sets``.
 
@@ -116,7 +114,7 @@ def steiner_sets(G: Graph, *, cap: int = DEFAULT_STEINER_CAP) -> int:
     return _sets(G, cap, "Steiner sets are")
 
 
-def steiner_number(G: Graph, *, cap: int = DEFAULT_STEINER_CAP) -> SearchResult:
+def steiner_number(G: Graph, *, cap: int = DEFAULT_CAP) -> SearchResult:
     """Minimum Steiner set by exact search, cardinality then lexicographic order.
 
     The search is ``subsets.first_set`` on ``steiner_sets``, and

@@ -20,6 +20,8 @@ from operator import or_
 
 from .graphs import Mask, mask_of, vertex_tuple
 
+# the order cap of every search unless the caller sets one
+DEFAULT_CAP = 20
 # ceiling on the cap of every engine that builds a family: their memory
 # doubles with each order, to about 0.6 GiB (geodetic) and 0.25 GiB (Steiner) at 24
 FAMILY_MAX_ORDER = 24

@@ -199,17 +199,28 @@ def test_compute_terminal_cap_follows_max_n(run_cli):
 
 
 def test_compute_steiner_hull_past_the_order_cap_needs_max_n(run_cli):
-    p17 = path(17)
-    argv = ("compute", "--g6", encode_graph6(p17), "--measure", "steiner-hull",
-            "--vertices", "0,5,16", "--json")
+    p21 = path(21)
+    argv = ("compute", "--g6", encode_graph6(p21), "--measure", "steiner-hull",
+            "--vertices", "0,5,20", "--json")
     res = run_cli(*argv)
     assert res.returncode == 3
     assert res.stdout == ""
-    assert res.stderr.strip() == "error: Steiner search capped at n <= 16, got 17"
-    res = run_cli(*argv, "--max-n", "17")
+    assert res.stderr.strip() == "error: Steiner search capped at n <= 20, got 21"
+    res = run_cli(*argv, "--max-n", "21")
     assert res.returncode == 0, res.stderr
-    expected = vertex_tuple(steiner_hull_by_dp(p17, mask_of([0, 5, 16])))
-    assert json.loads(res.stdout)["witness"] == list(expected) == list(range(17))
+    expected = vertex_tuple(steiner_hull_by_dp(p21, mask_of([0, 5, 20])))
+    assert json.loads(res.stdout)["witness"] == list(expected) == list(range(21))
+
+
+def test_compute_steiner_number_runs_up_to_the_default_cap(run_cli):
+    res = run_cli("compute", "--g6", encode_graph6(path(20)), "--measure", "s", "--json")
+    assert res.returncode == 0, res.stderr
+    row = json.loads(res.stdout)
+    assert (row["value"], row["witness"]) == (2, [0, 19])
+    res = run_cli("compute", "--g6", encode_graph6(path(21)), "--measure", "s", "--json")
+    assert res.returncode == 3
+    assert res.stdout == ""
+    assert res.stderr == "error: Steiner search capped at n <= 20, got 21\n"
 
 
 def test_compute_steiner_hull_and_distance_at_the_default_terminal_cap(run_cli):
@@ -541,6 +552,19 @@ def test_census_env_override_missing_dir(run_cli, tmp_path, monkeypatch):
     assert "census file not found" in res.stderr
     assert str(tmp_path / "nowhere" / "graph2c.g6") in res.stderr
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("argv", [("census", "--order", "7", "--json"),
+                                  ("verify", "--theorem", "GEO_KN", "--family-g", "all-connected:7..7")])
+def test_truncated_census_file_exits_2(argv, run_cli, tmp_path, monkeypatch):
+    monkeypatch.delenv("CORONA_CENSUS_DIR", raising=False)
+    target = tmp_path / "graph7c.g6"
+    target.write_text("\n".join(census_lines(7)[:10]) + "\n")
+    monkeypatch.setenv("CORONA_CENSUS_DIR", str(tmp_path))
+    res = run_cli(*argv)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == f"error: census file {target} holds 10 graphs, not the 853 of order 7\n"
 
 
 def test_verify_exit_1_on_counterexample(run_cli, tmp_path):

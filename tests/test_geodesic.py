@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coronageo import cli, geodesic, graphs, subsets
-from coronageo.corpus import Caps
 from coronageo.errors import CapExceeded, DomainError
 from coronageo.formats import encode_graph6, parse_graph6
 from coronageo.geodesic import (
@@ -81,7 +80,7 @@ def test_interval_cross_component_is_domain_error():
     for text, message in (("0,1", "^vertices 0 and 1 are in different components$"),
                           ("0,5", r"^--vertices entry 5 is not in the graph \(order 2\)$")):
         with pytest.raises(DomainError, match=message):
-            cli._measure_payload(g, "interval", SimpleNamespace(vertices=text), Caps())
+            cli._measure_payload(g, "interval", SimpleNamespace(vertices=text), subsets.DEFAULT_CAP)
 
 
 def test_interval_matches_path_enumeration(census):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coronageo import geodesic, graphs
-from coronageo.corpus import Caps, CorpusEntry, CorpusSpec
+from coronageo.corpus import CorpusEntry, CorpusSpec
 from coronageo.errors import DomainError
 from coronageo.formats import encode_graph6
 from coronageo.graphs import (
@@ -150,8 +150,10 @@ def test_graph_survives_a_pickle_round_trip(built):
 
 
 @pytest.mark.parametrize("record,text", [
-    (Caps(), "Caps(geodetic=20, steiner=16)"),
-    (Caps(steiner=5), "Caps(geodetic=20, steiner=5)"),
+    (CorpusSpec.random(8, 0.6, 40, 1), "CorpusSpec(kind='random', family=None, lo=0, hi=0, "
+                                       "path=None, order=8, p=0.6, count=40, seed=1)"),
+    (CorpusSpec.from_file("f.g6"), "CorpusSpec(kind='file', family=None, lo=0, hi=0, "
+                                   "path='f.g6', order=0, p=0.0, count=0, seed=None)"),
     (SearchResult(2, (0, 3), 4), "SearchResult(value=2, witness=(0, 3), explored=4)"),
     (SearchResult(None, None, 0), "SearchResult(value=None, witness=None, explored=0)"),
     (SearchResult.of(0b10011, 0b11111), "SearchResult(value=3, witness=(0, 1, 4), explored=18)"),

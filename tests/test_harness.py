@@ -29,7 +29,6 @@ from coronageo.graphs import (
     vertex_tuple,
 )
 from coronageo.harness import (
-    Caps,
     THEOREMS,
     THEOREM_IDS,
     build_items,
@@ -62,6 +61,7 @@ from coronageo.harness import (
     summary_json,
 )
 from coronageo.steiner import steiner_sets
+from coronageo.subsets import DEFAULT_CAP
 
 from oracles import (
     closure_vertices,
@@ -675,8 +675,7 @@ def test_report_json_skipped_schema():
 
 
 def test_caps_propagate_to_skips():
-    caps = Caps(geodetic=4, steiner=4)
-    r = check_geo_corona_eq(path(2), path(3), caps)
+    r = check_geo_corona_eq(path(2), path(3), 4)
     assert r.verdict == "SKIPPED"
     assert r.reason.startswith("cap-exceeded")
 
@@ -716,25 +715,50 @@ def test_run_corpus_calls_the_registered_checker(monkeypatch):
     monkeypatch.setitem(THEOREMS, "GEO_KN", dataclasses.replace(info, checker=spy))
     reports = list(run_corpus("GEO_KN", corpus=CorpusSpec.from_family("complete", 1, 3)))
     assert [args[0] for args in calls] == [complete(1), complete(2), complete(3)]
-    assert all(args[1] == Caps() for args in calls)
+    assert all(args[1] == DEFAULT_CAP for args in calls)
     assert summarize(reports) == {"pass": 3, "fail": 0, "skipped": 0}
 
 
 def test_checkers_accept_keyword_arguments():
-    positional = check_geo_corona_eq(path(2), path(3), Caps())
-    keyword = check_geo_corona_eq(H=path(3), G=path(2), caps=Caps())
+    positional = check_geo_corona_eq(path(2), path(3), DEFAULT_CAP)
+    keyword = check_geo_corona_eq(H=path(3), G=path(2), cap=DEFAULT_CAP)
     assert keyword.to_json() == positional.to_json()
     assert check_wheel_geo(n=3).instance == check_wheel_geo(3).instance
 
 
 def test_cap_exceeded_after_the_first_search_is_a_skip():
-    # C5 has diameter 2 and g(C5) is found within the geodetic cap; the
-    # Steiner search that follows is capped below the order.
-    r = check_diam2_g_le_s(cycle(5), Caps(steiner=4))
+    # s(C4) is found within the cap; the search of K1 ⊙ C4 that follows
+    # is one vertex above it.
+    r = check_steiner_k1_lb(cycle(4), 4)
     assert r.verdict == "SKIPPED"
     assert r.reason == "cap-exceeded: Steiner search capped at n <= 4, got 5"
     assert r.computed == {} and r.witness is None
-    assert check_diam2_g_le_s(cycle(5), Caps(steiner=5)).verdict == "PASS"
+    assert check_steiner_k1_lb(cycle(4), 5).verdict == "PASS"
+
+
+# the searches a claim may run, each taking a ``cap=`` keyword
+_CAPPED_SEARCHES = ("geodetic_number", "k_geodetic_number", "geodetic_sets", "steiner_number", "steiner_sets")
+# a small corpus of each kind, whose every claim runs at least one search
+_SMALL_CORPORA = {
+    "single": {"corpus": CorpusSpec.exhaustive(1, 5)},
+    "pair": {"corpus": CorpusSpec.exhaustive(1, 2), "corpus_h": CorpusSpec.exhaustive(1, 3)},
+    "range": {"n_range": (0, 6)},
+    "g_range": {"corpus": CorpusSpec.exhaustive(1, 2), "n_range": (0, 6)},
+    "pendant": {"corpus": CorpusSpec.exhaustive(1, 2), "corpus_h": CorpusSpec.exhaustive(1, 3), "k": 2},
+}
+
+
+@pytest.mark.parametrize("theorem", THEOREM_IDS)
+def test_every_claim_passes_its_cap_to_every_search(theorem, monkeypatch):
+    caps = []
+    for name in _CAPPED_SEARCHES:
+        def spy(*args, _search=getattr(harness, name), **kwargs):
+            caps.append(kwargs.get("cap"))
+            return _search(*args, **kwargs)
+        monkeypatch.setattr(harness, name, spy)
+    reports = list(run_corpus(theorem, cap=19, **_SMALL_CORPORA[THEOREMS[theorem].kind]))
+    assert reports and caps, "the claim ran no capped search"
+    assert set(caps) == {19}  # no default cap is 19
 
 
 class _FakeContext:

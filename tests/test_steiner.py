@@ -90,8 +90,8 @@ def test_steiner_distance_errors():
         for query in (steiner_distance, steiner_hull):
             with pytest.raises(DomainError, match=message):
                 query(empty(20), members, cap=4)
-    with pytest.raises(CapExceeded, match="Steiner search capped at n <= 16, got 17"):
-        steiner_hull(path(17), 0b101)
+    with pytest.raises(CapExceeded, match="Steiner search capped at n <= 20, got 21"):
+        steiner_hull(path(21), 0b101)
 
 
 def test_disconnected_graph_with_built_tables_is_refused(monkeypatch):
@@ -244,8 +244,8 @@ def test_steiner_number_p2_corona_p2():
 def test_steiner_number_errors():
     with pytest.raises(DomainError):
         steiner_number(empty(2))
-    with pytest.raises(CapExceeded):
-        steiner_number(corona(complete(1), cycle(16))[0])
+    with pytest.raises(CapExceeded, match="Steiner search capped at n <= 20, got 21"):
+        steiner_number(corona(complete(1), cycle(20))[0])
 
 
 def _table_bytes(g):
@@ -419,8 +419,8 @@ def test_steiner_sets_errors():
         steiner_sets(empty(2))
     with pytest.raises(CapExceeded):
         steiner_sets(path(5), cap=4)
-    with pytest.raises(CapExceeded):
-        steiner_sets(corona(complete(1), cycle(16))[0])
+    with pytest.raises(CapExceeded, match="Steiner search capped at n <= 20, got 21"):
+        steiner_sets(corona(complete(1), cycle(20))[0])
 
 
 def test_steiner_number_matches_per_candidate_dp_search(census):
