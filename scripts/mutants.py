@@ -189,6 +189,14 @@ MUTANTS = (
         "    rg = geodetic_number(f)\n",
         ("tests/test_harness.py::test_every_claim_passes_its_cap_to_every_search[FAN_STEINER]",),
     ),
+    Mutant(
+        "report-json-always-times",
+        "src/coronageo/harness.py",
+        "if value is not None and (timing or key != \"elapsed_ms\")",
+        "if value is not None",
+        ("tests/test_harness.py::test_report_json_schema",
+         "tests/test_golden.py::test_golden_output[geo_kn]"),
+    ),
 )
 
 

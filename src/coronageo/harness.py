@@ -87,19 +87,10 @@ class VerificationReport:
     elapsed_ms: int = 0
 
     def to_json(self, *, timing: bool = False) -> str:
-        payload: dict = {
-            "theorem": self.theorem,
-            "instance": self.instance,
-            "computed": self.computed,
-            "verdict": self.verdict,
-        }
-        if self.reason is not None:
-            payload["reason"] = self.reason
-        if self.witness is not None:
-            payload["witness"] = self.witness
-        if timing:
-            payload["elapsed_ms"] = self.elapsed_ms
-        return jsonline(payload)
+        """One JSON line of the fields, less any that is None, and less
+        ``elapsed_ms`` unless ``timing``."""
+        return jsonline({key: value for key, value in vars(self).items()
+                         if value is not None and (timing or key != "elapsed_ms")})
 
 
 def summarize(reports: Iterable[VerificationReport]) -> dict:
@@ -131,9 +122,7 @@ Outcome = tuple[bool, dict, list[Sequence[int]] | None, str | None]
 
 
 class _Skip(Exception):
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
+    """A SKIPPED verdict; its one argument is the reason."""
 
 
 def _need(condition: bool, reason: str) -> None:
@@ -185,7 +174,7 @@ def claim(theorem: str, kind: str, family: tuple[Callable[[int], Graph], int] | 
                 ok, computed, witness, reason = body(*args, **kwargs)
                 verdict = PASS if ok else FAIL
             except _Skip as s:
-                verdict, computed, witness, reason = SKIPPED, {}, None, s.reason
+                verdict, computed, witness, reason = SKIPPED, {}, None, s.args[0]
             except CapExceeded as exc:
                 verdict, computed, witness, reason = SKIPPED, {}, None, f"{R_CAP}: {exc}"
             return VerificationReport(
@@ -701,23 +690,14 @@ def check_corona_g_le_s(G: Graph, H: Graph, cap: int = DEFAULT_CAP) -> Outcome:
 THEOREM_IDS = tuple(sorted(THEOREMS))
 
 
-def _entry_report(theorem: str, entry: CorpusEntry) -> VerificationReport:
-    return VerificationReport(
-        theorem,
-        {"g6": [], "params": {"source": entry.source}},
-        {},
-        SKIPPED,
-        reason=f"{R_PARSE}: {entry.error}",
-    )
-
-
 def _execute(item: tuple) -> VerificationReport:
     """Checks one item, then frees the tables its graphs built: a corpus
     run holds every item until the last report."""
     theorem, args, cap = item
     for a in args:
         if isinstance(a, CorpusEntry):
-            return _entry_report(theorem, a)
+            return VerificationReport(theorem, {"g6": [], "params": {"source": a.source}}, {},
+                                      SKIPPED, reason=f"{R_PARSE}: {a.error}")
     report = THEOREMS[theorem].checker(*args, cap)
     for a in args:
         if isinstance(a, Graph):
@@ -766,28 +746,19 @@ def get_context():
     return multiprocessing.get_context()
 
 
-def run_corpus(
-    theorem: str,
-    *,
-    corpus: CorpusSpec | None = None,
-    corpus_h: CorpusSpec | None = None,
-    n_range: tuple[int, int] | None = None,
-    k: int | None = None,
-    cap: int = DEFAULT_CAP,
-    parallel: int = 1,
-) -> Generator[VerificationReport, None, None]:
+def run_corpus(theorem: str, *, parallel: int = 1, **axes) -> Generator[VerificationReport, None, None]:
     """Run one checker over a corpus, yielding each report in canonical
     instance order as soon as its item is checked.
 
-    The arguments are checked and the items built at the call, so a bad
-    argument raises before any report.  ``parallel`` must be at least 1;
-    the pool never has more workers than CPUs or work items, and takes the
-    items in chunks of ceil(items / (4 * workers)), ``Pool.map``'s default.
-    Closing the generator early terminates the pool."""
+    ``axes`` are ``build_items``' keywords.  The arguments are checked and
+    the items built at the call, so a bad argument raises before any
+    report.  ``parallel`` must be at least 1; the pool never has more
+    workers than CPUs or work items, and takes the items in chunks of
+    ceil(items / (4 * workers)), ``Pool.map``'s default.  Closing the
+    generator early terminates the pool."""
     if parallel < 1:
         raise DomainError(f"parallel worker count must be at least 1, got {parallel}")
-    items = build_items(theorem, corpus=corpus, corpus_h=corpus_h,
-                        n_range=n_range, k=k, cap=cap)
+    items = build_items(theorem, **axes)
     return _reports(items, min(parallel, os.cpu_count() or 1, len(items)))
 
 

@@ -190,8 +190,8 @@ _P8 = "GhCGGC"  # the path 0-1-...-7
 
 
 def test_compute_terminal_cap_follows_max_n(run_cli):
-    """The single-set measures are under the Steiner order cap, which
-    --max-n sets like every other cap."""
+    """The single-set measures are under the order cap of every search,
+    which --max-n sets."""
     res = run_cli("compute", "--g6", _P8, "--measure", "steiner-distance",
                   "--vertices", "0,1,2,3,4,5", "--max-n", "5")
     assert res.returncode == 3

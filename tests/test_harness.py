@@ -550,6 +550,7 @@ def test_diam2_g_le_s_fails_on_13_census_graphs_of_order_7():
     assert fails == ["FhayG", "FhcYG", "Fhctg", "FhdYG", "Fhf_g", "FhtOw", "FjsYG",
                      "Flu]?", "Fl}SO", "FnwpO", "Fn}SO", "FxeKo", "FxecW"]
     g = parse_graph6("FhayG")  # the counterexample the checker's docstring names
+    assert nx.diameter(to_nx(g)) == 2
     assert geodetic_number_brute(g) == (4, (1, 3, 4, 5))
     assert steiner_number_brute(g) == (3, (1, 3, 4))
 
@@ -663,7 +664,7 @@ def test_report_json_schema():
     assert payload["instance"]["params"] == {"n1": 2, "n2": 3}
     assert all(w == sorted(w) for w in payload["witness"])
     timed = json.loads(r.to_json(timing=True))
-    assert "elapsed_ms" in timed
+    assert set(timed) == set(payload) | {"elapsed_ms"}
 
 
 def test_report_json_skipped_schema():
@@ -815,6 +816,12 @@ def test_run_corpus_rejects_parallel_below_one(monkeypatch, parallel):
     assert fake.sizes == []
 
 
+def test_run_corpus_refuses_an_unknown_keyword_before_loading_a_corpus(monkeypatch):
+    monkeypatch.setattr(CorpusSpec, "load", lambda self: pytest.fail("corpus loaded"))
+    with pytest.raises(TypeError, match="unexpected keyword argument 'corpus_g'"):
+        run_corpus("GEO_KN", corpus=CorpusSpec.exhaustive(1, 3), corpus_g=CorpusSpec.exhaustive(1, 3))
+
+
 @pytest.mark.parametrize("parallel, chunksize", [
     (2, 5),  # ceil(37 / 8)
     (3, 4),  # ceil(37 / 12)
@@ -888,10 +895,10 @@ def test_verify_error_mid_run_keeps_the_reports_before_it(monkeypatch, capsys):
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
     info = THEOREMS["GEO_KN"]
 
-    def checker(G, caps):
+    def checker(G, cap):
         if G.n == 3:
             raise OSError("disk gone")
-        return info.checker(G, caps)
+        return info.checker(G, cap)
 
     monkeypatch.setitem(THEOREMS, "GEO_KN", dataclasses.replace(info, checker=checker))
     rc = cli.main(["verify", "--theorem", "GEO_KN", "--family-g", "complete:1..5",
