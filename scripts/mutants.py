@@ -49,10 +49,19 @@ MUTANTS = (
     Mutant(
         "geodetic-number-drops-the-last-block",
         "src/coronageo/geodesic.py",
-        "    for b in parts:\n        free = b & ~(cut | ext)",
-        "    for b in parts[:-1]:\n        free = b & ~(cut | ext)",
+        "    for vs, rows, cut in blocks(G):\n",
+        "    for vs, rows, cut in blocks(G)[:-1]:\n",
         ("tests/test_geodesic.py::test_corona_products_by_their_families",
          "tests/test_geodesic.py::test_block_search_matches_flat_search_on_census"),
+    ),
+    Mutant(
+        "blocks-cut-mask-in-graph-labels",
+        "src/coronageo/graphs.py",
+        "mask_of(i for i, v in enumerate(vs) if adj[v] & ~b))",
+        "mask_of(v for v in vs if adj[v] & ~b))",
+        ("tests/test_graphs.py::test_blocks_match_networkx_on_census",
+         "tests/test_geodesic.py::test_block_search_matches_flat_search_on_census",
+         "tests/test_geodesic.py::test_corona_products_by_their_families"),
     ),
     Mutant(
         "one-pass-table-unites-the-first-predecessor-only",

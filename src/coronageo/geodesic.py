@@ -6,7 +6,7 @@ from functools import lru_cache, reduce
 from operator import and_
 
 from .errors import CapExceeded, DomainError
-from .graphs import Graph, Mask, blocks, extreme_vertices, induced_rows, is_connected, vertex_tuple
+from .graphs import Graph, Mask, blocks, extreme_vertices, is_connected, mask_of, vertex_tuple
 from .subsets import DEFAULT_CAP, FAMILY_MAX_ORDER, SearchResult, first_cover, set_patterns
 
 _BLOCK_PICK_CACHE_SIZE = 4096  # block searches that ``_block_pick`` keeps, across calls
@@ -90,7 +90,7 @@ def _block_pick(rows: tuple[Mask, ...], forced: Mask) -> Mask:
     """The free vertices (those outside ``forced``) that ``first_cover``
     adds in the graph with adjacency ``rows``, as a mask of its labels.
 
-    The pick depends on nothing else, so blocks alike up to ``induced_rows``
+    The pick depends on nothing else, so blocks alike up to relabeling
     share one search, within a graph and across graphs; a graph that is one
     block is such a block too, with its extreme vertices forced.
     """
@@ -107,14 +107,14 @@ def geodetic_number(G: Graph, *, cap: int = DEFAULT_CAP) -> SearchResult:
     nonempty candidates.  Let C be the cut vertices and, for a block B,
     C_B = B ∩ C and F_B = B minus (C ∪ X), its free vertices.  Each
     block with F_B nonempty runs ``first_cover`` on its own subgraph G[B],
-    relabeled by ``induced_rows``, with B minus F_B = C_B ∪ (X ∩ B) forced,
-    and picks the first subset of F_B that passes.  ``_block_pick`` keeps
-    each pick by the block's rows and forced mask, so alike blocks, such as
-    the n1 copies of K1 ⊙ H in G ⊙ H, are searched once, and the graph's own
-    tables are not built.  A graph that is one block, K1 ⊙ H among them, has
-    C empty and is its own block, with X forced.  The witness is X with
-    every pick, and ``explored`` is its ``subsets.candidate_rank`` with X
-    forced.
+    whose relabeled rows and C_B come from ``blocks``, with B minus F_B =
+    C_B ∪ (X ∩ B) forced, and picks the first subset of F_B that passes.
+    ``_block_pick`` keeps each pick by the block's rows and forced mask, so
+    alike blocks, such as the n1 copies of K1 ⊙ H in G ⊙ H, are searched
+    once, and the graph's own tables are not built.  A graph that is one
+    block, K1 ⊙ H among them, has C empty and is its own block, with X
+    forced.  The witness is X with every pick, and ``explored`` is its
+    ``subsets.candidate_rank`` with X forced.
 
     Lemma: that witness is the flat search's.
     (1) Gates.  Fix a block B.  A vertex u outside B reaches B through one
@@ -151,24 +151,11 @@ def geodetic_number(G: Graph, *, cap: int = DEFAULT_CAP) -> SearchResult:
     _require_connected(G)
     if G.n > cap:
         raise CapExceeded(f"geodetic search capped at n <= {cap}, got {G.n}")
-    ext = extreme_vertices(G)
-    parts = blocks(G)
-    cut = seen = 0
-    for b in parts:
-        cut |= seen & b
-        seen |= b
-    witness = ext
-    for b in parts:
-        free = b & ~(cut | ext)
-        if not free:
-            continue
-        vs = vertex_tuple(b)
-        forced = sum(1 << i for i, v in enumerate(vs) if not free >> v & 1)
-        pick = _block_pick(induced_rows(G, b), forced)
-        while pick:
-            low = pick & -pick
-            witness |= 1 << vs[low.bit_length() - 1]
-            pick ^= low
+    ext = witness = extreme_vertices(G)
+    for vs, rows, cut in blocks(G):
+        forced = cut | mask_of(i for i, v in enumerate(vs) if ext >> v & 1)
+        if forced != (1 << len(vs)) - 1:
+            witness |= mask_of(vs[i] for i in vertex_tuple(_block_pick(rows, forced)))
     return SearchResult.of(witness, G.full_mask, ext)
 
 

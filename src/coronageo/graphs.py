@@ -218,10 +218,15 @@ def components(G: Graph) -> list[Mask]:
     return out
 
 
-def blocks(G: Graph) -> list[Mask]:
+def blocks(G: Graph) -> list[tuple[tuple[int, ...], tuple[Mask, ...], Mask]]:
     """Blocks (maximal connected subgraphs without a cut vertex of their
-    own; a bridge is a block) as vertex masks.  An isolated vertex lies in
-    no block, and the cut vertices are the vertices in two or more blocks.
+    own; a bridge is a block), each as ``(vs, rows, cut)``: its vertices as
+    an ascending tuple, its adjacency rows relabeled as ``induced_rows``
+    does (new label i is ``vs[i]``), and its cut vertices, the vertices in
+    two or more blocks, as a mask in those labels.  A vertex of a block is
+    in another exactly when it has a neighbour outside the block, since
+    each edge lies in one block and two blocks share at most one vertex.
+    An isolated vertex lies in no block.
 
     One depth-first search, as in Hopcroft and Tarjan, "Efficient
     algorithms for graph manipulation", CACM 16(6), 1973, kept on an
@@ -234,7 +239,7 @@ def blocks(G: Graph) -> list[Mask]:
     adj = G.adj
     disc = [0] * G.n  # discovery time from 1
     low = [0] * G.n
-    out = []
+    parts = []
     t = seen = 0
     for root in range(G.n):
         if seen >> root & 1 or not adj[root]:
@@ -272,8 +277,9 @@ def blocks(G: Graph) -> list[Mask]:
                 block = 1 << p
                 while (w := stack.pop()) != v:
                     block |= 1 << w
-                out.append(block | 1 << v)
-    return out
+                parts.append(block | 1 << v)
+    return [(vs := vertex_tuple(b), induced_rows(G, b), mask_of(i for i, v in enumerate(vs) if adj[v] & ~b))
+            for b in parts]
 
 
 def bfs_distances(G: Graph) -> tuple:

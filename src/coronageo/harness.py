@@ -617,10 +617,12 @@ def check_diam2_steiner_geodetic(G: Graph, cap: int = DEFAULT_CAP) -> Outcome:
     (all of them when there is none).  s and its witness are
     ``subsets.first_set`` of the Steiner sets, and g is the least size in
     ``geodetic_sets``.
-    ``tier_a`` is always 1.  The claim is false: in ``Gvxi]?`` (order 8) the
-    set {2, 6, 7} is a Steiner set but not a geodetic set, and so are
-    {1, 3, 6, 8} in ``Ithp^a?Zw`` (order 10) and {2, 3, 6, 7, 8} in
-    ``K~Pc[LGeEZsh`` (order 12).
+    ``tier_a`` is always 1.  The claim is false.  The census up to order 6
+    has no counterexample; the smallest are the 13 graphs of order 7 that
+    fail ``DIAM2_G_LE_S``, ``FhayG`` first, each with s = 3 < g = 4.  In
+    ``Gvxi]?`` (order 8) the set {2, 6, 7} is a Steiner set but not a
+    geodetic set, and so are {1, 3, 6, 8} in ``Ithp^a?Zw`` (order 10) and
+    {2, 3, 6, 7, 8} in ``K~Pc[LGeEZsh`` (order 12).
     """
     _need(is_diameter_two(G), R_DIAM_NE_2)
     geo = geodetic_sets(G, cap=cap)

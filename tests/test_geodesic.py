@@ -404,7 +404,7 @@ def glued_blocks(draw):
 @given(glued_blocks())
 def test_block_search_matches_flat_search_hypothesis(case):
     g, parts = case
-    assert sorted(blocks(g)) == parts
+    assert sorted(mask_of(vs) for vs, _, _ in blocks(g)) == parts
     r = geodetic_number(g)
     assert r == _flat(g)
     if g.n <= 10:

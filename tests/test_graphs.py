@@ -600,10 +600,12 @@ def test_extreme_double_loop_on_disconnected_graphs():
 
 def test_extreme_vertices_are_not_kept_on_the_graph():
     """The graph memoizes its two tables only; the extreme vertices are one
-    O(m) scan per call."""
+    O(m) scan per call, and the blocks one search per call."""
     g = fan(4)
     assert extreme_vertices(g) == mask_of([1, 4])
     assert not hasattr(g, "extreme_vertices") and sorted(vars(g)) == ["adj", "n"]
+    blocks(g)
+    assert sorted(vars(g)) == ["adj", "n"]
     g.intervals
     assert sorted(vars(g)) == ["adj", "distances", "intervals", "n"]
     g.drop_tables()
@@ -642,12 +644,14 @@ def test_induced_rejects_empty_and_foreign_sets():
 
 
 def _blocks_and_cut_vertices(g):
-    """``blocks(g)`` sorted, and the vertices in two or more of them."""
-    parts = blocks(g)
-    cut = seen = 0
-    for b in parts:
-        cut |= seen & b
-        seen |= b
+    """``blocks(g)`` as sorted masks, and the cut vertices, read from each
+    block's own cut mask through its vertices; each block's vertices ascend
+    and its rows are the induced subgraph's."""
+    parts, cut = [], 0
+    for vs, rows, local_cut in blocks(g):
+        assert vs == tuple(sorted(set(vs))) and rows == induced_rows(g, mask_of(vs))
+        parts.append(mask_of(vs))
+        cut |= mask_of(v for i, v in enumerate(vs) if local_cut >> i & 1)
     return sorted(parts), cut
 
 
@@ -658,11 +662,15 @@ def _networkx_blocks(g):
 
 def test_blocks_examples():
     assert blocks(path(1)) == [] and blocks(empty(3)) == []
-    assert sorted(blocks(path(4))) == [0b0011, 0b0110, 0b1100]
-    assert blocks(cycle(5)) == [0b11111]
+    assert sorted(mask_of(vs) for vs, _, _ in blocks(path(4))) == [0b0011, 0b0110, 0b1100]
+    assert blocks(cycle(5)) == [((0, 1, 2, 3, 4), cycle(5).adj, 0)]
     product, layout = corona(path(3), cycle(4))
+    parts = blocks(product)
     # G's two edges, and one copy of K1 ⊙ C4 per base vertex
-    assert sorted(blocks(product)) == sorted([0b011, 0b110] + [1 << i | layout.copy_mask(i) for i in range(3)])
+    assert sorted(mask_of(vs) for vs, _, _ in parts) == sorted(
+        [0b011, 0b110] + [1 << i | layout.copy_mask(i) for i in range(3)])
+    # the copy at base vertex 1 is the wheel on its hub, the one cut vertex
+    assert ((1, *layout.copy_indices(1)), wheel(4).adj, 0b1) in parts
 
 
 def test_blocks_match_networkx_on_census(census):

@@ -555,6 +555,21 @@ def test_diam2_g_le_s_fails_on_13_census_graphs_of_order_7():
     assert steiner_number_brute(g) == (3, (1, 3, 4))
 
 
+def test_diam2_steiner_geodetic_fails_on_the_same_13_census_graphs_of_order_7():
+    """The smallest counterexamples: the census up to order 6 has none
+    (criterion 9), and at order 7 the least Steiner set of each graph that
+    fails g <= s is not geodetic."""
+    order_7 = CorpusSpec.parse("all-connected:7..7")
+    reports = list(run_corpus("DIAM2_STEINER_GEODETIC", corpus=order_7))
+    fails = [r.instance["g6"][0] for r in reports if r.verdict == "FAIL"]
+    assert fails == [r.instance["g6"][0] for r in run_corpus("DIAM2_G_LE_S", corpus=order_7)
+                     if r.verdict == "FAIL"]
+    assert [sum(r.verdict == v for r in reports) for v in ("FAIL", "PASS", "SKIPPED")] == [13, 360, 480]
+    for g in map(parse_graph6, fails):
+        assert nx.diameter(to_nx(g)) == 2
+        assert (steiner_number_brute(g)[0], geodetic_number_brute(g)[0]) == (3, 4)
+
+
 def test_corona_g_le_s_examples():
     r = check_corona_g_le_s(path(2), path(3))
     assert r.verdict == "PASS"
